@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -129,7 +130,17 @@ def table_from_json(obj, cls):
                         "TABLE_PARSE", f"side tag {side!r} wrong for variable {name!r}"
                     )
                 word.append(name)
-            values[tuple(word)] = float(entry["value"])
+            word = tuple(word)
+            value = float(entry["value"])
+            if word in values:
+                raise CliError("TABLE_PARSE", f"duplicate entry for word {word!r}")
+            if len(word) > cap:
+                raise CliError(
+                    "TABLE_PARSE", f"entry {word!r} longer than degree_cap {cap}"
+                )
+            if not math.isfinite(value):
+                raise CliError("TABLE_PARSE", f"non-finite value for word {word!r}")
+            values[word] = value
         return cls(alphabet, cap, values)
     except CliError:
         raise
@@ -259,6 +270,8 @@ def cmd_cbp_build(args) -> str:
 
 
 def _point_mass_spec(args) -> CbpSpec:
+    if args.deg < 1:
+        raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
     alphabet = Alphabet(("zl",), ("zr",))
     jump = MomentFunctional.from_function(
         alphabet, args.deg,
@@ -399,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="output file (atomic write)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker count passed through to modules")
     sub = p.add_subparsers(dest="command", required=True)
 
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(

@@ -11,15 +11,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import (
-    LEFT,
-    RIGHT,
-    BNCPartition,
-    ChiShape,
-    enumerate_nc,
-    mobius_nc_one,
+from .errors import (
+    DEFAULT_CAP,
+    CapExceededError,
+    MissingEntryError,
+    ShapeMismatchError,
 )
+from .partitions import LEFT, RIGHT
 
 Word = tuple[str, ...]
 
@@ -49,9 +47,6 @@ class Alphabet:
 
     def sides_of(self, word: Word) -> tuple[str, ...]:
         return tuple(self.side_of(x) for x in word)
-
-    def chi_of(self, word: Word) -> ChiShape:
-        return ChiShape(self.sides_of(word))
 
 
 def all_words(alphabet: Alphabet, max_len: int):
@@ -116,88 +111,79 @@ class CumulantTable(_WordTable):
 
 
 @lru_cache(maxsize=None)
-def _bnc_expansion(sides: tuple[str, ...]):
-    """For chi given by `sides`: all sigma in BNC(n, chi) as 0-based position
-    blocks, paired with mu_n(s_chi^{-1} o sigma, 1_n)."""
-    shape = ChiShape(sides)
-    out = []
-    for pi in enumerate_nc(len(sides)):
-        sigma = shape.apply(pi)
-        blocks = tuple(tuple(x - 1 for x in b) for b in sigma.blocks)
-        out.append((blocks, mobius_nc_one(pi)))
-    return tuple(out)
+def _plan(sides: tuple[str, ...]):
+    """The first-block recursion for words with side pattern `sides`.
+
+    Under s_chi (left positions ascending, then right positions descending)
+    BNC(n, chi) is NC(n) (Charlesworth-Nelson-Skoufranis 2015), so phi(w) is
+    the sum, over the blocks V holding the first reordered letter, of
+    kappa(w|V) times the product over the gaps of V of phi(w|gap): the free
+    moment-cumulant relation (Nica-Speicher 2006). Each of the 2**(n-1)
+    terms is a (block, gaps) pair of ascending 0-based positions in the
+    original word; the whole-word block comes last.
+    """
+    n = len(sides)
+    if not 1 <= n <= DEFAULT_CAP:
+        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
+    bad = set(sides) - {LEFT, RIGHT}
+    if bad:
+        raise ShapeMismatchError(f"unknown side tags {bad}")
+    order = [i for i, s in enumerate(sides) if s == LEFT]
+    order += [i for i, s in reversed(list(enumerate(sides))) if s == RIGHT]
+    terms = []
+    for k in range(n):
+        for chosen in itertools.combinations(range(1, n), k):
+            cuts = (0,) + chosen + (n,)
+            block = tuple(sorted(order[c] for c in cuts[:-1]))
+            gaps = tuple(
+                tuple(sorted(order[a + 1:b]))
+                for a, b in zip(cuts, cuts[1:]) if b > a + 1
+            )
+            terms.append((block, gaps))
+    return tuple(terms)
 
 
-def phi_pi(phi, word: Word, pi) -> float:
-    """Product over blocks of phi applied to the block subword (positions
-    ascending). `pi` may be a SetPartition or a BNCPartition."""
-    word = tuple(word)
-    blocks = pi.partition.blocks if isinstance(pi, BNCPartition) else pi.blocks
-    if sum(len(b) for b in blocks) != len(word):
-        raise ShapeMismatchError(
-            f"partition of {sum(len(b) for b in blocks)} vs word length {len(word)}"
-        )
-    out = 1.0
-    for b in blocks:
-        out *= phi(tuple(word[i - 1] for i in b))
-    return out
-
-
-def kappa_chi_pi(kappa, word: Word, sigma) -> float:
-    """Product over blocks of kappa applied to the block subwords."""
-    return phi_pi(kappa, word, sigma)
-
-
-def moment_of_word(kappa_fn, sides: tuple[str, ...], word: Word) -> float:
-    """phi(word) = sum over BNC(n, chi) of the kappa block products, with
-    kappa given as a callable on subwords."""
+def _expand(kappa_fn, phi_fn, word: Word, terms) -> float:
     total = 0.0
-    for blocks, _ in _bnc_expansion(sides):
-        term = 1.0
-        for b in blocks:
-            term *= kappa_fn(tuple(word[i] for i in b))
+    for block, gaps in terms:
+        term = kappa_fn(tuple(word[i] for i in block))
+        for gap in gaps:
             if term == 0.0:
                 break
+            term *= phi_fn(tuple(word[i] for i in gap))
         total += term
     return total
 
 
-def cumulant_of_word(phi, sides: tuple[str, ...], word: Word) -> float:
-    """kappa_chi(word) by Mobius inversion over BNC(n, chi)."""
-    total = 0.0
-    for blocks, mu in _bnc_expansion(sides):
-        term = float(mu)
-        for b in blocks:
-            term *= phi(tuple(word[i] for i in b))
-        total += term
-    return total
+def moment_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
+    """phi(word) from kappa on its subwords and phi on its proper subwords,
+    both given as callables."""
+    return _expand(kappa_fn, phi_fn, word, _plan(sides))
+
+
+def cumulant_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
+    """kappa(word) from phi on its subwords and kappa on its proper
+    subwords: the moment relation solved for its whole-word term."""
+    return phi_fn(word) - _expand(kappa_fn, phi_fn, word, _plan(sides)[:-1])
 
 
 def kappa_from_moments(phi: MomentFunctional) -> CumulantTable:
-    """Mobius inversion: every word's bi-free cumulant from its moments."""
+    """Every word's bi-free cumulant from its moments, shortest words first."""
     alphabet = phi.alphabet
     values = {}
     for w in all_words(alphabet, phi.degree_cap):
-        values[w] = cumulant_of_word(phi, alphabet.sides_of(w), w)
+        values[w] = cumulant_of_word(
+            values.__getitem__, phi, alphabet.sides_of(w), w
+        )
     return CumulantTable(alphabet, phi.degree_cap, values)
 
 
 def moments_from_kappa(kappa: CumulantTable) -> MomentFunctional:
-    """The inverse transform: moments as BNC sums of cumulant products."""
+    """The inverse transform: every word's moment, shortest words first."""
     alphabet = kappa.alphabet
     values = {}
     for w in all_words(alphabet, kappa.degree_cap):
-        values[w] = moment_of_word(kappa, alphabet.sides_of(w), w)
+        values[w] = moment_of_word(
+            kappa, values.__getitem__, alphabet.sides_of(w), w
+        )
     return MomentFunctional(alphabet, kappa.degree_cap, values)
-
-
-def reorder_by_s_chi(phi: MomentFunctional, word: Word) -> float:
-    """Single-face cumulant kappa_n of the s_chi-reordered word.
-
-    Cross-check oracle: on families where left and right letters commute this
-    equals the bi-free cumulant of the original word.
-    """
-    word = tuple(word)
-    s = phi.alphabet.chi_of(word).s_chi
-    reordered = tuple(word[k - 1] for k in s)
-    return cumulant_of_word(phi, (LEFT,) * len(word), reordered)

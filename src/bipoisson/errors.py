@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types and the size cap they enforce."""
+
+# Largest ground set (partitions) or word (transform plans) the engine
+# builds; Catalan(12) = 208012 partitions are kept in memory.
+DEFAULT_CAP = 12
 
 
 class CapExceededError(ValueError):

@@ -79,18 +79,22 @@ class EnsembleSpec:
     max_word_len: int
 
     def __post_init__(self):
-        if list(self.sizes) != sorted(self.sizes):
-            raise ValueError(f"sizes must be ascending: {self.sizes}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
         for slot in {v.slot for v in self.variables}:
             laws = {v.law for v in self.variables if v.slot == slot}
             if len(laws) > 1:
                 raise ShapeMismatchError(
                     f"variables sharing slot {slot} must share a law"
                 )
+        if list(self.sizes) != sorted(self.sizes):
+            raise ValueError(f"sizes must be ascending: {self.sizes}")
+        if min(self.sizes, default=0) < 1:
+            raise ValueError(f"sizes must be nonempty and >= 1: {self.sizes}")
+        if self.max_word_len < 1:
+            raise ValueError("max_word_len must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2 for standard errors")
+        if self.rate <= 0:
+            raise ValueError("rate must be positive")
 
     @property
     def alphabet(self) -> Alphabet:
@@ -307,7 +311,7 @@ class SizeReport:
 def estimate_empirical_cumulants(
     spec: EnsembleSpec, n_batches: int = 10
 ) -> list[SizeReport]:
-    """Monte Carlo moments of all model words per size, Mobius-inverted to
+    """Monte Carlo moments of all model words per size, inverted to
     empirical cumulants, with standard errors and target comparison.
 
     Moment standard errors are per-word over trials; cumulant standard

@@ -11,10 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import CapExceededError, ShapeMismatchError
-
-# Full enumeration is kept in memory; Catalan(12) = 208012.
-DEFAULT_CAP = 12
+from .errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
 
 LEFT = "l"
 RIGHT = "r"
@@ -88,26 +85,6 @@ def is_noncrossing(p: SetPartition) -> bool:
         if alternations >= 4:
             return False
     return True
-
-
-def enumerate_partitions(n: int) -> list[SetPartition]:
-    """All partitions of {1..n}; brute-force oracle, small n only."""
-    out = []
-
-    def rec(x, blocks):
-        if x > n:
-            out.append(SetPartition.from_blocks(n, blocks))
-            return
-        for b in blocks:
-            b.append(x)
-            rec(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        rec(x + 1, blocks)
-        blocks.pop()
-
-    rec(1, [])
-    return out
 
 
 def _nc_blocks(elems: tuple[int, ...]):
@@ -192,22 +169,6 @@ def mobius_nc_one(pi: SetPartition) -> int:
     return out
 
 
-def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
-    """Mobius function of the interval [pi, sigma] in NC(n); 0 if pi !<= sigma."""
-    if pi.n != sigma.n:
-        raise ShapeMismatchError(f"n mismatch: {pi.n} vs {sigma.n}")
-    if not pi.refines(sigma):
-        return 0
-    out = 1
-    for b in sigma.blocks:
-        relabel = {x: k + 1 for k, x in enumerate(b)}
-        inner = [
-            [relabel[x] for x in blk] for blk in pi.blocks if blk[0] in relabel
-        ]
-        out *= mobius_nc_one(SetPartition.from_blocks(len(b), inner))
-    return out
-
-
 @dataclass(frozen=True)
 class ChiShape:
     """A side map chi: {1..n} -> {l, r} and its induced permutation s_chi."""
@@ -264,12 +225,3 @@ def enumerate_bnc(shape: ChiShape, cap: int = DEFAULT_CAP) -> list[BNCPartition]
     return [
         BNCPartition(shape, shape.apply(pi)) for pi in enumerate_nc(shape.n, cap)
     ]
-
-
-def ker_map(alpha) -> SetPartition:
-    """Level-set partition of a map on {1..n}."""
-    alpha = list(alpha)
-    levels = {}
-    for pos, val in enumerate(alpha, 1):
-        levels.setdefault(val, []).append(pos)
-    return SetPartition.from_blocks(len(alpha), levels.values())

@@ -22,7 +22,6 @@ from .cumulants import (
     MomentFunctional,
     Word,
     all_words,
-    cumulant_of_word,
     kappa_from_moments,
     moment_of_word,
     moments_from_kappa,
@@ -121,30 +120,24 @@ def compression_oracle(
             f"max_deg {max_deg} exceeds jump table cap {phi_z.degree_cap}"
         )
     joint_deg = 2 * max_deg + 1
-    znames = phi_z.alphabet.left
-    all_left = lambda n: (LEFT,) * n
 
     # free cumulants of the projection from its constant moment sequence
     p_moments = MomentFunctional.from_function(
         Alphabet(("p",)), joint_deg, lambda w: lam
     )
-    p_kappa = [0.0] + [
-        cumulant_of_word(p_moments, all_left(n), ("p",) * n)
-        for n in range(1, joint_deg + 1)
-    ]
+    p_kappa = kappa_from_moments(p_moments)
     z_kappa = kappa_from_moments(phi_z)
 
     def joint_kappa(word: Word) -> float:
-        has_p = "p" in word
         if all(x == "p" for x in word):
-            return p_kappa[len(word)]
-        if has_p:
+            return p_kappa(word)
+        if "p" in word:
             return 0.0  # p free from the z family
         return z_kappa(word)
 
     @lru_cache(maxsize=None)
     def joint_moment(word: Word) -> float:
-        return moment_of_word(joint_kappa, all_left(len(word)), word)
+        return moment_of_word(joint_kappa, joint_moment, (LEFT,) * len(word), word)
 
     def compressed_moment(zword: Word) -> float:
         interleaved = ("p",) + tuple(

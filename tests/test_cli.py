@@ -3,8 +3,10 @@ error paths with machine-parsable codes, determinism of seeded reports,
 and the convergence-series emitter."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bipoisson.cli import (
     emit_convergence_series,
@@ -13,7 +15,7 @@ from bipoisson.cli import (
     table_from_json,
     table_to_json,
 )
-from bipoisson.cumulants import Alphabet, MomentFunctional, all_words
+from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
 
 
@@ -106,12 +108,68 @@ class TestTables:
         assert code == 2
         assert "TABLE_PARSE" in err
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([{"word": [["z", "l"]], "value": 0.5},
+              {"word": [["z", "l"]], "value": 0.9}], "duplicate entry"),
+            ([{"word": [["z", "l"]], "value": math.nan}], "non-finite"),
+            ([{"word": [["z", "l"]], "value": 0.5},
+              {"word": [["z", "l"], ["z", "l"]], "value": 0.9}], "degree_cap"),
+        ],
+        ids=["duplicate", "nan", "over_cap"],
+    )
+    def test_bad_entries_rejected(self, tmp_path, capsys, entries, message):
+        obj = {
+            "schema": 1,
+            "alphabet": {"left": ["z"], "right": []},
+            "degree_cap": 1,
+            "entries": entries,
+        }
+        bad = tmp_path / "entries.json"
+        bad.write_text(json.dumps(obj))
+        code, out, err = run(
+            ["cumulants", "from-moments", "--in", str(bad)], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR TABLE_PARSE")
+        assert message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             ["moments", "from-cumulants", "--in", "/nonexistent.json"], capsys
         )
         assert code == 2
         assert "TABLE_PARSE" in err
+
+
+NAMES = st.lists(
+    st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=3, unique=True
+)
+
+
+@st.composite
+def word_tables(draw):
+    names = draw(NAMES)
+    split = draw(st.integers(1, len(names)))
+    alphabet = Alphabet(tuple(names[:split]), tuple(names[split:]))
+    cap = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = {w: draw(finite) for w in all_words(alphabet, cap)}
+    cls = draw(st.sampled_from([MomentFunctional, CumulantTable]))
+    return cls(alphabet, cap, values)
+
+
+class TestTableJsonProperty:
+    @given(word_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_is_exact(self, table):
+        text = json.dumps(table_to_json(table))
+        back = table_from_json(json.loads(text), type(table))
+        assert back.alphabet == table.alphabet
+        assert back.degree_cap == table.degree_cap
+        assert back.values == table.values
 
 
 class TestCbp:
@@ -196,6 +254,37 @@ class TestSimulate:
         )
         assert code == 2
         assert "VALIDATION" in err
+
+
+class TestNumericValidation:
+    SIM = ["simulate", "bimatrix", "--lambda", "1", "--atoms", "1:1",
+           "--shared", "--sizes", "8", "--trials", "4", "--max-word", "2"]
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["cbp", "limit", "--deg", "0"], "--deg"),
+            (["cbp", "approx", "--deg", "0"], "--deg"),
+            (SIM + ["--max-word", "0"], "max_word_len"),
+            (SIM + ["--sizes=0,8"], "sizes"),
+            (SIM + ["--sizes=-4,8"], "sizes"),
+            (SIM + ["--trials", "1"], "trials"),
+        ],
+        ids=["limit_deg", "approx_deg", "max_word", "zero_size",
+             "negative_size", "one_trial"],
+    )
+    def test_named_error(self, capsys, args, names):
+        code, out, err = run(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ERROR VALIDATION")
+        assert names in err
+        assert err.count("\n") == 1
+
+    def test_workers_flag_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--workers", "2", "nc", "list", "--n", "3"])
+        capsys.readouterr()
 
 
 class TestFock:

@@ -1,9 +1,8 @@
-"""Moment/cumulant transforms: frozen examples, round trips, an
-independent single-face inversion oracle, additivity, and the side-sorted
+"""Moment/cumulant transforms: frozen examples, round trips, independent
+single-face and BNC Mobius-sum oracles, additivity, and the side-sorted
 reordering identity on commuting bipartite families."""
 
-import itertools
-import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +13,9 @@ from bipoisson.cumulants import (
     CumulantTable,
     MomentFunctional,
     all_words,
-    cumulant_of_word,
     kappa_from_moments,
+    moment_of_word,
     moments_from_kappa,
-    phi_pi,
-    reorder_by_s_chi,
 )
 from bipoisson.partitions import (
     LEFT,
@@ -28,6 +25,7 @@ from bipoisson.partitions import (
     enumerate_nc,
     mobius_nc_one,
 )
+from oracles import bnc_cumulant, bnc_moment, phi_pi, reorder_by_s_chi
 
 
 def single_face_free_cumulant(moments: dict[int, float], n: int) -> float:
@@ -182,8 +180,6 @@ class TestBipartiteExamples:
 class TestRoundTrip:
     @pytest.mark.parametrize("nleft,nright", [(1, 0), (1, 1), (2, 1)])
     def test_random_tables(self, nleft, nright):
-        import random
-
         rng = random.Random(1234 + nleft * 10 + nright)
         a = Alphabet(
             tuple(f"x{i}" for i in range(nleft)),
@@ -201,8 +197,6 @@ class TestRoundTrip:
 
 class TestAdditivity:
     def test_sum_of_tables_is_convolution(self):
-        import random
-
         rng = random.Random(77)
         a = Alphabet(("x",), ("u",))
         k1 = CumulantTable.from_function(a, 4, lambda w: rng.uniform(-1, 1))
@@ -251,11 +245,53 @@ class TestReorderIdentity:
             )
 
     def test_all_left_is_identity(self):
-        import random
-
         rng = random.Random(5)
         a = Alphabet(("x", "y"))
         phi = MomentFunctional.from_function(a, 4, lambda w: rng.uniform(-1, 1))
         kappa = kappa_from_moments(phi)
         for w in all_words(a, 4):
             assert reorder_by_s_chi(phi, w) == pytest.approx(kappa(w), abs=1e-12)
+
+
+ORACLE_ALPHABETS = {
+    "1L1R": Alphabet(("x",), ("u",)),
+    "2L1R": Alphabet(("x", "y"), ("u",)),
+    "1L2R": Alphabet(("x",), ("u", "v")),
+    "2L": Alphabet(("x", "y")),
+}
+
+
+class TestBncMobiusOracle:
+    """Both transforms against the literal Mobius sum over BNC(n, chi),
+    which shares no code with the first-block recursion."""
+
+    @given(
+        st.sampled_from(sorted(ORACLE_ALPHABETS)),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_transforms_match_bnc_sum(self, name, seed, data):
+        a = ORACLE_ALPHABETS[name]
+        rng = random.Random(seed)
+        phi = MomentFunctional.from_function(a, 6, lambda w: rng.uniform(-1, 1))
+        kappa = CumulantTable.from_function(a, 6, lambda w: rng.uniform(-1, 1))
+        kappa_fast = kappa_from_moments(phi)
+        phi_fast = moments_from_kappa(kappa)
+        word = st.lists(st.sampled_from(a.names), min_size=1, max_size=6)
+        for w in data.draw(st.lists(word.map(tuple), min_size=1, max_size=8)):
+            ref = bnc_cumulant(phi, w)
+            assert abs(kappa_fast(w) - ref) <= 1e-12 * max(1.0, abs(ref))
+            ref = bnc_moment(kappa, w)
+            assert abs(phi_fast(w) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestPlanGuards:
+    def test_word_longer_than_cap_rejected(self):
+        phi = MomentFunctional.from_function(Alphabet(("x",)), 13, lambda w: 1.0)
+        with pytest.raises(CapExceededError):
+            kappa_from_moments(phi)
+
+    def test_unknown_side_tag_rejected(self):
+        with pytest.raises(ShapeMismatchError):
+            moment_of_word(lambda w: 1.0, lambda w: 1.0, (LEFT, "x"), ("a", "b"))

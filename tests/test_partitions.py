@@ -16,14 +16,12 @@ from bipoisson.partitions import (
     catalan,
     enumerate_bnc,
     enumerate_nc,
-    enumerate_partitions,
     is_noncrossing,
-    ker_map,
     kreweras_complement,
-    mobius_nc,
     mobius_nc_one,
     s_chi_of,
 )
+from oracles import enumerate_partitions, ker_map, mobius_nc
 
 
 def bell(n: int) -> int:
