@@ -180,7 +180,9 @@ def verify_fock_cumulants(
     """Compare bi-free cumulants of W-words against the series targets:
     lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N."""
     if depth is None:
-        depth = max_m * (N + 1)
+        # W lowers the word length by at most one, so a vacuum-to-vacuum
+        # path of length max_m never leaves depth max_m; W needs depth >= N
+        depth = max(max_m, N)
     basis = FockBasis(2, depth)
     w_l, w_r = build_w_operators(rate, jump_law, N, basis)
     phi = fock_moments(w_l, w_r, basis, max_m)

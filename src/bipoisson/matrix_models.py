@@ -1,21 +1,25 @@
 """Seeded random-matrix models for compound (bi-)free Poisson laws.
 
-The single-face model at rate lambda <= 1 is X * Btilde_i * X with X a GUE
-matrix and Btilde_i a diagonal jump-law discretization padded with zeros so
-that p(n)/n -> lambda. For lambda = k + delta > 1 the model is the
-(k+1)-term Haar-rotated sum. The bi-matrix model acts by left and right
-multiplication on the matrix bimodule; right actions compose
-anti-homomorphically.
+Write the rate as lambda = k + delta with k an integer and 0 < delta <= 1.
+The model matrix of a jump variable is
+
+    sum_{i<k} U_i X B X U_i^* + X C X,
+
+with X a GUE matrix, U_i independent Haar unitaries, and B, C diagonals of
+i.i.d. jump-law samples, C padded with zeros after p(n) = floor(delta * n)
+entries (all n when delta = 1). Rate <= 1 is simply k = 0. The bi-matrix
+model acts by left and right multiplication on the matrix bimodule, so a
+word's value depends only on its (left-subword, right-subword) key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .cumulants import Alphabet, CumulantTable, MomentFunctional, all_words, kappa_from_moments
 from .partitions import LEFT, RIGHT
 
@@ -41,12 +45,6 @@ class AtomLaw:
 
     def moment(self, k: int) -> float:
         return sum(w * a**k for a, w in zip(self.atoms, self.weights))
-
-    def quantiles(self, n: int) -> np.ndarray:
-        """Entries Q((k - 1/2)/n), k = 1..n, ascending."""
-        edges = np.cumsum(self.weights)
-        grid = (np.arange(n) + 0.5) / n
-        return np.array([self.atoms[np.searchsorted(edges, u)] for u in grid])
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(np.array(self.atoms), size=n, p=np.array(self.weights))
@@ -140,25 +138,6 @@ def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def build_diagonal_model(marginals, n: int, budget: int = 2_000_000) -> list[np.ndarray]:
-    """Deterministic tensor-product diagonal model for classically
-    independent marginals.
-
-    Returns the diagonals (as 1-D arrays of length n**N) of N commuting
-    matrices, the i-th acting on the i-th tensor slot, so normalized-trace
-    joint moments factor over the level sets of the variable assignment.
-    """
-    N = len(marginals)
-    if n**N > budget:
-        raise CapExceededError(f"tensor dimension {n}^{N} exceeds budget {budget}")
-    out = []
-    for i, law in enumerate(marginals):
-        q = law.quantiles(n)
-        block = np.repeat(q, n ** (N - 1 - i))
-        out.append(np.tile(block, n**i))
-    return out
-
-
 def padded_diagonal(law: AtomLaw, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Length-n diagonal: p iid samples of the law, then n - p zeros."""
     d = np.zeros(n)
@@ -166,69 +145,40 @@ def padded_diagonal(law: AtomLaw, p: int, n: int, rng: np.random.Generator) -> n
     return d
 
 
-def rate_split(rate: float, n: int) -> tuple[int, int, int]:
-    """(k, p_unit, p_frac): number of unit-rate terms, and the padded sizes
-    p(n) for the unit- and fractional-rate diagonal families."""
-    if rate <= 1:
-        k = 0
-        delta = rate
-    else:
-        k = int(rate)
-        delta = rate - k
-        if delta == 0:  # rate an exact integer: fold one unit into delta
-            k -= 1
-            delta = 1.0
+def rate_split(rate: float, n: int) -> tuple[int, int]:
+    """(k, p_frac): rate = k + delta with 0 < delta <= 1, and the padded
+    size p(n) of the fractional-rate diagonal."""
+    k = math.ceil(rate) - 1
+    delta = rate - k
     p_frac = n if delta == 1.0 else int(math.floor(delta * n))
-    return k, n, p_frac
-
-
-@dataclass
-class RealizedEnsemble:
-    """One trial of the model at a fixed size: the model matrix per variable."""
-
-    n: int
-    matrices: dict[str, np.ndarray]
-    sides: dict[str, str] = field(default_factory=dict)
-
-    def word_matrices(self, word) -> list[tuple[np.ndarray, str]]:
-        return [(self.matrices[name], self.sides.get(name, LEFT)) for name in word]
+    return k, p_frac
 
 
 def build_wishart_model(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
-) -> RealizedEnsemble:
-    """One trial of the compound Poisson matrix model at size n."""
+) -> dict[str, np.ndarray]:
+    """One trial of the compound Poisson matrix model at size n: the model
+    matrix of each variable, by name.
+
+    The fractional term is left unrotated: conjugating the whole sum by its
+    Haar unitary would turn the other k unitaries into k independent Haar
+    unitaries and leave every normalized trace unchanged.
+    """
     x = sample_gue(n, rng)
-    k, p_unit, p_frac = rate_split(spec.rate, n)
-    slots = sorted({v.slot for v in spec.variables})
-    slot_law = {
-        s: next(v.law for v in spec.variables if v.slot == s) for s in slots
-    }
+    k, p_frac = rate_split(spec.rate, n)
+    slot_law = {v.slot: v.law for v in spec.variables}
+    slots = sorted(slot_law)
+    unitaries = [sample_haar_unitary(n, rng) for _ in range(k)]
 
     def xdx(diag: np.ndarray) -> np.ndarray:
         return (x * diag) @ x
 
-    if spec.rate <= 1:
-        p = n if spec.rate == 1 else int(math.floor(spec.rate * n))
-        diags = {s: padded_diagonal(slot_law[s], p, n, rng) for s in slots}
-        mats = {s: xdx(diags[s]) for s in slots}
-    else:
-        unitaries = [sample_haar_unitary(n, rng) for _ in range(k + 1)]
-        b_diags = {s: padded_diagonal(slot_law[s], p_unit, n, rng) for s in slots}
-        c_diags = {s: padded_diagonal(slot_law[s], p_frac, n, rng) for s in slots}
-        mats = {}
-        for s in slots:
-            acc = np.zeros((n, n), dtype=complex)
-            for u in unitaries[:k]:
-                acc += u @ xdx(b_diags[s]) @ u.conj().T
-            u = unitaries[k]
-            acc += u @ xdx(c_diags[s]) @ u.conj().T
-            mats[s] = acc
-    return RealizedEnsemble(
-        n,
-        {v.name: mats[v.slot] for v in spec.variables},
-        {v.name: v.side for v in spec.variables},
-    )
+    unit = {s: xdx(padded_diagonal(slot_law[s], n, n, rng)) for s in slots if k}
+    mats = {s: xdx(padded_diagonal(slot_law[s], p_frac, n, rng)) for s in slots}
+    for s, term in unit.items():
+        for u in unitaries:
+            mats[s] += u @ term @ u.conj().T
+    return {v.name: mats[v.slot] for v in spec.variables}
 
 
 def evaluate_bimatrix_word(letters) -> complex:
@@ -255,33 +205,6 @@ def evaluate_bimatrix_word(letters) -> complex:
         else:
             raise ShapeMismatchError(f"unknown side {side!r}")
     return np.trace(p_left @ p_right) / n
-
-
-def commutation_check(
-    ensemble: RealizedEnsemble,
-    rng: np.random.Generator,
-    num_words: int = 20,
-    max_len: int = 6,
-) -> float:
-    """Max |word - word with one adjacent L/R pair swapped| over a sample."""
-    names = list(ensemble.matrices)
-    lefts = [x for x in names if ensemble.sides[x] == LEFT]
-    rights = [x for x in names if ensemble.sides[x] == RIGHT]
-    if not lefts or not rights:
-        return 0.0
-    worst = 0.0
-    for _ in range(num_words):
-        m = int(rng.integers(2, max_len + 1))
-        word = [names[i] for i in rng.integers(0, len(names), size=m)]
-        pos = int(rng.integers(0, m - 1))
-        word[pos] = lefts[int(rng.integers(0, len(lefts)))]
-        word[pos + 1] = rights[int(rng.integers(0, len(rights)))]
-        swapped = list(word)
-        swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-        a = evaluate_bimatrix_word(ensemble.word_matrices(word))
-        b = evaluate_bimatrix_word(ensemble.word_matrices(swapped))
-        worst = max(worst, abs(a - b))
-    return worst
 
 
 @dataclass
@@ -314,12 +237,24 @@ def estimate_empirical_cumulants(
     """Monte Carlo moments of all model words per size, inverted to
     empirical cumulants, with standard errors and target comparison.
 
+    Each trial evaluates every distinct (left-subword, right-subword) key
+    once and gives its value to every word with that key.
+
     Moment standard errors are per-word over trials; cumulant standard
     errors come from batching the trials (cumulants are nonlinear in the
     averaged moments). Identical seed and spec give identical reports.
     """
     alphabet = spec.alphabet
     words = list(all_words(alphabet, spec.max_word_len))
+    left = set(alphabet.left)
+    key_index: dict = {}
+    word_key = [
+        key_index.setdefault(
+            (tuple(x for x in w if x in left), tuple(x for x in w if x not in left)),
+            len(key_index),
+        )
+        for w in words
+    ]
     targets = spec.target_cumulants()
     root = np.random.SeedSequence(spec.seed)
     size_seeds = root.spawn(len(spec.sizes))
@@ -329,11 +264,15 @@ def estimate_empirical_cumulants(
         trial_values = np.empty((spec.trials, len(words)))
         max_imag = 0.0
         for t, child in enumerate(size_seed.spawn(spec.trials)):
-            ens = build_wishart_model(spec, n, np.random.default_rng(child))
-            for j, w in enumerate(words):
-                val = evaluate_bimatrix_word(ens.word_matrices(w))
-                max_imag = max(max_imag, abs(val.imag))
-                trial_values[t, j] = val.real
+            mats = build_wishart_model(spec, n, np.random.default_rng(child))
+            values = np.array([
+                evaluate_bimatrix_word(
+                    [(mats[x], LEFT) for x in lefts] + [(mats[x], RIGHT) for x in rights]
+                )
+                for lefts, rights in key_index
+            ])
+            max_imag = max(max_imag, float(np.abs(values.imag).max()))
+            trial_values[t] = values.real[word_key]
         mean = trial_values.mean(axis=0)
         sem = trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
 

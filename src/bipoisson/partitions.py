@@ -49,12 +49,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
     def refines(self, other: "SetPartition") -> bool:
         """True if every block of self is contained in a block of other."""
         if self.n != other.n:

@@ -24,8 +24,6 @@ from bipoisson.matrix_models import (
     AtomLaw,
     EnsembleSpec,
     VariableSpec,
-    build_wishart_model,
-    commutation_check,
     estimate_empirical_cumulants,
 )
 from bipoisson.partitions import (
@@ -49,6 +47,7 @@ from bipoisson.poisson import (
 )
 from bipoisson.fock import verify_fock_cumulants
 from bipoisson import cli
+from oracles import bimodule_residue, model_letters
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -67,29 +66,22 @@ def point_mass_jump(alpha: float, beta: float, cap: int) -> MomentFunctional:
 def mobius_zero_one_by_recursion(n: int) -> int:
     """mu(0_n, 1_n) from the defining recursion over NC(n) only."""
     parts = sorted(enumerate_nc(n), key=lambda p: -p.num_blocks())
-    owners = []
-    for p in parts:
-        o = {}
+    # owner[j, x]: block index of element x in partition j;
+    # rep[i, x]: first element of the block of x in partition i
+    owner = np.empty((len(parts), n), dtype=np.int64)
+    rep = np.empty((len(parts), n), dtype=np.int64)
+    for j, p in enumerate(parts):
         for i, b in enumerate(p.blocks):
-            for x in b:
-                o[x] = i
-        owners.append(o)
-    mu: list[int] = []
-    for j, _ in enumerate(parts):
-        osig = owners[j]
-        total = 0
-        for i in range(j):
-            refined = True
-            for b in parts[i].blocks:
-                it = iter(b)
-                first = osig[next(it)]
-                if any(osig[x] != first for x in it):
-                    refined = False
-                    break
-            if refined:
-                total += mu[i]
-        mu.append(1 if j == 0 else -total)
-    return mu[-1]
+            owner[j, [x - 1 for x in b]] = i
+            rep[j, [x - 1 for x in b]] = b[0] - 1
+    mu = np.zeros(len(parts), dtype=np.int64)
+    mu[0] = 1
+    for j in range(1, len(parts)):
+        # partition i refines j iff each element shares j's block with the
+        # first element of its block in i
+        refined = (owner[j][rep[:j]] == owner[j]).all(axis=1)
+        mu[j] = -mu[:j][refined].sum()
+    return int(mu[-1])
 
 
 def test_criterion_1_combinatorics():
@@ -209,10 +201,9 @@ def test_criterion_5_matrix_model():
         bad = [
             e for e in largest.estimates if e.abs_err > 3 * e.moment_std_err
         ]
-        comm = commutation_check(
-            build_wishart_model(spec, 128, np.random.default_rng(555)),
-            np.random.default_rng(556),
-        )
+        # explicit n^2 x n^2 bimodule operators against the word evaluation
+        rng = np.random.default_rng(555)
+        comm = bimodule_residue(model_letters(spec, 8, rng), rng)
         worst = largest.max_abs_err()
         all_ok = all_ok and not bad and comm < 1e-10
         details.append(
