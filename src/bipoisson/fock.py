@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import (
@@ -26,47 +26,49 @@ from .cumulants import (
 )
 from .partitions import LEFT, RIGHT
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 class FockBasis:
-    """Indexed words over {1..dim} of length <= depth; vacuum at index 0."""
+    """Words over {1..dim} of length <= depth, ordered by length and then
+    lexicographically; the vacuum is index 0. A length-n word of base-dim
+    rank r (first letter most significant) sits at offset(n) + r."""
 
     def __init__(self, dim: int, depth: int, max_states: int = 2_000_000):
         if dim < 1 or depth < 0:
             raise ValueError(f"bad Fock parameters dim={dim} depth={depth}")
-        size = depth + 1 if dim == 1 else (dim ** (depth + 1) - 1) // (dim - 1)
-        if size > max_states:
-            raise CapExceededError(f"basis size {size} exceeds budget {max_states}")
         self.dim = dim
         self.depth = depth
-        self.words: list[tuple[int, ...]] = []
-        for n in range(depth + 1):
-            self.words.extend(itertools.product(range(1, dim + 1), repeat=n))
-        self.index = {w: i for i, w in enumerate(self.words)}
+        self.size = self.offset(depth + 1)
+        if self.size > max_states:
+            raise CapExceededError(
+                f"basis size {self.size} exceeds budget {max_states}"
+            )
 
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.size)
-        v[0] = 1.0
-        return v
+    def offset(self, n: int) -> int:
+        """Index of the first word of length n: the count of shorter words."""
+        d = self.dim
+        return n if d == 1 else (d**n - 1) // (d - 1)
 
 
 def creation(basis: FockBasis, side: str, i: int) -> sp.csr_matrix:
     """Left creation prepends the generator, right creation appends; words
     already at full depth are annihilated (truncation)."""
+    import scipy.sparse as sp
+
     if not 1 <= i <= basis.dim:
         raise ShapeMismatchError(f"generator index {i} out of range")
     if side not in (LEFT, RIGHT):
         raise ShapeMismatchError(f"unknown side {side!r}")
-    rows, cols = [], []
-    for col, w in enumerate(basis.words):
-        if len(w) >= basis.depth:
-            continue
-        target = (i,) + w if side == LEFT else w + (i,)
-        rows.append(basis.index[target])
-        cols.append(col)
+    d = basis.dim
+    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for n in range(basis.depth):
+        rank = np.arange(d**n, dtype=np.int64)
+        target = (i - 1) * d**n + rank if side == LEFT else rank * d + (i - 1)
+        rows.append(basis.offset(n + 1) + target)
+        cols.append(basis.offset(n) + rank)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     data = np.ones(len(rows))
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
 
@@ -76,12 +78,19 @@ def annihilation(basis: FockBasis, side: str, i: int) -> sp.csr_matrix:
     return creation(basis, side, i).T.tocsr()
 
 
-def vacuum_moment(ops, basis: FockBasis) -> float:
-    """<(op_1 ... op_k) vacuum, vacuum>, applying the word right to left."""
-    v = basis.vacuum()
-    for op in reversed(list(ops)):
-        if op.shape != (basis.size, basis.size):
-            raise ShapeMismatchError("operator on a different basis")
+def vacuum_moment(ops) -> float:
+    """<(op_1 ... op_k) vacuum, vacuum>, applying the word right to left;
+    the vacuum is index 0 of the operators' common square shape."""
+    ops = list(ops)
+    shapes = {op.shape for op in ops}
+    if len(shapes) != 1:
+        raise ShapeMismatchError(f"need one common operator shape, got {shapes}")
+    ((rows, cols),) = shapes
+    if rows != cols:
+        raise ShapeMismatchError(f"operator shape {(rows, cols)} is not square")
+    v = np.zeros(rows)
+    v[0] = 1.0
+    for op in reversed(ops):
         v = op @ v
     return float(v[0])
 
@@ -116,6 +125,8 @@ def build_w_operators(
     strings at length N-1 makes the bi-free cumulants of W-words equal
     rate * phi(a1^p a2^q) for word lengths <= N and exactly zero beyond.
     """
+    import scipy.sparse as sp
+
     if basis.dim != 2:
         raise ShapeMismatchError("W operators need a two-generator basis")
     if N < 1:
@@ -162,11 +173,18 @@ def fock_moments(
     basis: FockBasis,
     max_m: int,
 ) -> MomentFunctional:
-    """Vacuum moments of all W-words up to length max_m."""
+    """Vacuum moments of all W-words up to length max_m.
+
+    W lowers the word length by at most one, so the entries of a vector
+    that can still reach the vacuum within k steps sit on words of length
+    <= k and are computed from such entries alone. The moments therefore
+    only need the block of words of length <= max_m, and restricting to it
+    keeps every in-block sum in the same order, so they are exact."""
+    s = basis.offset(min(max_m, basis.depth) + 1)
     alphabet = Alphabet(("wl",), ("wr",))
-    ops = {"wl": w_l, "wr": w_r}
+    ops = {"wl": w_l[:s, :s], "wr": w_r[:s, :s]}
     return MomentFunctional.from_function(
-        alphabet, max_m, lambda w: vacuum_moment((ops[x] for x in w), basis)
+        alphabet, max_m, lambda w: vacuum_moment(ops[x] for x in w)
     )
 
 

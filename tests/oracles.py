@@ -1,9 +1,13 @@
 """Test-only oracles: brute-force partition helpers, the literal
 Mobius sums over NC(n) and BNC(n, chi), kept independent of the
-first-block recursion that the library's transforms use, and the explicit
-bimodule operators that check the bi-matrix word evaluation."""
+first-block recursion that the library's transforms use, the explicit
+bimodule operators that check the bi-matrix word evaluation, and the Fock
+creation operators built by enumerating words as tuples."""
+
+import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from bipoisson.errors import ShapeMismatchError
 from bipoisson.matrix_models import build_wishart_model, evaluate_bimatrix_word
@@ -161,3 +165,23 @@ def model_letters(spec, n: int, rng, trials: int = 3) -> list:
         for mats in (build_wishart_model(spec, n, rng) for _ in range(trials))
         for v in spec.variables
     ]
+
+
+def creation_by_words(basis, side: str, i: int) -> sp.csr_matrix:
+    """The creation operator of `basis` built from the explicit list of its
+    words (by length, then lexicographic) and a word -> index dict: left
+    creation prepends generator i, right creation appends it, and words
+    already at full depth are annihilated."""
+    words: list[tuple[int, ...]] = []
+    for n in range(basis.depth + 1):
+        words.extend(itertools.product(range(1, basis.dim + 1), repeat=n))
+    index = {w: k for k, w in enumerate(words)}
+    rows, cols = [], []
+    for col, w in enumerate(words):
+        if len(w) >= basis.depth:
+            continue
+        target = (i,) + w if side == LEFT else w + (i,)
+        rows.append(index[target])
+        cols.append(col)
+    data = np.ones(len(rows))
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(words), len(words)))

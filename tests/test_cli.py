@@ -4,10 +4,15 @@ and the convergence-series emitter."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bipoisson
 from bipoisson.cli import (
     emit_convergence_series,
     main,
@@ -285,6 +290,22 @@ class TestNumericValidation:
         with pytest.raises(SystemExit):
             main(["--workers", "2", "nc", "list", "--n", "3"])
         capsys.readouterr()
+
+
+class TestStartup:
+    def test_cli_startup_leaves_scipy_unloaded(self):
+        # only fock verify needs scipy.sparse, so no other command pays for it
+        code = (
+            "import sys, bipoisson.cli; bipoisson.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestFock:

@@ -5,6 +5,8 @@ series operators."""
 import numpy as np
 import pytest
 
+from oracles import creation_by_words
+
 from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.cumulants import Alphabet, MomentFunctional
 from bipoisson.fock import (
@@ -20,11 +22,34 @@ from bipoisson.fock import (
 from bipoisson.partitions import LEFT, RIGHT
 
 
+def vacuum(basis: FockBasis) -> np.ndarray:
+    v = np.zeros(basis.size)
+    v[0] = 1.0
+    return v
+
+
+def index_of(basis: FockBasis, word: tuple[int, ...]) -> int:
+    """offset(len(word)) plus the word's base-dim rank, first letter most
+    significant."""
+    rank = 0
+    for letter in word:
+        rank = rank * basis.dim + letter - 1
+    return basis.offset(len(word)) + rank
+
+
 def product_jump(m1: float, m2: float, cap: int) -> MomentFunctional:
     """Commuting pair of independent point masses at m1 (left) and m2."""
     a = Alphabet(("a1",), ("a2",))
     return MomentFunctional.from_function(
         a, cap, lambda w: m1 ** w.count("a1") * m2 ** w.count("a2")
+    )
+
+
+def shared_jump(cap: int) -> MomentFunctional:
+    """a1 = a2, one variable with law (delta_{0.5} + delta_{-1.2}) / 2."""
+    a = Alphabet(("a1",), ("a2",))
+    return MomentFunctional.from_function(
+        a, cap, lambda w: (0.5 ** len(w) + (-1.2) ** len(w)) / 2
     )
 
 
@@ -39,8 +64,11 @@ class TestBasis:
             FockBasis(2, 25)
 
     def test_vacuum(self):
-        v = FockBasis(2, 2).vacuum()
-        assert v[0] == 1.0 and np.sum(np.abs(v)) == 1.0
+        # the vacuum is the only word before offset(1), at index 0
+        for dim in (1, 2, 3):
+            basis = FockBasis(dim, 2)
+            assert basis.offset(0) == 0 and basis.offset(1) == 1
+            assert basis.offset(3) == basis.size
 
 
 class TestOperators:
@@ -48,17 +76,17 @@ class TestOperators:
         basis = FockBasis(2, 2)
         l1 = creation(basis, LEFT, 1)
         r2 = creation(basis, RIGHT, 2)
-        v = l1 @ basis.vacuum()
-        assert v[basis.index[(1,)]] == 1.0
+        v = l1 @ vacuum(basis)
+        assert v[index_of(basis, (1,))] == 1.0
         w = r2 @ v
-        assert w[basis.index[(1, 2)]] == 1.0
-        w2 = l1 @ (r2 @ basis.vacuum())
-        assert w2[basis.index[(1, 2)]] == 1.0
+        assert w[index_of(basis, (1, 2))] == 1.0
+        w2 = l1 @ (r2 @ vacuum(basis))
+        assert w2[index_of(basis, (1, 2))] == 1.0
 
     def test_truncation_kills_top_level(self):
         basis = FockBasis(2, 1)
         l1 = creation(basis, LEFT, 1)
-        assert np.all((l1 @ (l1 @ basis.vacuum())) == 0)
+        assert np.all((l1 @ (l1 @ vacuum(basis))) == 0)
 
     def test_annihilation_is_adjoint(self):
         basis = FockBasis(2, 3)
@@ -73,7 +101,7 @@ class TestOperators:
         l1 = creation(basis, LEFT, 1).toarray()
         r2 = creation(basis, RIGHT, 2).toarray()
         # on states below the truncation boundary the actions commute
-        v = basis.vacuum()
+        v = vacuum(basis)
         assert np.allclose(l1 @ r2 @ v, r2 @ l1 @ v)
 
     def test_bad_args(self):
@@ -87,8 +115,30 @@ class TestOperators:
         basis = FockBasis(2, 2)
         l1 = creation(basis, LEFT, 1)
         a1 = annihilation(basis, LEFT, 1)
-        assert vacuum_moment([a1, l1], basis) == 1.0
-        assert vacuum_moment([l1, a1], basis) == 0.0
+        assert vacuum_moment([a1, l1]) == 1.0
+        assert vacuum_moment([l1, a1]) == 0.0
+
+    def test_vacuum_moment_rejects_mixed_shapes(self):
+        l1 = creation(FockBasis(2, 2), LEFT, 1)
+        l1_deeper = creation(FockBasis(2, 3), LEFT, 1)
+        with pytest.raises(ShapeMismatchError):
+            vacuum_moment([l1, l1_deeper])
+        with pytest.raises(ShapeMismatchError):
+            vacuum_moment([l1[:, :3]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_creation_matches_word_enumeration(self, dim):
+        for depth in range(6):
+            basis = FockBasis(dim, depth)
+            for side in (LEFT, RIGHT):
+                for i in range(1, dim + 1):
+                    got = creation(basis, side, i)
+                    want = creation_by_words(basis, side, i)
+                    assert got.shape == want.shape
+                    # same CSR arrays, so products and mat-vecs sum alike
+                    assert np.array_equal(got.indptr, want.indptr)
+                    assert np.array_equal(got.indices, want.indices)
+                    assert np.array_equal(got.data, want.data)
 
 
 class TestCommutingCheck:
@@ -113,7 +163,7 @@ class TestWOperators:
             basis.size
         )
         assert np.allclose(w_l.toarray(), expect_l)
-        assert vacuum_moment([w_r], basis) == pytest.approx(2.0 * 0.3)
+        assert vacuum_moment([w_r]) == pytest.approx(2.0 * 0.3)
 
     def test_validation(self):
         jump = product_jump(0.5, 0.5, 4)
@@ -137,6 +187,23 @@ class TestCumulantStructure:
         jump = MomentFunctional.from_function(a, 4, lambda w: 0.5 ** len(w))
         rows = verify_fock_cumulants(1.5, jump, 3, 4)
         assert max(r.abs_err for r in rows) < 1e-10
+
+    @pytest.mark.parametrize("law", ["product", "shared"])
+    @pytest.mark.parametrize(
+        "N,max_m,depth", [(2, 4, 8), (3, 5, 9), (3, 5, 4), (2, 3, 2)]
+    )
+    def test_block_moments_match_full_matvecs(self, N, max_m, depth, law):
+        jump = product_jump(0.7, -0.4, N) if law == "product" else shared_jump(N)
+        basis = FockBasis(2, depth)
+        w_l, w_r = build_w_operators(1.3, jump, N, basis)
+        phi = fock_moments(w_l, w_r, basis, max_m)
+        ops = {"wl": w_l, "wr": w_r}
+        assert len(phi.values) == 2 ** (max_m + 1) - 2
+        for word, value in phi.values.items():
+            v = vacuum(basis)
+            for x in reversed(word):
+                v = ops[x] @ v
+            assert value == v[0], word
 
     def test_depth_doubling_leaves_moments_unchanged(self):
         jump = product_jump(0.6, 0.4, 3)
