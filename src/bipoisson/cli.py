@@ -350,7 +350,11 @@ def _simulate_report(args, two_faced: bool) -> str:
     header = ["n", "word", "empirical", "target", "abs_err", "std_err"]
     rows = []
     for rep in reports:
-        print(f"  n={rep.n} max_abs_err={rep.max_abs_err():.3e}", file=sys.stderr)
+        print(
+            f"  n={rep.n} max_abs_err={rep.max_abs_err():.3e} "
+            f"max_imag={rep.max_imag_residue:.1e}",
+            file=sys.stderr,
+        )
         for e in rep.estimates:
             rows.append(
                 [rep.n, _word_str(e.word), _fmt(e.empirical_cumulant),

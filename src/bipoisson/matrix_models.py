@@ -181,30 +181,72 @@ def build_wishart_model(
     return {v.name: mats[v.slot] for v in spec.variables}
 
 
+def key_values(mats: dict, keys) -> np.ndarray:
+    """tr(L·R)/n of each (left-subword, right-subword) key over one set of
+    n×n matrices, by name.
+
+    L is the product of the left letters in order (left actions compose as
+    a homomorphism) and R the product of the right letters in reverse order
+    (right actions compose as an anti-homomorphism); an empty side is the
+    identity. Each distinct (side, prefix) product is formed once and
+    extended from the shorter prefix, so keys sharing prefixes share their
+    matmuls, and a mixed key's trace is an O(n²) contraction.
+
+    The products are built in a loop over a local dict, not by a recursive
+    closure: a closure referring to itself is a reference cycle, which would
+    keep every trial's matrices alive until the cycle collector runs.
+    """
+    products: dict[tuple[str, tuple], np.ndarray] = {}
+    values = []
+    for key in keys:
+        ends = []
+        for side, names in zip((LEFT, RIGHT), key):
+            prod = None
+            for i, name in enumerate(names, 1):
+                prefix = (side, names[:i])
+                if prefix not in products:
+                    mat = mats[name]
+                    if prod is None:
+                        products[prefix] = mat
+                    elif side == LEFT:
+                        products[prefix] = prod @ mat
+                    else:
+                        products[prefix] = mat @ prod
+                prod = products[prefix]
+            if prod is not None:
+                ends.append(prod)
+        n = ends[0].shape[0]
+        if len(ends) == 2:
+            values.append(np.einsum("ij,ji->", ends[0], ends[1]) / n)
+        else:
+            values.append(np.trace(ends[0]) / n)
+    return np.array(values, dtype=complex)
+
+
 def evaluate_bimatrix_word(letters) -> complex:
     """Normalized trace of a word of left/right matrix actions applied to
     the identity element of the matrix bimodule.
 
     `letters` is a sequence of (matrix, side) pairs in word order. Left
     letters multiply P_left on the right (homomorphism); right letters
-    multiply P_right on the left (anti-homomorphism).
+    multiply P_right on the left (anti-homomorphism). The value is that of
+    the word's (left-subword, right-subword) key under `key_values`.
     """
     letters = list(letters)
     if not letters:
         raise ShapeMismatchError("empty word")
     n = letters[0][0].shape[0]
-    p_left = np.eye(n, dtype=complex)
-    p_right = np.eye(n, dtype=complex)
     for mat, side in letters:
         if mat.shape != (n, n):
             raise ShapeMismatchError(f"size mismatch: {mat.shape} vs {(n, n)}")
-        if side == LEFT:
-            p_left = p_left @ mat
-        elif side == RIGHT:
-            p_right = mat @ p_right
-        else:
+        if side not in (LEFT, RIGHT):
             raise ShapeMismatchError(f"unknown side {side!r}")
-    return np.trace(p_left @ p_right) / n
+    mats = dict(enumerate(mat for mat, _ in letters))
+    key = tuple(
+        tuple(i for i, (_, s) in enumerate(letters) if s == side)
+        for side in (LEFT, RIGHT)
+    )
+    return complex(key_values(mats, [key])[0])
 
 
 @dataclass
@@ -238,7 +280,8 @@ def estimate_empirical_cumulants(
     empirical cumulants, with standard errors and target comparison.
 
     Each trial evaluates every distinct (left-subword, right-subword) key
-    once and gives its value to every word with that key.
+    once, in one `key_values` call, and gives its value to every word with
+    that key.
 
     Moment standard errors are per-word over trials; cumulant standard
     errors come from batching the trials (cumulants are nonlinear in the
@@ -265,12 +308,7 @@ def estimate_empirical_cumulants(
         max_imag = 0.0
         for t, child in enumerate(size_seed.spawn(spec.trials)):
             mats = build_wishart_model(spec, n, np.random.default_rng(child))
-            values = np.array([
-                evaluate_bimatrix_word(
-                    [(mats[x], LEFT) for x in lefts] + [(mats[x], RIGHT) for x in rights]
-                )
-                for lefts, rights in key_index
-            ])
+            values = key_values(mats, key_index)
             max_imag = max(max_imag, float(np.abs(values.imag).max()))
             trial_values[t] = values.real[word_key]
         mean = trial_values.mean(axis=0)

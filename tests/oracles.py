@@ -5,6 +5,7 @@ bimodule operators that check the bi-matrix word evaluation, and the Fock
 creation operators built by enumerating words as tuples."""
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -115,22 +116,39 @@ def bnc_moment(kappa, word) -> float:
     return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc(shape))
 
 
+def bimodule_operators(letters) -> list:
+    """The n^2 x n^2 operator of each (matrix, side) letter of one size n.
+
+    On the column-stacked vec(M) of M in M_n, left multiplication by A is
+    L_A = I (x) A and right multiplication by B is R_B = B^T (x) I, since
+    vec(A M B) = (B^T (x) A) vec(M).
+    """
+    eye = np.eye(letters[0][0].shape[0])
+    return [np.kron(eye, m) if side == LEFT else np.kron(m.T, eye)
+            for m, side in letters]
+
+
+def operator_word_value(ops, word) -> complex:
+    """<T_w vec(I), vec(I)>/n, with T_w the product of the operators
+    `ops[i]` for i in `word`, in word order."""
+    n = math.isqrt(ops[0].shape[0])
+    vec_eye = np.eye(n).reshape(-1).astype(complex)
+    v = vec_eye
+    for i in reversed(word):
+        v = ops[i] @ v
+    return np.vdot(vec_eye, v) / n
+
+
 def bimodule_residue(letters, rng, num_words: int = 20, max_len: int = 6) -> float:
     """Check the bi-matrix word evaluation against explicit operators.
 
-    `letters` is a list of (matrix, side) pairs of one size n. On the
-    column-stacked vec(M) of M in M_n, left multiplication by A is
-    L_A = I (x) A and right multiplication by B is R_B = B^T (x) I, since
-    vec(A M B) = (B^T (x) A) vec(M). Returns the larger of the max
-    |[L_A, R_B]| over left/right letter pairs and, over `num_words`
-    sampled mixed words of length 2..max_len, the max of
-    |<T_w vec(I), vec(I)>/n - evaluate_bimatrix_word(w)|, with T_w the
-    operator product in word order.
+    `letters` is a list of (matrix, side) pairs of one size n, acting as
+    `bimodule_operators`. Returns the larger of the max |[L_A, R_B]| over
+    left/right letter pairs and, over `num_words` sampled mixed words of
+    length 2..max_len, the max of
+    |operator_word_value(w) - evaluate_bimatrix_word(w)|.
     """
-    n = letters[0][0].shape[0]
-    eye = np.eye(n)
-    ops = [np.kron(eye, m) if side == LEFT else np.kron(m.T, eye)
-           for m, side in letters]
+    ops = bimodule_operators(letters)
     lefts = [i for i, (_, side) in enumerate(letters) if side == LEFT]
     rights = [i for i, (_, side) in enumerate(letters) if side == RIGHT]
     if not lefts or not rights:
@@ -138,17 +156,13 @@ def bimodule_residue(letters, rng, num_words: int = 20, max_len: int = 6) -> flo
     worst = max(
         np.abs(ops[a] @ ops[b] - ops[b] @ ops[a]).max() for a in lefts for b in rights
     )
-    vec_eye = eye.reshape(-1).astype(complex)
     for _ in range(num_words):
         m = int(rng.integers(2, max_len + 1))
         word = list(rng.integers(0, len(letters), size=m))
         first, second = rng.permutation(m)[:2]
         word[first] = lefts[int(rng.integers(0, len(lefts)))]
         word[second] = rights[int(rng.integers(0, len(rights)))]
-        v = vec_eye
-        for i in reversed(word):
-            v = ops[i] @ v
-        expected = np.vdot(vec_eye, v) / n
+        expected = operator_word_value(ops, word)
         got = evaluate_bimatrix_word([letters[i] for i in word])
         worst = max(worst, abs(got - expected))
     return float(worst)

@@ -243,6 +243,9 @@ class TestSimulate:
         assert code == 0
         assert "simulating" in err
         assert out.startswith("n,word,empirical,target,abs_err,std_err")
+        sizes = [line.split()[0] for line in err.splitlines() if "max_imag=" in line]
+        assert sizes == ["n=8", "n=12"]
+        assert "max_imag" not in out
 
     def test_bimatrix_shared(self, capsys):
         code, out, _ = run(

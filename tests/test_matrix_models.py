@@ -2,26 +2,36 @@
 evaluation, commutation of left and right actions, and small Monte Carlo
 convergence checks (heavier configurations live in the acceptance tests)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from bipoisson.errors import ShapeMismatchError
+from bipoisson.cumulants import all_words
 from bipoisson.matrix_models import (
+    IMAG_RESIDUE_TOLERANCE,
     AtomLaw,
     EnsembleSpec,
     VariableSpec,
     build_wishart_model,
     estimate_empirical_cumulants,
     evaluate_bimatrix_word,
+    key_values,
     padded_diagonal,
     rate_split,
     sample_gue,
     sample_haar_unitary,
 )
 from bipoisson.partitions import LEFT, RIGHT
-from oracles import bimodule_residue, model_letters
+from oracles import (
+    bimodule_operators,
+    bimodule_residue,
+    model_letters,
+    operator_word_value,
+)
 
 TWO_ATOM = AtomLaw((1.0, 2.0), (0.5, 0.5))
 
@@ -122,6 +132,56 @@ class TestWordEvaluation:
             evaluate_bimatrix_word([])
 
 
+class TestKeyValues:
+    def test_matches_bimodule_operators(self):
+        # four distinct matrices with unequal laws, so that reversing either
+        # side's product changes the real part of mixed keys
+        spec = EnsembleSpec(
+            rate=1.5,
+            variables=(
+                VariableSpec("x", LEFT, TWO_ATOM, 0),
+                VariableSpec("y", LEFT, AtomLaw((0.0, 3.0), (0.25, 0.75)), 1),
+                VariableSpec("u", RIGHT, AtomLaw((-1.0, 0.5), (0.4, 0.6)), 2),
+                VariableSpec("v", RIGHT, AtomLaw((0.5,), (1.0,)), 3),
+            ),
+            sizes=(8,),
+            trials=2,
+            seed=0,
+            max_word_len=5,
+        )
+        left = set(spec.alphabet.left)
+        keys = list(dict.fromkeys(
+            (tuple(x for x in w if x in left), tuple(x for x in w if x not in left))
+            for w in all_words(spec.alphabet, spec.max_word_len)
+        ))
+        assert any(not lefts or not rights for lefts, rights in keys)
+        mats = build_wishart_model(spec, 8, np.random.default_rng(19))
+        names = [v.name for v in spec.variables]
+        ops = bimodule_operators([(mats[v.name], v.side) for v in spec.variables])
+        expected = np.array([
+            operator_word_value(ops, [names.index(x) for x in lefts + rights])
+            for lefts, rights in keys
+        ])
+        got = key_values(mats, keys)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1, np.abs(expected)))
+
+    def test_no_reference_cycle_keeps_matrices_alive(self):
+        # with the cycle collector off, only reference counting frees the
+        # inputs: a cycle through them would keep each trial's matrices
+        rng = np.random.default_rng(8)
+        mats = {name: rng.normal(size=(4, 4)) for name in ("x", "y", "u")}
+        refs = [weakref.ref(m) for m in mats.values()]
+        keys = [(("x", "y"), ("u",)), (("x",), ()), ((), ("u", "u"))]
+        gc.disable()
+        try:
+            key_values(mats, keys)
+            del mats
+            alive = [r() is not None for r in refs]
+        finally:
+            gc.enable()
+        assert not any(alive)
+
+
 class TestEnsembleSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -211,7 +271,7 @@ class TestModelConvergence:
     def test_imag_residue_small(self):
         spec = two_sided_spec(1.0, sizes=(16,), trials=5, seed=2, max_word=3)
         rep = estimate_empirical_cumulants(spec)[0]
-        assert rep.max_imag_residue < 1e-9
+        assert rep.max_imag_residue < IMAG_RESIDUE_TOLERANCE
 
     def test_rate_above_one_runs(self):
         spec = two_sided_spec(2.5, sizes=(12,), trials=4, seed=13, max_word=2)
