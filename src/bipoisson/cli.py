@@ -82,7 +82,74 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """`json.dumps(obj, indent=2) + "\\n"`, byte for byte, for nested lists,
+    tuples and str-keyed dicts of JSON scalars.
+
+    The standard encoder falls back to pure Python when given an indent.
+    This writer renders each non-empty all-int tuple once per indent level,
+    and each dict key once, so that the repeated blocks of a partition
+    listing cost one dict lookup each.
+    """
+    out: list[str] = []
+    _json_chunks(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
+    """Append the text of `obj` to `out`; `nl` is a newline followed by the
+    indent of the line `obj` starts on. `memo` maps (all-int tuple, nl) to
+    the tuple's text, each dict key to its quoted text, and (nl, brackets)
+    to a container's punctuation, so that repeated pieces are one string."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if type(obj) is tuple and all(type(x) is int for x in obj):
+            key = (obj, nl)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = (
+                    "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
+                )
+            out.append(text)
+            return
+        sep, comma, close = _json_punctuation(nl, "[]", memo)
+        for item in obj:
+            out.append(sep)
+            _json_chunks(item, inner, out, memo)
+            sep = comma
+        out.append(close)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma, close = _json_punctuation(nl, "{}", memo)
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            name = memo.get(k)
+            if name is None:
+                name = memo[k] = json.dumps(k) + ": "
+            out.append(sep)
+            out.append(name)
+            _json_chunks(v, inner, out, memo)
+            sep = comma
+        out.append(close)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _json_punctuation(nl: str, brackets: str, memo: dict) -> tuple[str, str, str]:
+    """Opening, separating and closing text of a non-empty container."""
+    key = (nl, brackets)
+    text = memo.get(key)
+    if text is None:
+        inner = nl + "  "
+        text = memo[key] = (brackets[0] + inner, "," + inner, nl + brackets[1])
+    return text
 
 
 def rows_as(fmt: str, header: list[str], rows: list[list]) -> str:
@@ -215,14 +282,13 @@ def _word_str(word) -> str:
 
 def cmd_nc_list(args) -> str:
     pis = enumerate_nc(args.n)
-    return json_text([[list(b) for b in p.blocks] for p in pis])
+    return json_text([p.blocks for p in pis])
 
 
 def cmd_nc_mobius(args) -> str:
     pis = enumerate_nc(args.n)
     return json_text(
-        [{"blocks": [list(b) for b in p.blocks], "mobius": mobius_nc_one(p)}
-         for p in pis]
+        [{"blocks": p.blocks, "mobius": mobius_nc_one(p)} for p in pis]
     )
 
 
@@ -231,9 +297,7 @@ def cmd_bnc_list(args) -> str:
     if bad:
         raise CliError("VALIDATION", f"chi must be over 'l'/'r', got {bad}")
     shape = ChiShape(tuple(args.chi))
-    return json_text(
-        [[list(b) for b in s.partition.blocks] for s in enumerate_bnc(shape)]
-    )
+    return json_text([s.partition.blocks for s in enumerate_bnc(shape)])
 
 
 def cmd_cumulants_from_moments(args) -> str:

@@ -188,30 +188,28 @@ def key_values(mats: dict, keys) -> np.ndarray:
     L is the product of the left letters in order (left actions compose as
     a homomorphism) and R the product of the right letters in reverse order
     (right actions compose as an anti-homomorphism); an empty side is the
-    identity. Each distinct (side, prefix) product is formed once and
-    extended from the shorter prefix, so keys sharing prefixes share their
-    matmuls, and a mixed key's trace is an O(n²) contraction.
+    identity. A product is keyed by the identities of the matrices it
+    multiplies, in multiplication order, and formed once as its one-shorter
+    prefix times its last matrix. So keys sharing prefixes share their
+    matmuls, and so do the two sides when they name one matrix (a shared
+    slot). A mixed key's trace is an O(n²) contraction.
 
     The products are built in a loop over a local dict, not by a recursive
     closure: a closure referring to itself is a reference cycle, which would
     keep every trial's matrices alive until the cycle collector runs.
     """
-    products: dict[tuple[str, tuple], np.ndarray] = {}
+    products: dict[tuple[int, ...], np.ndarray] = {}
     values = []
-    for key in keys:
+    for lefts, rights in keys:
         ends = []
-        for side, names in zip((LEFT, RIGHT), key):
+        for names in (lefts, rights[::-1]):
+            factors = [mats[name] for name in names]
+            ids = tuple(map(id, factors))
             prod = None
-            for i, name in enumerate(names, 1):
-                prefix = (side, names[:i])
+            for i, mat in enumerate(factors, 1):
+                prefix = ids[:i]
                 if prefix not in products:
-                    mat = mats[name]
-                    if prod is None:
-                        products[prefix] = mat
-                    elif side == LEFT:
-                        products[prefix] = prod @ mat
-                    else:
-                        products[prefix] = mat @ prod
+                    products[prefix] = mat if prod is None else prod @ mat
                 prod = products[prefix]
             if prod is not None:
                 ends.append(prod)

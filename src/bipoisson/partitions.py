@@ -38,27 +38,6 @@ class SetPartition:
             )
         return SetPartition(n, canon)
 
-    @staticmethod
-    def zero(n: int) -> "SetPartition":
-        return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
-
-    @staticmethod
-    def one(n: int) -> "SetPartition":
-        return SetPartition(n, (tuple(range(1, n + 1)),))
-
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def refines(self, other: "SetPartition") -> bool:
-        """True if every block of self is contained in a block of other."""
-        if self.n != other.n:
-            raise ShapeMismatchError(f"n mismatch: {self.n} vs {other.n}")
-        owner = {}
-        for idx, b in enumerate(other.blocks):
-            for x in b:
-                owner[x] = idx
-        return all(len({owner[x] for x in b}) == 1 for b in self.blocks)
-
     def relabel(self, mapping) -> "SetPartition":
         """Apply a bijection {1..n} -> {1..n} elementwise."""
         return SetPartition.from_blocks(
@@ -67,42 +46,48 @@ class SetPartition:
 
 
 def is_noncrossing(p: SetPartition) -> bool:
-    """No a < b < c < d with {a,c} and {b,d} in different blocks."""
-    for b1, b2 in itertools.combinations(p.blocks, 2):
-        merged = sorted([(x, 0) for x in b1] + [(x, 1) for x in b2])
-        alternations = 1
-        last = merged[0][1]
-        for _, tag in merged[1:]:
-            if tag != last:
-                alternations += 1
-                last = tag
-        if alternations >= 4:
+    """No a < b < c < d with {a,c} and {b,d} in different blocks.
+
+    One scan of 1..n keeps a stack of the blocks opened and not yet closed:
+    an element of an already open block must belong to the innermost one.
+    """
+    owner = [0] * (p.n + 1)
+    for i, b in enumerate(p.blocks):
+        for x in b:
+            owner[x] = i
+    open_blocks = []
+    for x in range(1, p.n + 1):
+        i = owner[x]
+        b = p.blocks[i]
+        if x == b[0]:
+            open_blocks.append(i)
+        elif open_blocks[-1] != i:
             return False
+        if x == b[-1]:
+            open_blocks.pop()
     return True
 
 
-def _nc_blocks(elems: tuple[int, ...]):
-    """Yield non-crossing partitions of an ordered tuple, as block lists."""
-    if not elems:
-        yield []
-        return
-    first, rest = elems[0], elems[1:]
+@lru_cache(maxsize=None)
+def _nc_range(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Non-crossing partitions of lo..hi-1 as canonical block tuples.
+
+    First-block recursion: the block of lo, taken in order of size and then
+    lexicographically, followed by the partitions of each gap it leaves.
+    The gaps are ascending ranges, so the concatenation is already ordered
+    by block minimum.
+    """
+    if lo >= hi:
+        return ((),)
+    out = []
+    rest = range(lo + 1, hi)
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
-            block = (first,) + chosen
-            # split the leftover elements into the gaps of `block`
-            segments = []
-            seg = []
-            for x in rest:
-                if x in chosen:
-                    segments.append(seg)
-                    seg = []
-                else:
-                    seg.append(x)
-            segments.append(seg)
-            combos = [list(_nc_blocks(tuple(s))) for s in segments]
-            for pick in itertools.product(*combos):
-                yield [block] + [b for part in pick for b in part]
+            block = (lo,) + chosen
+            gaps = [_nc_range(a + 1, b) for a, b in zip(block, chosen + (hi,))]
+            for pick in itertools.product(*gaps):
+                out.append((block,) + tuple(itertools.chain.from_iterable(pick)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -110,46 +95,45 @@ def enumerate_nc(n: int, cap: int = DEFAULT_CAP) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
     if not 1 <= n <= cap:
         raise CapExceededError(f"n={n} outside [1, {cap}]")
-    return tuple(
-        SetPartition.from_blocks(n, blocks)
-        for blocks in _nc_blocks(tuple(range(1, n + 1)))
-    )
+    return tuple(SetPartition(n, blocks) for blocks in _nc_range(1, n + 1))
 
 
-def kreweras_complement(p: SetPartition) -> SetPartition:
-    """Kreweras complement of a non-crossing partition.
-
-    Blocks are the cycles of s -> P^{-1}(c(s)) where P has a cycle per block
-    (traversed in increasing order) and c is the long cycle (1 2 ... n).
-    """
+def _kreweras_cycles(p: SetPartition) -> list[list[int]]:
+    """Cycles of s -> P^{-1}(c(s)), where P has a cycle per block (traversed
+    in increasing order) and c is the long cycle (1 2 ... n). Each cycle
+    starts at its least element, and cycles come in order of it."""
     n = p.n
-    perm = {}
+    prev = [0] * (n + 1)
     for b in p.blocks:
+        prev[b[0]] = b[-1]
         for a, nxt in zip(b, b[1:]):
-            perm[a] = nxt
-        perm[b[-1]] = b[0]
-    inv = {v: k for k, v in perm.items()}
-    nxt = {i: inv[i % n + 1] for i in range(1, n + 1)}
-    seen = set()
-    blocks = []
+            prev[nxt] = a
+    seen = [False] * (n + 1)
+    cycles = []
     for start in range(1, n + 1):
-        if start in seen:
+        if seen[start]:
             continue
         cyc = []
         x = start
-        while x not in seen:
-            seen.add(x)
+        while not seen[x]:
+            seen[x] = True
             cyc.append(x)
-            x = nxt[x]
-        blocks.append(cyc)
-    return SetPartition.from_blocks(n, blocks)
+            x = prev[x % n + 1]
+        cycles.append(cyc)
+    return cycles
 
 
+def kreweras_complement(p: SetPartition) -> SetPartition:
+    """Kreweras complement of a non-crossing partition: its blocks are the
+    cycles of s -> P^{-1}(c(s))."""
+    return SetPartition(p.n, tuple(tuple(sorted(c)) for c in _kreweras_cycles(p)))
+
+
+@lru_cache(maxsize=None)
 def _mobius_zero_one(m: int) -> int:
     return (-1) ** (m - 1) * catalan(m - 1)
 
 
-@lru_cache(maxsize=None)
 def mobius_nc_one(pi: SetPartition) -> int:
     """Mobius value of the interval [pi, 1_n] in NC(n).
 
@@ -158,8 +142,8 @@ def mobius_nc_one(pi: SetPartition) -> int:
     if not is_noncrossing(pi):
         raise ShapeMismatchError(f"{pi} is not non-crossing")
     out = 1
-    for b in kreweras_complement(pi).blocks:
-        out *= _mobius_zero_one(len(b))
+    for cyc in _kreweras_cycles(pi):
+        out *= _mobius_zero_one(len(cyc))
     return out
 
 
@@ -191,12 +175,6 @@ class ChiShape:
         s = self.s_chi
         return pi.relabel({k: s[k - 1] for k in range(1, self.n + 1)})
 
-    def unapply(self, sigma: SetPartition) -> SetPartition:
-        """s_chi^{-1} o sigma."""
-        s = self.s_chi
-        inv = {s[k - 1]: k for k in range(1, self.n + 1)}
-        return sigma.relabel(inv)
-
 
 def s_chi_of(chi) -> ChiShape:
     """Build a ChiShape from any iterable of 'l'/'r' tags."""
@@ -209,9 +187,6 @@ class BNCPartition:
 
     shape: ChiShape
     partition: SetPartition
-
-    def nc_preimage(self) -> SetPartition:
-        return self.shape.unapply(self.partition)
 
 
 def enumerate_bnc(shape: ChiShape, cap: int = DEFAULT_CAP) -> list[BNCPartition]:

@@ -10,20 +10,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import CapExceededError
 from .cumulants import (
-    LEFT,
     Alphabet,
     CumulantTable,
     MomentFunctional,
     Word,
     all_words,
     kappa_from_moments,
-    moment_of_word,
     moments_from_kappa,
 )
 
@@ -99,56 +96,6 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
         kappa.degree_cap,
         {w: lam ** (len(w) - 1) * v for w, v in kappa.values.items()},
     )
-
-
-def compression_oracle(
-    phi_z: MomentFunctional, lam: float, max_deg: int
-) -> CumulantTable:
-    """Brute-force single-face compression oracle.
-
-    Builds the joint free family {p, z_1..z_K} (p a projection with all
-    moments lam, mixed free cumulants zero), evaluates the compressed state
-    phi(p z_1 p z_2 ... z_m p)/lam word by word, and inverts back to
-    cumulants. Independent of `compress`, which only rescales a table.
-    """
-    if phi_z.alphabet.right:
-        raise ShapeMismatchError("compression oracle is single-face only")
-    if not 0 < lam <= 1:
-        raise ValueError(f"compression ratio must be in (0, 1], got {lam}")
-    if max_deg > phi_z.degree_cap:
-        raise CapExceededError(
-            f"max_deg {max_deg} exceeds jump table cap {phi_z.degree_cap}"
-        )
-    joint_deg = 2 * max_deg + 1
-
-    # free cumulants of the projection from its constant moment sequence
-    p_moments = MomentFunctional.from_function(
-        Alphabet(("p",)), joint_deg, lambda w: lam
-    )
-    p_kappa = kappa_from_moments(p_moments)
-    z_kappa = kappa_from_moments(phi_z)
-
-    def joint_kappa(word: Word) -> float:
-        if all(x == "p" for x in word):
-            return p_kappa(word)
-        if "p" in word:
-            return 0.0  # p free from the z family
-        return z_kappa(word)
-
-    @lru_cache(maxsize=None)
-    def joint_moment(word: Word) -> float:
-        return moment_of_word(joint_kappa, joint_moment, (LEFT,) * len(word), word)
-
-    def compressed_moment(zword: Word) -> float:
-        interleaved = ("p",) + tuple(
-            x for z in zword for x in (z, "p")
-        )
-        return joint_moment(interleaved) / lam
-
-    phi_compressed = MomentFunctional.from_function(
-        phi_z.alphabet, max_deg, compressed_moment
-    )
-    return kappa_from_moments(phi_compressed)
 
 
 def limit_theorem_moments(spec: CbpSpec, N: int) -> Distribution:

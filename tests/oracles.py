@@ -1,16 +1,26 @@
-"""Test-only oracles: brute-force partition helpers, the literal
-Mobius sums over NC(n) and BNC(n, chi), kept independent of the
-first-block recursion that the library's transforms use, the explicit
-bimodule operators that check the bi-matrix word evaluation, and the Fock
-creation operators built by enumerating words as tuples."""
+"""Test-only oracles: brute-force partition helpers, the NC(n) generator
+that sorts and validates every partition it builds, the literal Mobius sums
+over NC(n) and BNC(n, chi), kept independent of the first-block recursion
+that the library's transforms use, the brute-force compression oracle, the
+explicit bimodule operators that check the bi-matrix word evaluation, and
+the Fock creation operators built by enumerating words as tuples."""
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from bipoisson.errors import ShapeMismatchError
+from bipoisson.cumulants import (
+    Alphabet,
+    CumulantTable,
+    MomentFunctional,
+    Word,
+    kappa_from_moments,
+    moment_of_word,
+)
+from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.matrix_models import build_wishart_model, evaluate_bimatrix_word
 from bipoisson.partitions import (
     LEFT,
@@ -22,6 +32,76 @@ from bipoisson.partitions import (
     enumerate_nc,
     mobius_nc_one,
 )
+
+
+def zero_partition(n: int) -> SetPartition:
+    """0_n, the partition of {1..n} into singletons."""
+    return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
+
+
+def one_partition(n: int) -> SetPartition:
+    """1_n, the partition of {1..n} into one block."""
+    return SetPartition(n, (tuple(range(1, n + 1)),))
+
+
+def num_blocks(p: SetPartition) -> int:
+    return len(p.blocks)
+
+
+def refines(p: SetPartition, other: SetPartition) -> bool:
+    """True if every block of p is contained in a block of other."""
+    if p.n != other.n:
+        raise ShapeMismatchError(f"n mismatch: {p.n} vs {other.n}")
+    owner = {}
+    for idx, b in enumerate(other.blocks):
+        for x in b:
+            owner[x] = idx
+    return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
+
+
+def unapply(shape: ChiShape, sigma: SetPartition) -> SetPartition:
+    """s_chi^{-1} o sigma."""
+    s = shape.s_chi
+    inv = {s[k - 1]: k for k in range(1, shape.n + 1)}
+    return sigma.relabel(inv)
+
+
+def nc_preimage(b: BNCPartition) -> SetPartition:
+    """The pi in NC(n) with s_chi o pi equal to b."""
+    return unapply(b.shape, b.partition)
+
+
+def _nc_blocks(elems: tuple[int, ...]):
+    """Yield non-crossing partitions of an ordered tuple, as block lists."""
+    if not elems:
+        yield []
+        return
+    first, rest = elems[0], elems[1:]
+    for k in range(len(rest) + 1):
+        for chosen in itertools.combinations(rest, k):
+            block = (first,) + chosen
+            # split the leftover elements into the gaps of `block`
+            segments = []
+            seg = []
+            for x in rest:
+                if x in chosen:
+                    segments.append(seg)
+                    seg = []
+                else:
+                    seg.append(x)
+            segments.append(seg)
+            combos = [list(_nc_blocks(tuple(s))) for s in segments]
+            for pick in itertools.product(*combos):
+                yield [block] + [b for part in pick for b in part]
+
+
+def enumerate_nc_from_blocks(n: int) -> tuple[SetPartition, ...]:
+    """NC(n) by the first-block recursion over block lists, each partition
+    sorted and validated by `SetPartition.from_blocks`."""
+    return tuple(
+        SetPartition.from_blocks(n, blocks)
+        for blocks in _nc_blocks(tuple(range(1, n + 1)))
+    )
 
 
 def enumerate_partitions(n: int) -> list[SetPartition]:
@@ -48,7 +128,7 @@ def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
     """Mobius function of the interval [pi, sigma] in NC(n); 0 if pi !<= sigma."""
     if pi.n != sigma.n:
         raise ShapeMismatchError(f"n mismatch: {pi.n} vs {sigma.n}")
-    if not pi.refines(sigma):
+    if not refines(pi, sigma):
         return 0
     out = 1
     for b in sigma.blocks:
@@ -105,7 +185,7 @@ def bnc_cumulant(phi, word) -> float:
     sum of mu(s_chi^{-1} o sigma, 1_n) * phi_sigma(word)."""
     shape = ChiShape(phi.alphabet.sides_of(word))
     return sum(
-        mobius_nc_one(sigma.nc_preimage()) * phi_pi(phi, word, sigma)
+        mobius_nc_one(nc_preimage(sigma)) * phi_pi(phi, word, sigma)
         for sigma in enumerate_bnc(shape)
     )
 
@@ -114,6 +194,56 @@ def bnc_moment(kappa, word) -> float:
     """phi(word) as the sum over BNC(n, chi) of kappa block products."""
     shape = ChiShape(kappa.alphabet.sides_of(word))
     return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc(shape))
+
+
+def compression_oracle(
+    phi_z: MomentFunctional, lam: float, max_deg: int
+) -> CumulantTable:
+    """Brute-force single-face compression oracle.
+
+    Builds the joint free family {p, z_1..z_K} (p a projection with all
+    moments lam, mixed free cumulants zero), evaluates the compressed state
+    phi(p z_1 p z_2 ... z_m p)/lam word by word, and inverts back to
+    cumulants. Independent of `compress`, which only rescales a table.
+    """
+    if phi_z.alphabet.right:
+        raise ShapeMismatchError("compression oracle is single-face only")
+    if not 0 < lam <= 1:
+        raise ValueError(f"compression ratio must be in (0, 1], got {lam}")
+    if max_deg > phi_z.degree_cap:
+        raise CapExceededError(
+            f"max_deg {max_deg} exceeds jump table cap {phi_z.degree_cap}"
+        )
+    joint_deg = 2 * max_deg + 1
+
+    # free cumulants of the projection from its constant moment sequence
+    p_moments = MomentFunctional.from_function(
+        Alphabet(("p",)), joint_deg, lambda w: lam
+    )
+    p_kappa = kappa_from_moments(p_moments)
+    z_kappa = kappa_from_moments(phi_z)
+
+    def joint_kappa(word: Word) -> float:
+        if all(x == "p" for x in word):
+            return p_kappa(word)
+        if "p" in word:
+            return 0.0  # p free from the z family
+        return z_kappa(word)
+
+    @lru_cache(maxsize=None)
+    def joint_moment(word: Word) -> float:
+        return moment_of_word(joint_kappa, joint_moment, (LEFT,) * len(word), word)
+
+    def compressed_moment(zword: Word) -> float:
+        interleaved = ("p",) + tuple(
+            x for z in zword for x in (z, "p")
+        )
+        return joint_moment(interleaved) / lam
+
+    phi_compressed = MomentFunctional.from_function(
+        phi_z.alphabet, max_deg, compressed_moment
+    )
+    return kappa_from_moments(phi_compressed)
 
 
 def bimodule_operators(letters) -> list:

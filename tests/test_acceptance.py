@@ -40,14 +40,13 @@ from bipoisson.poisson import (
     cbp_cumulants,
     cbp_moments,
     compress,
-    compression_oracle,
     convolve,
     limit_theorem_moments,
     psd_check,
 )
 from bipoisson.fock import verify_fock_cumulants
 from bipoisson import cli
-from oracles import bimodule_residue, model_letters
+from oracles import bimodule_residue, compression_oracle, model_letters, num_blocks
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -65,7 +64,7 @@ def point_mass_jump(alpha: float, beta: float, cap: int) -> MomentFunctional:
 
 def mobius_zero_one_by_recursion(n: int) -> int:
     """mu(0_n, 1_n) from the defining recursion over NC(n) only."""
-    parts = sorted(enumerate_nc(n), key=lambda p: -p.num_blocks())
+    parts = sorted(enumerate_nc(n), key=lambda p: -num_blocks(p))
     # owner[j, x]: block index of element x in partition j;
     # rep[i, x]: first element of the block of x in partition i
     owner = np.empty((len(parts), n), dtype=np.int64)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import bipoisson
 from bipoisson.cli import (
     emit_convergence_series,
+    json_text,
     main,
     parse_atoms,
     table_from_json,
@@ -22,6 +23,7 @@ from bipoisson.cli import (
 )
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
+from bipoisson.partitions import ChiShape, enumerate_bnc, enumerate_nc, mobius_nc_one
 
 
 def run(args, capsys):
@@ -63,6 +65,64 @@ class TestEnumeration:
         code, _, err = run(["bnc", "list", "--chi", "lrx"], capsys)
         assert code == 2
         assert err.startswith("ERROR VALIDATION")
+
+
+json_scalars = (
+    st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+# tuples of ints mixed with values equal to an int (True == 1 == 1.0), so
+# that a cached rendering keyed by value alone shows up
+int_like_tuples = st.lists(
+    st.lists(st.integers(-2, 2) | st.sampled_from([True, False, 1.0, 0.0]),
+             min_size=1, max_size=3).map(tuple),
+    max_size=6,
+)
+
+
+class TestJsonText:
+    @given(json_values)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @given(int_like_tuples)
+    def test_mixed_tuples_match_json_dumps(self, obj):
+        for value in (obj, [obj, {"a": obj}]):
+            assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_non_str_key_rejected(self):
+        with pytest.raises(TypeError):
+            json_text({1: 2})
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_nc_commands_match_json_dumps(self, n, capsys):
+        pis = enumerate_nc(n)
+        _, out, _ = run(["nc", "list", "--n", str(n)], capsys)
+        blocks = [[list(b) for b in p.blocks] for p in pis]
+        assert out == json.dumps(blocks, indent=2) + "\n"
+        _, out, _ = run(["nc", "mobius", "--n", str(n)], capsys)
+        rows = [{"blocks": b, "mobius": mobius_nc_one(p)} for b, p in zip(blocks, pis)]
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr"])
+    def test_bnc_list_matches_json_dumps(self, chi, capsys):
+        _, out, _ = run(["bnc", "list", "--chi", chi], capsys)
+        blocks = [[list(b) for b in s.partition.blocks]
+                  for s in enumerate_bnc(ChiShape(tuple(chi)))]
+        assert out == json.dumps(blocks, indent=2) + "\n"
 
 
 class TestTables:

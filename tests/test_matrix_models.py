@@ -132,7 +132,48 @@ class TestWordEvaluation:
             evaluate_bimatrix_word([])
 
 
+class CountingMatrix(np.ndarray):
+    """An array view that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
 class TestKeyValues:
+    @pytest.mark.parametrize("shared, products", [(True, 3), (False, 6)])
+    def test_products_formed_once(self, shared, products):
+        # 1L1R words up to length 4 need the powers 2..4 of each side's
+        # matrix; over a shared slot both sides take the same three
+        spec = two_sided_spec(2.5, sizes=(8,), max_word=4, shared=shared)
+        views = {}
+        mats = {
+            name: views.setdefault(id(m), m.view(CountingMatrix))
+            for name, m in build_wishart_model(spec, 8, np.random.default_rng(3)).items()
+        }
+        assert (mats["zl"] is mats["zr"]) == shared
+        keys = list(dict.fromkeys(
+            (tuple(x for x in w if x == "zl"), tuple(x for x in w if x == "zr"))
+            for w in all_words(spec.alphabet, spec.max_word_len)
+        ))
+        CountingMatrix.products = 0
+        got = key_values(mats, keys)
+        assert CountingMatrix.products == products
+        expected = [
+            evaluate_bimatrix_word(
+                [(np.asarray(mats["zl"]), LEFT)] * len(lefts)
+                + [(np.asarray(mats["zr"]), RIGHT)] * len(rights)
+            )
+            for lefts, rights in keys
+        ]
+        assert got.tolist() == expected
+
     def test_matches_bimodule_operators(self):
         # four distinct matrices with unequal laws, so that reversing either
         # side's product changes the real part of mixed keys

@@ -22,13 +22,13 @@ from bipoisson.poisson import (
     cbp_cumulants,
     cbp_moments,
     compress,
-    compression_oracle,
     convolve,
     limit_theorem_moments,
     poisson_approximation,
     psd_check,
     semigroup_element,
 )
+from oracles import compression_oracle
 
 
 def point_mass_jump(alpha: float, beta: float, cap: int) -> MomentFunctional:
