@@ -30,7 +30,6 @@ from .cumulants import (
 )
 from .poisson import (
     CbpSpec,
-    Distribution,
     cbp_moments,
     limit_theorem_moments,
     poisson_approximation,
@@ -459,7 +458,7 @@ def cmd_fock_verify(args) -> str:
     header = ["word", "chi", "omega_moment", "kappa_empirical", "kappa_target",
               "abs_err"]
     rows = []
-    for i, r in enumerate(rows_out):
+    for r in rows_out:
         word = ["wl" if s == LEFT else "wr" for s in r.chi]
         rows.append(
             [_word_str(word), "".join(r.chi), _fmt(r.omega_moment),

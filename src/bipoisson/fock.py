@@ -12,22 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import (
-    Alphabet,
-    CumulantTable,
-    MomentFunctional,
-    all_words,
-    kappa_from_moments,
-)
+from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments
 from .partitions import LEFT, RIGHT
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class FockBasis:
@@ -52,46 +43,58 @@ class FockBasis:
         return n if d == 1 else (d**n - 1) // (d - 1)
 
 
-def creation(basis: FockBasis, side: str, i: int) -> sp.csr_matrix:
-    """Left creation prepends the generator, right creation appends; words
-    already at full depth are annihilated (truncation)."""
-    import scipy.sparse as sp
+class IndexMap(NamedTuple):
+    """A square operator on the first `size` basis words: its nonzero
+    entries, sorted by (row, col) so that applying it with `np.bincount`
+    adds up each row's products in column order, as a CSR mat-vec does."""
 
-    if not 1 <= i <= basis.dim:
-        raise ShapeMismatchError(f"generator index {i} out of range")
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    size: int
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+
+def creation_string(
+    basis: FockBasis, side: str, string: tuple[int, ...], max_len: int
+) -> IndexMap:
+    """l_{s_1}..l_{s_k} (or r_{s_k}..r_{s_1}) on the words of length <=
+    max_len: a length-k string of rank rho sends the length-L word of rank r
+    to rank rho*d^L + r (prepended) or r*d^k + rho (appended) at length L+k;
+    words it would take past max_len are annihilated. Rows and cols ascend."""
+    d, k = basis.dim, len(string)
+    rho = 0
+    for i in string:
+        if not 1 <= i <= d:
+            raise ShapeMismatchError(f"generator index {i} out of range")
+        rho = rho * d + i - 1
     if side not in (LEFT, RIGHT):
         raise ShapeMismatchError(f"unknown side {side!r}")
-    d = basis.dim
-    rows, cols = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for n in range(basis.depth):
-        rank = np.arange(d**n, dtype=np.int64)
-        target = (i - 1) * d**n + rank if side == LEFT else rank * d + (i - 1)
-        rows.append(basis.offset(n + 1) + target)
-        cols.append(basis.offset(n) + rank)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(basis.size, basis.size))
-
-
-def annihilation(basis: FockBasis, side: str, i: int) -> sp.csr_matrix:
-    """Adjoint of the matching creation operator (real entries)."""
-    return creation(basis, side, i).T.tocsr()
+    if not 0 <= max_len <= basis.depth:
+        raise ValueError(f"word length bound {max_len} outside [0, {basis.depth}]")
+    lengths = np.arange(max_len - k + 1, dtype=np.int64)
+    n = np.repeat(lengths, d**lengths)  # the length of each word it keeps in range
+    cols = np.arange(len(n), dtype=np.int64)
+    rank = cols - basis.offset(n)
+    target = rho * d**n + rank if side == LEFT else rank * d**k + rho
+    rows = basis.offset(n + k) + target
+    return IndexMap(rows, cols, np.ones(len(rows)), basis.offset(max_len + 1))
 
 
 def vacuum_moment(ops) -> float:
     """<(op_1 ... op_k) vacuum, vacuum>, applying the word right to left;
-    the vacuum is index 0 of the operators' common square shape."""
+    the vacuum is index 0 of the operators' common size."""
     ops = list(ops)
-    shapes = {op.shape for op in ops}
-    if len(shapes) != 1:
-        raise ShapeMismatchError(f"need one common operator shape, got {shapes}")
-    ((rows, cols),) = shapes
-    if rows != cols:
-        raise ShapeMismatchError(f"operator shape {(rows, cols)} is not square")
-    v = np.zeros(rows)
+    sizes = {op.size for op in ops}
+    if len(sizes) != 1:
+        raise ShapeMismatchError(f"need one common operator size, got {sizes}")
+    v = np.zeros(sizes.pop())
     v[0] = 1.0
     for op in reversed(ops):
-        v = op @ v
+        v = np.bincount(op.rows, weights=op.data * v[op.cols], minlength=op.size)
     return float(v[0])
 
 
@@ -115,18 +118,18 @@ def check_commuting(jump_law: MomentFunctional, tol: float = 1e-12) -> None:
 
 
 def build_w_operators(
-    rate: float, jump_law: MomentFunctional, N: int, basis: FockBasis
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The truncated-series operators (W_l, W_r) of order N.
+    rate: float, jump_law: MomentFunctional, N: int, basis: FockBasis, max_m: int
+) -> tuple[IndexMap, IndexMap]:
+    """The series operators (W_l, W_r) of order N on the words of length
+    <= min(max_m, depth), all that vacuum moments up to length max_m read.
 
     W_l = l_1^* + sum over strings alpha in {1,2}^n, n < N, of
     rate * phi(a_{alpha(1)}..a_{alpha(n)} a_1) * l_{alpha(n)}..l_{alpha(1)},
     and W_r is the right-side mirror built on a_2. Stopping the creation
     strings at length N-1 makes the bi-free cumulants of W-words equal
     rate * phi(a1^p a2^q) for word lengths <= N and exactly zero beyond.
+    No two terms share an entry, so each entry of W is one coefficient.
     """
-    import scipy.sparse as sp
-
     if basis.dim != 2:
         raise ShapeMismatchError("W operators need a two-generator basis")
     if N < 1:
@@ -136,22 +139,23 @@ def build_w_operators(
     if jump_law.degree_cap < N:
         raise CapExceededError("jump law table too shallow for the series order")
     check_commuting(jump_law)
+    max_len = min(max_m, basis.depth)
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
-        create = {i: creation(basis, side, i) for i in (1, 2)}
-        w_op = annihilation(basis, side, own).astype(float)
+        a = creation_string(basis, side, (own,), max_len)
+        rows, cols, data = [a.cols], [a.rows], [a.data]  # its adjoint, l_own^*
         for n in range(N):
             for alpha in itertools.product((1, 2), repeat=n):
-                counts = [alpha.count(1), alpha.count(2)]
-                counts[own - 1] += 1
-                coeff = rate * _commuting_pair_moment(jump_law, *counts)
-                if coeff == 0.0:
-                    continue
-                term = sp.identity(basis.size, format="csr")
-                for gen in alpha:  # l_{alpha(n)} ... l_{alpha(1)}
-                    term = term @ create[gen]
-                w_op = w_op + coeff * term
-        out.append(sp.csr_matrix(w_op))
+                p = alpha.count(1) + (own == 1)
+                coeff = rate * _commuting_pair_moment(jump_law, p, n + 1 - p)
+                if coeff != 0.0:
+                    c = creation_string(basis, side, alpha, max_len)
+                    rows.append(c.rows)
+                    cols.append(c.cols)
+                    data.append(coeff * c.data)
+        rows, cols, data = map(np.concatenate, (rows, cols, data))
+        order = np.lexsort((cols, rows))
+        out.append(IndexMap(rows[order], cols[order], data[order], a.size))
     return out[0], out[1]
 
 
@@ -168,21 +172,18 @@ class FockCumulantRow:
 
 
 def fock_moments(
-    w_l: sp.csr_matrix,
-    w_r: sp.csr_matrix,
-    basis: FockBasis,
-    max_m: int,
+    w_l: IndexMap, w_r: IndexMap, basis: FockBasis, max_m: int
 ) -> MomentFunctional:
-    """Vacuum moments of all W-words up to length max_m.
-
-    W lowers the word length by at most one, so the entries of a vector
-    that can still reach the vacuum within k steps sit on words of length
-    <= k and are computed from such entries alone. The moments therefore
-    only need the block of words of length <= max_m, and restricting to it
-    keeps every in-block sum in the same order, so they are exact."""
-    s = basis.offset(min(max_m, basis.depth) + 1)
+    """Vacuum moments of all W-words up to length max_m. W lowers the word
+    length by at most one, so a vector that must reach the vacuum within k
+    steps matters only on words of length <= k, and those entries come from
+    such entries alone: the moments need W only on the words of length
+    <= max_m, and sum there in the same order as on the whole space."""
+    need = basis.offset(min(max_m, basis.depth) + 1)
+    if min(w_l.size, w_r.size) < need:
+        raise ShapeMismatchError(f"moments to length {max_m} need W on {need} words")
     alphabet = Alphabet(("wl",), ("wr",))
-    ops = {"wl": w_l[:s, :s], "wr": w_r[:s, :s]}
+    ops = {"wl": w_l, "wr": w_r}
     return MomentFunctional.from_function(
         alphabet, max_m, lambda w: vacuum_moment(ops[x] for x in w)
     )
@@ -202,17 +203,14 @@ def verify_fock_cumulants(
         # path of length max_m never leaves depth max_m; W needs depth >= N
         depth = max(max_m, N)
     basis = FockBasis(2, depth)
-    w_l, w_r = build_w_operators(rate, jump_law, N, basis)
+    w_l, w_r = build_w_operators(rate, jump_law, N, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
-    kappa: CumulantTable = kappa_from_moments(phi)
+    kappa = kappa_from_moments(phi)
     rows = []
     for w in all_words(phi.alphabet, max_m):
         m = len(w)
         p = w.count("wl")
-        if m <= N:
-            target = rate * _commuting_pair_moment(jump_law, p, m - p)
-        else:
-            target = 0.0
+        target = rate * _commuting_pair_moment(jump_law, p, m - p) if m <= N else 0.0
         chi = phi.alphabet.sides_of(w)
         rows.append(FockCumulantRow(chi, phi(w), kappa(w), target))
     return rows

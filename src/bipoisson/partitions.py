@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
@@ -37,12 +37,6 @@ class SetPartition:
                 f"blocks {blocks!r} do not partition {{1..{n}}}"
             )
         return SetPartition(n, canon)
-
-    def relabel(self, mapping) -> "SetPartition":
-        """Apply a bijection {1..n} -> {1..n} elementwise."""
-        return SetPartition.from_blocks(
-            self.n, [[mapping[x] for x in b] for b in self.blocks]
-        )
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -162,7 +156,7 @@ class ChiShape:
     def n(self) -> int:
         return len(self.sides)
 
-    @property
+    @cached_property
     def s_chi(self) -> tuple[int, ...]:
         """s_chi(k) listed for k = 1..n: left positions ascending, then
         right positions descending."""
@@ -171,9 +165,12 @@ class ChiShape:
         return tuple(lefts + rights[::-1])
 
     def apply(self, pi: SetPartition) -> SetPartition:
-        """s_chi o pi: push a partition of positions through s_chi."""
-        s = self.s_chi
-        return pi.relabel({k: s[k - 1] for k in range(1, self.n + 1)})
+        """s_chi o pi: push a partition of positions through s_chi. s_chi is
+        a bijection, so the mapped blocks are disjoint and sorting them as
+        tuples orders them by their minimum: the result is canonical."""
+        s = (0,) + self.s_chi  # s[x] = s_chi(x)
+        blocks = sorted([tuple(sorted(map(s.__getitem__, b))) for b in pi.blocks])
+        return SetPartition(self.n, tuple(blocks))
 
 
 def s_chi_of(chi) -> ChiShape:

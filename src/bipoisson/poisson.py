@@ -19,7 +19,6 @@ from .cumulants import (
     CumulantTable,
     MomentFunctional,
     Word,
-    all_words,
     kappa_from_moments,
     moments_from_kappa,
 )

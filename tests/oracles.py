@@ -3,7 +3,8 @@ that sorts and validates every partition it builds, the literal Mobius sums
 over NC(n) and BNC(n, chi), kept independent of the first-block recursion
 that the library's transforms use, the brute-force compression oracle, the
 explicit bimodule operators that check the bi-matrix word evaluation, and
-the Fock creation operators built by enumerating words as tuples."""
+the Fock creation and W operators on the whole truncated space, built by
+enumerating words as tuples and multiplying scipy sparse matrices."""
 
 import itertools
 import math
@@ -59,11 +60,23 @@ def refines(p: SetPartition, other: SetPartition) -> bool:
     return all(len({owner[x] for x in b}) == 1 for b in p.blocks)
 
 
+def relabel(p: SetPartition, mapping) -> SetPartition:
+    """Apply a bijection {1..n} -> {1..n} elementwise; the result is sorted
+    and validated by `SetPartition.from_blocks`."""
+    return SetPartition.from_blocks(p.n, [[mapping[x] for x in b] for b in p.blocks])
+
+
+def apply_by_relabel(shape: ChiShape, pi: SetPartition) -> SetPartition:
+    """s_chi o pi through `relabel`."""
+    s = shape.s_chi
+    return relabel(pi, {k: s[k - 1] for k in range(1, shape.n + 1)})
+
+
 def unapply(shape: ChiShape, sigma: SetPartition) -> SetPartition:
     """s_chi^{-1} o sigma."""
     s = shape.s_chi
     inv = {s[k - 1]: k for k in range(1, shape.n + 1)}
-    return sigma.relabel(inv)
+    return relabel(sigma, inv)
 
 
 def nc_preimage(b: BNCPartition) -> SetPartition:
@@ -329,3 +342,31 @@ def creation_by_words(basis, side: str, i: int) -> sp.csr_matrix:
         cols.append(col)
     data = np.ones(len(rows))
     return sp.csr_matrix((data, (rows, cols)), shape=(len(words), len(words)))
+
+
+def creation_product_by_words(basis, side: str, letters) -> sp.csr_matrix:
+    """The operator product c_{letters[0]} c_{letters[1]} ... of the
+    one-side `creation_by_words` operators; the identity when empty."""
+    out = sp.identity(basis.size, format="csr")
+    for i in letters:
+        out = out @ creation_by_words(basis, side, i)
+    return out
+
+
+def w_operators_by_words(rate: float, jump_law, N: int, basis):
+    """(W_l, W_r) on every word of a two-generator `basis`: l_1^T plus, for
+    each string alpha of length < N, rate * phi(a1^p a2^q) times the product
+    l_{alpha(1)} ... l_{alpha(n)}, where p and q count alpha's letters plus
+    the own letter 1; W_r is the same on the right with own letter 2."""
+    (a1,), (a2,) = jump_law.alphabet.left, jump_law.alphabet.right
+    out = []
+    for side, own in ((LEFT, 1), (RIGHT, 2)):
+        w = creation_by_words(basis, side, own).T.tocsr()
+        for n in range(N):
+            for alpha in itertools.product((1, 2), repeat=n):
+                p = alpha.count(1) + (own == 1)
+                q = alpha.count(2) + (own == 2)
+                coeff = rate * jump_law((a1,) * p + (a2,) * q)
+                w = w + coeff * creation_product_by_words(basis, side, alpha)
+        out.append(sp.csr_matrix(w))
+    return out[0], out[1]

@@ -46,7 +46,13 @@ from bipoisson.poisson import (
 )
 from bipoisson.fock import verify_fock_cumulants
 from bipoisson import cli
-from oracles import bimodule_residue, compression_oracle, model_letters, num_blocks
+from oracles import (
+    bimodule_residue,
+    compression_oracle,
+    model_letters,
+    num_blocks,
+    w_operators_by_words,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -224,18 +230,24 @@ def test_criterion_6_fock_model():
         )
         rows = verify_fock_cumulants(0.5, jump, N, N + 1)
         worst = max(worst, max(r.abs_err for r in rows))
-    # truncation doubling leaves moments unchanged
+    # truncation doubling leaves moments unchanged: the library's block
+    # moments at depth 6 against mat-vecs with the whole-space operators of
+    # depth 12, built by word enumeration
     from bipoisson.fock import FockBasis, build_w_operators, fock_moments
 
     jump = MomentFunctional.from_function(
         a, 3, lambda w: 0.7 ** w.count("a1") * 0.3 ** w.count("a2")
     )
-    tables = []
-    for depth in (6, 12):
-        basis = FockBasis(2, depth)
-        w_l, w_r = build_w_operators(0.5, jump, 2, basis)
-        phi = fock_moments(w_l, w_r, basis, 3)
-        tables.append({w: phi(w) for w in phi.values})
+    basis = FockBasis(2, 6)
+    phi = fock_moments(*build_w_operators(0.5, jump, 2, basis, 3), basis, 3)
+    full = dict(zip(("wl", "wr"), w_operators_by_words(0.5, jump, 2, FockBasis(2, 12))))
+    tables = [{w: phi(w) for w in phi.values}, {}]
+    for w in phi.values:
+        v = np.zeros(full["wl"].shape[0])
+        v[0] = 1.0
+        for x in reversed(w):
+            v = full[x] @ v
+        tables[1][w] = v[0]
     depth_err = max(abs(tables[0][w] - tables[1][w]) for w in tables[0])
     dt = time.time() - t0
     ok = worst < 1e-10 and depth_err < 1e-12 and dt < 60

@@ -356,19 +356,31 @@ class TestNumericValidation:
 
 
 class TestStartup:
-    def test_cli_startup_leaves_scipy_unloaded(self):
-        # only fock verify needs scipy.sparse, so no other command pays for it
-        code = (
-            "import sys, bipoisson.cli; bipoisson.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+    @staticmethod
+    def scipy_modules_after(code: str) -> str:
+        """The scipy modules loaded once `code` has run in a fresh process,
+        as the last line it prints."""
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         src = Path(bipoisson.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True, timeout=120,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_cli_startup_leaves_scipy_unloaded(self):
+        code = "import sys, bipoisson.cli; bipoisson.cli.build_parser()"
+        assert self.scipy_modules_after(code) == "[]"
+
+    def test_fock_verify_leaves_scipy_unloaded(self):
+        # the Fock model runs on numpy alone
+        code = (
+            "import sys, bipoisson.cli; assert bipoisson.cli.main(['fock', 'verify', "
+            "'--lambda', '0.5', '--atoms', '0.7:1', '--right-atoms', '0.3:1', "
+            "'--N', '3', '--max-m', '4']) == 0"
+        )
+        assert self.scipy_modules_after(code) == "[]"
 
 
 class TestFock:

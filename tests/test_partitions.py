@@ -22,6 +22,7 @@ from bipoisson.partitions import (
     s_chi_of,
 )
 from oracles import (
+    apply_by_relabel,
     enumerate_nc_from_blocks,
     enumerate_partitions,
     ker_map,
@@ -208,6 +209,17 @@ class TestBNC:
     def test_all_left_is_plain_nc(self):
         shape = s_chi_of("lllll")
         assert {b.partition for b in enumerate_bnc(shape)} == set(enumerate_nc(5))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_relabel_path(self, n):
+        # every chi of length n, as ordered tuples of canonical partitions
+        ncs = enumerate_nc(n)
+        for chi in itertools.product("lr", repeat=n):
+            shape = ChiShape(chi)
+            got = [b.partition for b in enumerate_bnc(shape)]
+            assert all(p.n == n for p in got)
+            want = tuple(apply_by_relabel(shape, pi).blocks for pi in ncs)
+            assert tuple(p.blocks for p in got) == want, chi
 
     def test_preimage_roundtrip(self):
         shape = s_chi_of("lrrl")
