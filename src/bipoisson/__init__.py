@@ -28,7 +28,6 @@ from .cumulants import (
     Word,
     all_words,
     kappa_from_moments,
-    moment_of_word,
     moments_from_kappa,
 )
 from .poisson import (
@@ -85,7 +84,6 @@ __all__ = [
     "Word",
     "all_words",
     "kappa_from_moments",
-    "moment_of_word",
     "moments_from_kappa",
     "CbpSpec",
     "Distribution",

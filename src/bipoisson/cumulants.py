@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     DEFAULT_CAP,
     CapExceededError,
@@ -110,80 +112,86 @@ class CumulantTable(_WordTable):
         )
 
 
-@lru_cache(maxsize=None)
-def _plan(sides: tuple[str, ...]):
-    """The first-block recursion for words with side pattern `sides`.
+def word_offset(size: int, n):
+    """The number of words shorter than n over `size` letters, the empty
+    word included. A word's index is this offset of its length plus its
+    base-`size` rank: its `all_words` position plus one, the empty word 0."""
+    return n if size == 1 else (size**n - 1) // (size - 1)
+
+
+@lru_cache(maxsize=64)
+def _length_plan(n_left: int, size: int, n: int):
+    """The first-block recursion for every word of length n, as index arrays.
 
     Under s_chi (left positions ascending, then right positions descending)
     BNC(n, chi) is NC(n) (Charlesworth-Nelson-Skoufranis 2015), so phi(w) is
     the sum, over the blocks V holding the first reordered letter, of
     kappa(w|V) times the product over the gaps of V of phi(w|gap): the free
-    moment-cumulant relation (Nica-Speicher 2006). Each of the 2**(n-1)
-    terms is a (block, gaps) pair of ascending 0-based positions in the
-    original word; the whole-word block comes last.
+    moment-cumulant relation (Nica-Speicher 2006). Terms are cut sets of
+    reordered positions by size, then lexicographically; the whole word last.
+    Returns (blocks, runs, gaps), cached and never written: blocks[t, w]
+    indexes term t's block in the w-th word of length n, runs[r, w] its run
+    r of reordered positions (run 0 is empty), and gaps[g, t] is the run of
+    term t's g-th gap, 0 past its last.
     """
-    n = len(sides)
-    if not 1 <= n <= DEFAULT_CAP:
-        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
-    bad = set(sides) - {LEFT, RIGHT}
-    if bad:
-        raise ShapeMismatchError(f"unknown side tags {bad}")
-    order = [i for i, s in enumerate(sides) if s == LEFT]
-    order += [i for i, s in reversed(list(enumerate(sides))) if s == RIGHT]
-    terms = []
+    digits = np.arange(size**n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
+    right = digits >= n_left
+    # reordered position of each letter: lefts ascending, then rights descending
+    slot = np.where(right, n - right.cumsum(1), (~right).cumsum(1) - 1)
+    sets, runs, gaps = [], {(): 0}, []
     for k in range(n):
         for chosen in itertools.combinations(range(1, n), k):
             cuts = (0,) + chosen + (n,)
-            block = tuple(sorted(order[c] for c in cuts[:-1]))
-            gaps = tuple(
-                tuple(sorted(order[a + 1:b]))
-                for a, b in zip(cuts, cuts[1:]) if b > a + 1
-            )
-            terms.append((block, gaps))
-    return tuple(terms)
+            sets.append(cuts[:-1])
+            gap = [runs.setdefault(tuple(range(a + 1, b)), len(runs))
+                   for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+            gaps.append(gap + [0] * (n // 2 - len(gap)))
+    members = np.array([np.isin(np.arange(n), s) for s in sets + list(runs)])
+    # Horner over each word's letters, taking those whose slot is in the set
+    rank = np.zeros((len(members), len(digits)), dtype=np.intp)
+    for i in range(n):
+        rank = np.where(members[:, slot[:, i]], rank * size + digits[:, i], rank)
+    index = word_offset(size, members.sum(1))[:, None] + rank
+    return index[: len(sets)], index[len(sets):], np.array(gaps, dtype=np.intp).T
 
 
-def _expand(kappa_fn, phi_fn, word: Word, terms) -> float:
-    total = 0.0
-    for block, gaps in terms:
-        term = kappa_fn(tuple(word[i] for i in block))
-        for gap in gaps:
-            if term == 0.0:
-                break
-            term *= phi_fn(tuple(word[i] for i in gap))
-        total += term
-    return total
+def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool):
+    """Cumulants from rows of moments (to_cumulants) or moments from rows of
+    cumulants, each row over `all_words` order. Terms multiply left to right
+    and add in order from 0.0, so each value is the per-word recursion's."""
+    if degree_cap > DEFAULT_CAP:
+        raise CapExceededError(f"degree cap {degree_cap} exceeds {DEFAULT_CAP}")
+    rows, size = np.asarray(rows, dtype=float), len(alphabet.names)
+    count = word_offset(size, max(degree_cap, 0) + 1) - 1
+    if rows.ndim != 2 or rows.shape[1] != count:
+        raise ShapeMismatchError(f"need rows of {count} values, got {rows.shape}")
+    given = np.insert(rows, 0, 1.0, axis=1)  # the empty word
+    out = given.copy()
+    kappa, phi = (out, given) if to_cumulants else (given, out)
+    for n in range(1, degree_cap + 1):
+        blocks, runs, gaps = _length_plan(len(alphabet.left), size, n)
+        lo, hi = word_offset(size, n), word_offset(size, n + 1)
+        terms = len(blocks) - to_cumulants  # a cumulant drops the whole word
+        prod = kappa[:, blocks[:terms]]
+        for gap in gaps[:, :terms]:
+            prod *= phi[:, runs[gap]]
+        acc = sum(prod.swapaxes(0, 1), 0.0)  # term by term, in plan order
+        out[:, lo:hi] = phi[:, lo:hi] - acc if to_cumulants else acc
+    return out[:, 1:]
 
 
-def moment_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
-    """phi(word) from kappa on its subwords and phi on its proper subwords,
-    both given as callables."""
-    return _expand(kappa_fn, phi_fn, word, _plan(sides))
-
-
-def cumulant_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
-    """kappa(word) from phi on its subwords and kappa on its proper
-    subwords: the moment relation solved for its whole-word term."""
-    return phi_fn(word) - _expand(kappa_fn, phi_fn, word, _plan(sides)[:-1])
+def _convert(table: _WordTable, to_cumulants: bool) -> dict[Word, float]:
+    words = list(all_words(table.alphabet, table.degree_cap))
+    row = [[table.values[w] for w in words]]
+    out = transform_rows(table.alphabet, table.degree_cap, row, to_cumulants)
+    return dict(zip(words, out[0].tolist()))
 
 
 def kappa_from_moments(phi: MomentFunctional) -> CumulantTable:
-    """Every word's bi-free cumulant from its moments, shortest words first."""
-    alphabet = phi.alphabet
-    values = {}
-    for w in all_words(alphabet, phi.degree_cap):
-        values[w] = cumulant_of_word(
-            values.__getitem__, phi, alphabet.sides_of(w), w
-        )
-    return CumulantTable(alphabet, phi.degree_cap, values)
+    """Every word's bi-free cumulant from its moments."""
+    return CumulantTable(phi.alphabet, phi.degree_cap, _convert(phi, True))
 
 
 def moments_from_kappa(kappa: CumulantTable) -> MomentFunctional:
-    """The inverse transform: every word's moment, shortest words first."""
-    alphabet = kappa.alphabet
-    values = {}
-    for w in all_words(alphabet, kappa.degree_cap):
-        values[w] = moment_of_word(
-            kappa, values.__getitem__, alphabet.sides_of(w), w
-        )
-    return MomentFunctional(alphabet, kappa.degree_cap, values)
+    """The inverse transform: every word's moment from the cumulants."""
+    return MomentFunctional(kappa.alphabet, kappa.degree_cap, _convert(kappa, False))

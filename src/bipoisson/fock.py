@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments
+from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments, word_offset
 from .partitions import LEFT, RIGHT
 
 
@@ -39,8 +39,7 @@ class FockBasis:
 
     def offset(self, n: int) -> int:
         """Index of the first word of length n: the count of shorter words."""
-        d = self.dim
-        return n if d == 1 else (d**n - 1) // (d - 1)
+        return word_offset(self.dim, n)
 
 
 class IndexMap(NamedTuple):
@@ -120,8 +119,8 @@ def check_commuting(jump_law: MomentFunctional, tol: float = 1e-12) -> None:
 def build_w_operators(
     rate: float, jump_law: MomentFunctional, N: int, basis: FockBasis, max_m: int
 ) -> tuple[IndexMap, IndexMap]:
-    """The series operators (W_l, W_r) of order N on the words of length
-    <= min(max_m, depth), all that vacuum moments up to length max_m read.
+    """The series operators (W_l, W_r) of order N on the vacuum and the
+    words of length < max_m, <= depth: all that moments to length max_m read.
 
     W_l = l_1^* + sum over strings alpha in {1,2}^n, n < N, of
     rate * phi(a_{alpha(1)}..a_{alpha(n)} a_1) * l_{alpha(n)}..l_{alpha(1)},
@@ -139,7 +138,9 @@ def build_w_operators(
     if jump_law.degree_cap < N:
         raise CapExceededError("jump law table too shallow for the series order")
     check_commuting(jump_law)
-    max_len = min(max_m, basis.depth)
+    if max_m < 0:
+        raise ValueError(f"moment length {max_m} is negative")
+    max_len = max(min(max_m - 1, basis.depth), 0)
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
         a = creation_string(basis, side, (own,), max_len)
@@ -177,9 +178,9 @@ def fock_moments(
     """Vacuum moments of all W-words up to length max_m. W lowers the word
     length by at most one, so a vector that must reach the vacuum within k
     steps matters only on words of length <= k, and those entries come from
-    such entries alone: the moments need W only on the words of length
-    <= max_m, and sum there in the same order as on the whole space."""
-    need = basis.offset(min(max_m, basis.depth) + 1)
+    such entries alone. After the first W, k < max_m: the moments need W on
+    the words shorter than max_m only, in the same order as on all words."""
+    need = basis.offset(max(min(max_m - 1, basis.depth), 0) + 1)
     if min(w_l.size, w_r.size) < need:
         raise ShapeMismatchError(f"moments to length {max_m} need W on {need} words")
     alphabet = Alphabet(("wl",), ("wr",))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .cumulants import Alphabet, CumulantTable, MomentFunctional, all_words, kappa_from_moments
+from .cumulants import Alphabet, CumulantTable, all_words, transform_rows
 from .partitions import LEFT, RIGHT
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
@@ -279,7 +279,7 @@ def estimate_empirical_cumulants(
 
     Each trial evaluates every distinct (left-subword, right-subword) key
     once, in one `key_values` call, and gives its value to every word with
-    that key.
+    that key. Each size inverts its mean and batch moments in one call.
 
     Moment standard errors are per-word over trials; cumulant standard
     errors come from batching the trials (cumulants are nonlinear in the
@@ -311,26 +311,19 @@ def estimate_empirical_cumulants(
             trial_values[t] = values.real[word_key]
         mean = trial_values.mean(axis=0)
         sem = trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
-
-        def cumulants_of(row) -> CumulantTable:
-            phi = MomentFunctional(
-                alphabet, spec.max_word_len, dict(zip(words, row))
-            )
-            return kappa_from_moments(phi)
-
-        kappa_hat = cumulants_of(mean)
         batches = np.array_split(trial_values, n_batches, axis=0)
-        batch_kappas = [cumulants_of(b.mean(axis=0)) for b in batches]
+        rows = [mean] + [b.mean(axis=0) for b in batches]
+        kappas = transform_rows(alphabet, spec.max_word_len, rows, to_cumulants=True)
         estimates = []
         for j, w in enumerate(words):
-            spread = np.std([k(w) for k in batch_kappas], ddof=1)
+            spread = np.std(kappas[1:, j], ddof=1)
             estimates.append(
                 WordEstimate(
                     word=w,
                     empirical_moment=float(mean[j]),
                     moment_std_err=float(sem[j]),
-                    empirical_cumulant=kappa_hat(w),
-                    cumulant_std_err=float(spread / math.sqrt(len(batch_kappas))),
+                    empirical_cumulant=float(kappas[0, j]),
+                    cumulant_std_err=float(spread / math.sqrt(len(batches))),
                     target_cumulant=targets(w),
                 )
             )

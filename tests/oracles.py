@@ -1,7 +1,9 @@
 """Test-only oracles: brute-force partition helpers, the NC(n) generator
 that sorts and validates every partition it builds, the literal Mobius sums
 over NC(n) and BNC(n, chi), kept independent of the first-block recursion
-that the library's transforms use, the brute-force compression oracle, the
+that the library's transforms use, that recursion word by word (the
+reference the compiled plan must match bit for bit, and the inner transform
+of the compression oracle), the brute-force compression oracle, the
 explicit bimodule operators that check the bi-matrix word evaluation, and
 the Fock creation and W operators on the whole truncated space, built by
 enumerating words as tuples and multiplying scipy sparse matrices."""
@@ -18,10 +20,10 @@ from bipoisson.cumulants import (
     CumulantTable,
     MomentFunctional,
     Word,
+    all_words,
     kappa_from_moments,
-    moment_of_word,
 )
-from bipoisson.errors import CapExceededError, ShapeMismatchError
+from bipoisson.errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
 from bipoisson.matrix_models import build_wishart_model, evaluate_bimatrix_word
 from bipoisson.partitions import (
     LEFT,
@@ -207,6 +209,79 @@ def bnc_moment(kappa, word) -> float:
     """phi(word) as the sum over BNC(n, chi) of kappa block products."""
     shape = ChiShape(kappa.alphabet.sides_of(word))
     return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc(shape))
+
+
+@lru_cache(maxsize=None)
+def first_block_terms(sides: tuple[str, ...]):
+    """The first-block recursion for words with side pattern `sides`, term
+    by term.
+
+    Under s_chi (left positions ascending, then right positions descending)
+    BNC(n, chi) is NC(n), so phi(w) is the sum, over the blocks V holding the
+    first reordered letter, of kappa(w|V) times the product over the gaps of
+    V of phi(w|gap). Each of the 2**(n-1) terms is a (block, gaps) pair of
+    ascending 0-based positions in the original word; the whole-word block
+    comes last.
+    """
+    n = len(sides)
+    if not 1 <= n <= DEFAULT_CAP:
+        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
+    bad = set(sides) - {LEFT, RIGHT}
+    if bad:
+        raise ShapeMismatchError(f"unknown side tags {bad}")
+    order = [i for i, s in enumerate(sides) if s == LEFT]
+    order += [i for i, s in reversed(list(enumerate(sides))) if s == RIGHT]
+    terms = []
+    for k in range(n):
+        for chosen in itertools.combinations(range(1, n), k):
+            cuts = (0,) + chosen + (n,)
+            block = tuple(sorted(order[c] for c in cuts[:-1]))
+            gaps = tuple(
+                tuple(sorted(order[a + 1:b]))
+                for a, b in zip(cuts, cuts[1:]) if b > a + 1
+            )
+            terms.append((block, gaps))
+    return tuple(terms)
+
+
+def _expand(kappa_fn, phi_fn, word: Word, terms) -> float:
+    total = 0.0
+    for block, gaps in terms:
+        term = kappa_fn(tuple(word[i] for i in block))
+        for gap in gaps:
+            if term == 0.0:
+                break
+            term *= phi_fn(tuple(word[i] for i in gap))
+        total += term
+    return total
+
+
+def moment_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
+    """phi(word) from kappa on its subwords and phi on its proper subwords,
+    both given as callables, one term at a time."""
+    return _expand(kappa_fn, phi_fn, word, first_block_terms(sides))
+
+
+def cumulant_of_word(kappa_fn, phi_fn, sides: tuple[str, ...], word: Word) -> float:
+    """kappa(word) from phi on its subwords and kappa on its proper
+    subwords: the moment relation solved for its whole-word term."""
+    return phi_fn(word) - _expand(kappa_fn, phi_fn, word, first_block_terms(sides)[:-1])
+
+
+def cumulants_by_words(phi: MomentFunctional) -> dict:
+    """Every word's cumulant by the per-word recursion, shortest first."""
+    alphabet, values = phi.alphabet, {}
+    for w in all_words(alphabet, phi.degree_cap):
+        values[w] = cumulant_of_word(values.__getitem__, phi, alphabet.sides_of(w), w)
+    return values
+
+
+def moments_by_words(kappa: CumulantTable) -> dict:
+    """Every word's moment by the per-word recursion, shortest first."""
+    alphabet, values = kappa.alphabet, {}
+    for w in all_words(alphabet, kappa.degree_cap):
+        values[w] = moment_of_word(kappa, values.__getitem__, alphabet.sides_of(w), w)
+    return values
 
 
 def compression_oracle(

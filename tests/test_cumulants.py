@@ -1,9 +1,11 @@
 """Moment/cumulant transforms: frozen examples, round trips, independent
-single-face and BNC Mobius-sum oracles, additivity, and the side-sorted
-reordering identity on commuting bipartite families."""
+single-face and BNC Mobius-sum oracles, additivity, the side-sorted
+reordering identity on commuting bipartite families, and the compiled plan
+against the per-word first-block recursion, bit for bit."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +16,8 @@ from bipoisson.cumulants import (
     MomentFunctional,
     all_words,
     kappa_from_moments,
-    moment_of_word,
     moments_from_kappa,
+    transform_rows,
 )
 from bipoisson.partitions import (
     LEFT,
@@ -28,6 +30,9 @@ from bipoisson.partitions import (
 from oracles import (
     bnc_cumulant,
     bnc_moment,
+    cumulants_by_words,
+    moment_of_word,
+    moments_by_words,
     num_blocks,
     one_partition,
     phi_pi,
@@ -292,6 +297,71 @@ class TestBncMobiusOracle:
             assert abs(kappa_fast(w) - ref) <= 1e-12 * max(1.0, abs(ref))
             ref = bnc_moment(kappa, w)
             assert abs(phi_fast(w) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def bits(values) -> bytes:
+    """The float64 bytes of `values`, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestCompiledPlan:
+    """The compiled transforms against the per-word recursion in `oracles`,
+    bit for bit, and a batch of rows against one call per row."""
+
+    @given(
+        st.integers(1, 2),
+        st.integers(0, 2),  # one letter: numpy's pairwise sums would show
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_to_per_word_recursion(self, nleft, nright, cap, batch, seed):
+        a = Alphabet(
+            tuple(f"x{i}" for i in range(nleft)),
+            tuple(f"u{i}" for i in range(nright)),
+        )
+        rng = random.Random(seed)
+        words = list(all_words(a, cap))
+
+        def value():
+            # exact zeros of both signs reach the recursion's early exit
+            r = rng.random()
+            return 0.0 if r < 0.1 else -0.0 if r < 0.15 else rng.uniform(-2, 2)
+
+        rows = np.array([[value() for _ in words] for _ in range(batch)])
+        kappas = transform_rows(a, cap, rows, to_cumulants=True)
+        moments = transform_rows(a, cap, rows, to_cumulants=False)
+        for r, row in enumerate(rows):
+            table = dict(zip(words, row.tolist()))
+            want = cumulants_by_words(MomentFunctional(a, cap, table))
+            assert bits(kappas[r]) == bits([want[w] for w in words])
+            want = moments_by_words(CumulantTable(a, cap, table))
+            assert bits(moments[r]) == bits([want[w] for w in words])
+            one = rows[r:r + 1]
+            assert bits(transform_rows(a, cap, one, to_cumulants=True)) == bits(kappas[r])
+            assert bits(transform_rows(a, cap, one, to_cumulants=False)) == bits(moments[r])
+
+    def test_tables_match_rows(self):
+        rng = random.Random(8)
+        a = Alphabet(("x",), ("u",))
+        words = list(all_words(a, 5))
+        row = [rng.uniform(-1, 1) for _ in words]
+        phi = MomentFunctional(a, 5, dict(zip(words, row)))
+        kappa = CumulantTable(a, 5, dict(zip(words, row)))
+        got = kappa_from_moments(phi).values
+        assert list(got) == words
+        assert bits(list(got.values())) == bits(transform_rows(a, 5, [row], to_cumulants=True))
+        got = moments_from_kappa(kappa).values
+        assert list(got) == words
+        assert bits(list(got.values())) == bits(transform_rows(a, 5, [row], to_cumulants=False))
+
+    def test_row_width_must_match(self):
+        a = Alphabet(("x",), ("u",))
+        with pytest.raises(ShapeMismatchError):
+            transform_rows(a, 3, [[0.0] * 13], to_cumulants=True)
+        with pytest.raises(ShapeMismatchError):
+            transform_rows(a, 3, [0.0] * 14, to_cumulants=False)
 
 
 class TestPlanGuards:

@@ -37,9 +37,10 @@ def dense(op: IndexMap) -> np.ndarray:
 
 
 def annihilators(basis: FockBasis, max_len: int) -> tuple[IndexMap, IndexMap]:
-    """(l_1^*, r_2^*): the W operators at rate 0, where every series term
-    vanishes."""
-    return build_w_operators(0.0, product_jump(0.7, 0.3, 1), 1, basis, max_len)
+    """(l_1^*, r_2^*) on the words of length <= max_len: the W operators at
+    rate 0, where every series term vanishes, for moments to length
+    max_len + 1."""
+    return build_w_operators(0.0, product_jump(0.7, 0.3, 1), 1, basis, max_len + 1)
 
 
 def assert_sorted(op: IndexMap) -> None:
@@ -197,7 +198,8 @@ class TestWOperators:
     def test_order_one_is_constant_plus_annihilator(self):
         basis = FockBasis(2, 2)
         jump = product_jump(0.7, 0.3, 2)
-        w_l, w_r = build_w_operators(2.0, jump, 1, basis, 2)
+        # moments to length 3 read W on every word of length <= 2
+        w_l, w_r = build_w_operators(2.0, jump, 1, basis, 3)
         expect_l = creation_by_words(basis, LEFT, 1).T.toarray() + 2.0 * 0.7 * np.eye(
             basis.size
         )
@@ -226,7 +228,7 @@ class TestWOperators:
         # a larger block gives the same moments
         small = fock_moments(*build_w_operators(0.5, jump, 2, basis, 2), basis, 2)
         big = fock_moments(w_l, w_r, basis, 2)
-        assert w_l.size > basis.offset(3) and small.values == big.values
+        assert w_l.size > basis.offset(2) and small.values == big.values
 
 
 class TestCumulantStructure:
@@ -253,7 +255,7 @@ class TestCumulantStructure:
         phi = fock_moments(w_l, w_r, basis, max_m)
         ops = dict(zip(("wl", "wr"), w_operators_by_words(1.3, jump, N, basis)))
         # W on the block is the top-left corner of the whole-space operators
-        size = basis.offset(min(max_m, depth) + 1)
+        size = basis.offset(min(max_m - 1, depth) + 1)
         for got, want in ((w_l, ops["wl"]), (w_r, ops["wr"])):
             assert got.size == size
             assert_sorted(got)
