@@ -10,7 +10,6 @@ from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
 from .partitions import (
     LEFT,
     RIGHT,
-    BNCPartition,
     ChiShape,
     SetPartition,
     catalan,
@@ -19,7 +18,6 @@ from .partitions import (
     is_noncrossing,
     kreweras_complement,
     mobius_nc_one,
-    s_chi_of,
 )
 from .cumulants import (
     Alphabet,
@@ -68,7 +66,6 @@ __all__ = [
     "ShapeMismatchError",
     "LEFT",
     "RIGHT",
-    "BNCPartition",
     "ChiShape",
     "SetPartition",
     "catalan",
@@ -77,7 +74,6 @@ __all__ = [
     "is_noncrossing",
     "kreweras_complement",
     "mobius_nc_one",
-    "s_chi_of",
     "Alphabet",
     "CumulantTable",
     "MomentFunctional",

@@ -208,7 +208,7 @@ def table_from_json(obj, cls):
                 raise CliError("TABLE_PARSE", f"non-finite value for word {word!r}")
             values[word] = value
         return cls(alphabet, cap, values)
-    except CliError:
+    except (CliError, CapExceededError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError,
             MissingEntryError, ShapeMismatchError) as exc:
@@ -296,7 +296,7 @@ def cmd_bnc_list(args) -> str:
     if bad:
         raise CliError("VALIDATION", f"chi must be over 'l'/'r', got {bad}")
     shape = ChiShape(tuple(args.chi))
-    return json_text([s.partition.blocks for s in enumerate_bnc(shape)])
+    return json_text([p.blocks for p in enumerate_bnc(shape)])
 
 
 def cmd_cumulants_from_moments(args) -> str:
@@ -362,7 +362,7 @@ def cmd_cbp_approx(args) -> str:
     words = sorted(nu.moments.values, key=lambda w: (len(w), w))
     points = []
     for n in parse_int_list(args.sizes):
-        approx = poisson_approximation(nu, n).with_cumulants()
+        approx = poisson_approximation(nu, n)
         points.append(
             (n, [(_word_str(w), approx.cumulants(w), nu.cumulants(w)) for w in words])
         )
@@ -372,42 +372,39 @@ def cmd_cbp_approx(args) -> str:
 def cmd_cbp_psd(args) -> str:
     jump = load_table(args.jump, MomentFunctional)
     dist = cbp_moments(CbpSpec(args.rate, jump))
-    try:
-        ok, min_eig = psd_check(dist, args.deg)
-    except CapExceededError as exc:
-        raise CliError("VALIDATION", str(exc)) from exc
+    ok, min_eig = psd_check(dist, args.deg)
     return json_text(
         {"schema": 1, "degree": args.deg, "psd": bool(ok), "min_eigenvalue": min_eig}
     )
 
 
-def _simulate_spec(args, two_faced: bool) -> EnsembleSpec:
-    left_law = parse_atoms(args.atoms)
-    if two_faced:
-        right_law = parse_atoms(args.right_atoms) if args.right_atoms else left_law
-        if args.shared and right_law != left_law:
-            raise CliError("VALIDATION", "--shared requires identical atom laws")
+def _atom_laws(args) -> tuple[AtomLaw, AtomLaw]:
+    """The left and right jump laws of --atoms and --right-atoms (the left
+    law when absent); --shared requires the two to be equal."""
+    left = parse_atoms(args.atoms)
+    right = parse_atoms(args.right_atoms) if args.right_atoms else left
+    if args.shared and right != left:
+        raise CliError("VALIDATION", "--shared requires identical atom laws")
+    return left, right
+
+
+def cmd_simulate(args) -> str:
+    if args.action == "bimatrix":
+        left_law, right_law = _atom_laws(args)
         variables = (
             VariableSpec("zl", LEFT, left_law, 0),
             VariableSpec("zr", RIGHT, right_law, 0 if args.shared else 1),
         )
     else:
-        variables = (VariableSpec("z", LEFT, left_law, 0),)
-    try:
-        return EnsembleSpec(
-            rate=args.rate,
-            variables=variables,
-            sizes=parse_int_list(args.sizes),
-            trials=args.trials,
-            seed=args.seed,
-            max_word_len=args.max_word,
-        )
-    except (ValueError, ShapeMismatchError) as exc:
-        raise CliError("VALIDATION", str(exc)) from exc
-
-
-def _simulate_report(args, two_faced: bool) -> str:
-    spec = _simulate_spec(args, two_faced)
+        variables = (VariableSpec("z", LEFT, parse_atoms(args.atoms), 0),)
+    spec = EnsembleSpec(
+        rate=args.rate,
+        variables=variables,
+        sizes=parse_int_list(args.sizes),
+        trials=args.trials,
+        seed=args.seed,
+        max_word_len=args.max_word,
+    )
     print(f"simulating sizes {spec.sizes}, {spec.trials} trials", file=sys.stderr)
     reports = estimate_empirical_cumulants(spec)
     header = ["n", "word", "empirical", "target", "abs_err", "std_err"]
@@ -426,19 +423,8 @@ def _simulate_report(args, two_faced: bool) -> str:
     return rows_as(args.format, header, rows)
 
 
-def cmd_simulate_wishart(args) -> str:
-    return _simulate_report(args, two_faced=False)
-
-
-def cmd_simulate_bimatrix(args) -> str:
-    return _simulate_report(args, two_faced=True)
-
-
 def cmd_fock_verify(args) -> str:
-    a1 = parse_atoms(args.atoms)
-    a2 = parse_atoms(args.right_atoms) if args.right_atoms else a1
-    if args.shared and a2 != a1:
-        raise CliError("VALIDATION", "--shared requires identical atom laws")
+    a1, a2 = _atom_laws(args)
     alphabet = Alphabet(("a1",), ("a2",))
 
     def jump_moment(w):
@@ -447,14 +433,11 @@ def cmd_fock_verify(args) -> str:
             return a1.moment(p + q)
         return a1.moment(p) * a2.moment(q)
 
-    cap = max(args.N, args.max_m)
-    jump = MomentFunctional.from_function(alphabet, cap, jump_moment)
-    try:
-        rows_out = verify_fock_cumulants(
-            args.rate, jump, args.N, args.max_m, depth=args.depth
-        )
-    except (ValueError, CapExceededError, ShapeMismatchError) as exc:
-        raise CliError("VALIDATION", str(exc)) from exc
+    # the W series and the targets read jump moments of length <= N only
+    jump = MomentFunctional.from_function(alphabet, args.N, jump_moment)
+    rows_out = verify_fock_cumulants(
+        args.rate, jump, args.N, args.max_m, depth=args.depth
+    )
     header = ["word", "chi", "omega_moment", "kappa_empirical", "kappa_target",
               "abs_err"]
     rows = []
@@ -530,8 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="random matrix models").add_subparsers(
         dest="action", required=True)
-    for name, fn in (("wishart", cmd_simulate_wishart),
-                     ("bimatrix", cmd_simulate_bimatrix)):
+    for name in ("wishart", "bimatrix"):
         q = sim.add_parser(name)
         q.add_argument("--lambda", dest="rate", type=float, required=True)
         q.add_argument("--atoms", required=True, help="e.g. 1:0.5,2:0.5")
@@ -542,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--sizes", default="32,64,128")
         q.add_argument("--trials", type=int, default=200)
         q.add_argument("--max-word", type=int, default=4)
-        q.set_defaults(fn=fn)
+        q.set_defaults(fn=cmd_simulate)
 
     fock = sub.add_parser("fock", help="truncated Fock-space model").add_subparsers(
         dest="action", required=True)

@@ -57,8 +57,15 @@ def all_words(alphabet: Alphabet, max_len: int):
         yield from itertools.product(alphabet.names, repeat=n)
 
 
+def _check_cap(degree_cap: int) -> None:
+    """Reject a cap past DEFAULT_CAP before any of its |A|**cap words is listed."""
+    if degree_cap > DEFAULT_CAP:
+        raise CapExceededError(f"degree cap {degree_cap} exceeds {DEFAULT_CAP}")
+
+
 class _WordTable:
     def __init__(self, alphabet: Alphabet, degree_cap: int, values: dict[Word, float]):
+        _check_cap(degree_cap)
         self.alphabet = alphabet
         self.degree_cap = degree_cap
         self.values = dict(values)
@@ -83,6 +90,7 @@ class _WordTable:
 
     @classmethod
     def from_function(cls, alphabet: Alphabet, degree_cap: int, fn):
+        _check_cap(degree_cap)
         return cls(
             alphabet,
             degree_cap,
@@ -159,8 +167,7 @@ def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool
     """Cumulants from rows of moments (to_cumulants) or moments from rows of
     cumulants, each row over `all_words` order. Terms multiply left to right
     and add in order from 0.0, so each value is the per-word recursion's."""
-    if degree_cap > DEFAULT_CAP:
-        raise CapExceededError(f"degree cap {degree_cap} exceeds {DEFAULT_CAP}")
+    _check_cap(degree_cap)
     rows, size = np.asarray(rows, dtype=float), len(alphabet.names)
     count = word_offset(size, max(degree_cap, 0) + 1) - 1
     if rows.ndim != 2 or rows.shape[1] != count:

@@ -20,21 +20,24 @@ from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments, word_offset
 from .partitions import LEFT, RIGHT
 
+# Largest truncated Fock basis built (words of length <= depth over dim letters)
+FOCK_STATE_BUDGET = 2_000_000
+
 
 class FockBasis:
     """Words over {1..dim} of length <= depth, ordered by length and then
     lexicographically; the vacuum is index 0. A length-n word of base-dim
     rank r (first letter most significant) sits at offset(n) + r."""
 
-    def __init__(self, dim: int, depth: int, max_states: int = 2_000_000):
+    def __init__(self, dim: int, depth: int):
         if dim < 1 or depth < 0:
             raise ValueError(f"bad Fock parameters dim={dim} depth={depth}")
         self.dim = dim
         self.depth = depth
         self.size = self.offset(depth + 1)
-        if self.size > max_states:
+        if self.size > FOCK_STATE_BUDGET:
             raise CapExceededError(
-                f"basis size {self.size} exceeds budget {max_states}"
+                f"basis size {self.size} exceeds budget {FOCK_STATE_BUDGET}"
             )
 
     def offset(self, n: int) -> int:
@@ -104,13 +107,13 @@ def _commuting_pair_moment(jump_law: MomentFunctional, p: int, q: int) -> float:
     return jump_law((a1,) * p + (a2,) * q)
 
 
-def check_commuting(jump_law: MomentFunctional, tol: float = 1e-12) -> None:
+def check_commuting(jump_law: MomentFunctional) -> None:
     """Reject jump laws whose moments depend on letter order."""
     if len(jump_law.alphabet.left) != 1 or len(jump_law.alphabet.right) != 1:
         raise ShapeMismatchError("need exactly one left and one right jump variable")
     for w in all_words(jump_law.alphabet, jump_law.degree_cap):
         canonical = tuple(sorted(w))
-        if abs(jump_law(w) - jump_law(canonical)) > tol:
+        if abs(jump_law(w) - jump_law(canonical)) > 1e-12:
             raise ShapeMismatchError(
                 f"jump law is not commuting: phi{w} != phi{canonical}"
             )

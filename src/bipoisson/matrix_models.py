@@ -39,10 +39,6 @@ class AtomLaw:
         if abs(sum(self.weights) - 1.0) > 1e-12 or min(self.weights) < 0:
             raise ValueError(f"weights must be a probability vector: {self.weights}")
 
-    @staticmethod
-    def point_mass(value: float) -> "AtomLaw":
-        return AtomLaw((value,), (1.0,))
-
     def moment(self, k: int) -> float:
         return sum(w * a**k for a, w in zip(self.atoms, self.weights))
 
@@ -114,10 +110,9 @@ class EnsembleSpec:
             out *= law.moment(count)
         return out
 
-    def target_cumulants(self, degree_cap: int | None = None) -> CumulantTable:
-        cap = degree_cap or self.max_word_len
+    def target_cumulants(self) -> CumulantTable:
         return CumulantTable.from_function(
-            self.alphabet, cap, lambda w: self.rate * self.jump_moment(w)
+            self.alphabet, self.max_word_len, lambda w: self.rate * self.jump_moment(w)
         )
 
 
@@ -253,7 +248,6 @@ class WordEstimate:
     empirical_moment: float
     moment_std_err: float
     empirical_cumulant: float
-    cumulant_std_err: float
     target_cumulant: float
 
     @property
@@ -271,19 +265,15 @@ class SizeReport:
         return max(e.abs_err for e in self.estimates)
 
 
-def estimate_empirical_cumulants(
-    spec: EnsembleSpec, n_batches: int = 10
-) -> list[SizeReport]:
+def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
     """Monte Carlo moments of all model words per size, inverted to
-    empirical cumulants, with standard errors and target comparison.
+    empirical cumulants, with per-word moment standard errors over trials
+    and the target comparison.
 
     Each trial evaluates every distinct (left-subword, right-subword) key
     once, in one `key_values` call, and gives its value to every word with
-    that key. Each size inverts its mean and batch moments in one call.
-
-    Moment standard errors are per-word over trials; cumulant standard
-    errors come from batching the trials (cumulants are nonlinear in the
-    averaged moments). Identical seed and spec give identical reports.
+    that key. Each size inverts its mean moments in one call. Identical
+    seed and spec give identical reports.
     """
     alphabet = spec.alphabet
     words = list(all_words(alphabet, spec.max_word_len))
@@ -299,7 +289,6 @@ def estimate_empirical_cumulants(
     targets = spec.target_cumulants()
     root = np.random.SeedSequence(spec.seed)
     size_seeds = root.spawn(len(spec.sizes))
-    n_batches = min(n_batches, spec.trials)
     reports = []
     for n, size_seed in zip(spec.sizes, size_seeds):
         trial_values = np.empty((spec.trials, len(words)))
@@ -311,21 +300,16 @@ def estimate_empirical_cumulants(
             trial_values[t] = values.real[word_key]
         mean = trial_values.mean(axis=0)
         sem = trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
-        batches = np.array_split(trial_values, n_batches, axis=0)
-        rows = [mean] + [b.mean(axis=0) for b in batches]
-        kappas = transform_rows(alphabet, spec.max_word_len, rows, to_cumulants=True)
-        estimates = []
-        for j, w in enumerate(words):
-            spread = np.std(kappas[1:, j], ddof=1)
-            estimates.append(
-                WordEstimate(
-                    word=w,
-                    empirical_moment=float(mean[j]),
-                    moment_std_err=float(sem[j]),
-                    empirical_cumulant=float(kappas[0, j]),
-                    cumulant_std_err=float(spread / math.sqrt(len(batches))),
-                    target_cumulant=targets(w),
-                )
+        kappa = transform_rows(alphabet, spec.max_word_len, [mean], to_cumulants=True)
+        estimates = [
+            WordEstimate(
+                word=w,
+                empirical_moment=float(mean[j]),
+                moment_std_err=float(sem[j]),
+                empirical_cumulant=float(kappa[0, j]),
+                target_cumulant=targets(w),
             )
+            for j, w in enumerate(words)
+        ]
         reports.append(SizeReport(n, estimates, max_imag))
     return reports

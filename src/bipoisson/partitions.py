@@ -85,10 +85,10 @@ def _nc_range(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_nc(n: int, cap: int = DEFAULT_CAP) -> tuple[SetPartition, ...]:
+def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
-    if not 1 <= n <= cap:
-        raise CapExceededError(f"n={n} outside [1, {cap}]")
+    if not 1 <= n <= DEFAULT_CAP:
+        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
     return tuple(SetPartition(n, blocks) for blocks in _nc_range(1, n + 1))
 
 
@@ -173,21 +173,6 @@ class ChiShape:
         return SetPartition(self.n, tuple(blocks))
 
 
-def s_chi_of(chi) -> ChiShape:
-    """Build a ChiShape from any iterable of 'l'/'r' tags."""
-    return ChiShape(tuple(chi))
-
-
-@dataclass(frozen=True)
-class BNCPartition:
-    """A bi-non-crossing partition: s_chi o pi for some pi in NC(n)."""
-
-    shape: ChiShape
-    partition: SetPartition
-
-
-def enumerate_bnc(shape: ChiShape, cap: int = DEFAULT_CAP) -> list[BNCPartition]:
-    """The image of NC(n) under pi -> s_chi o pi."""
-    return [
-        BNCPartition(shape, shape.apply(pi)) for pi in enumerate_nc(shape.n, cap)
-    ]
+def enumerate_bnc(shape: ChiShape) -> list[SetPartition]:
+    """BNC(n, chi): the image of NC(n) under pi -> s_chi o pi."""
+    return [shape.apply(pi) for pi in enumerate_nc(shape.n)]

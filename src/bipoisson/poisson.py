@@ -38,26 +38,16 @@ class CbpSpec:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Distribution:
-    """A moment functional with its (cached, consistent) cumulant table."""
+    """A moment functional with its consistent cumulant table."""
 
     moments: MomentFunctional
-    cumulants: CumulantTable | None = None
-
-    def with_cumulants(self) -> "Distribution":
-        if self.cumulants is None:
-            self.cumulants = kappa_from_moments(self.moments)
-        return self
+    cumulants: CumulantTable
 
     @staticmethod
     def from_cumulants(kappa: CumulantTable) -> "Distribution":
         return Distribution(moments_from_kappa(kappa), kappa)
-
-    @staticmethod
-    def point_mass_zero(alphabet: Alphabet, degree_cap: int) -> "Distribution":
-        zero = CumulantTable.from_function(alphabet, degree_cap, lambda w: 0.0)
-        return Distribution.from_cumulants(zero)
 
 
 def cbp_cumulants(spec: CbpSpec) -> CumulantTable:
@@ -74,16 +64,14 @@ def cbp_moments(spec: CbpSpec) -> Distribution:
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     """Bi-free additive convolution: cumulant tables add entrywise."""
-    return Distribution.from_cumulants(
-        mu.with_cumulants().cumulants.add(nu.with_cumulants().cumulants)
-    )
+    return Distribution.from_cumulants(mu.cumulants.add(nu.cumulants))
 
 
 def semigroup_element(nu: Distribution, t: float) -> Distribution:
     """nu_t with kappa_{chi, nu_t} = t * kappa_{chi, nu}; t = 0 is delta_0."""
     if t < 0:
         raise ValueError(f"semigroup parameter must be >= 0, got {t}")
-    return Distribution.from_cumulants(nu.with_cumulants().cumulants.scale(t))
+    return Distribution.from_cumulants(nu.cumulants.scale(t))
 
 
 def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
@@ -115,7 +103,6 @@ def poisson_approximation(nu: Distribution, n: int) -> Distribution:
     those of nu as n grows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    nu = nu.with_cumulants()
     nu_frac = semigroup_element(nu, 1.0 / n)
     kappa = CumulantTable.from_function(
         nu.moments.alphabet,

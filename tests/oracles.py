@@ -28,7 +28,6 @@ from bipoisson.matrix_models import build_wishart_model, evaluate_bimatrix_word
 from bipoisson.partitions import (
     LEFT,
     RIGHT,
-    BNCPartition,
     ChiShape,
     SetPartition,
     enumerate_bnc,
@@ -79,11 +78,6 @@ def unapply(shape: ChiShape, sigma: SetPartition) -> SetPartition:
     s = shape.s_chi
     inv = {s[k - 1]: k for k in range(1, shape.n + 1)}
     return relabel(sigma, inv)
-
-
-def nc_preimage(b: BNCPartition) -> SetPartition:
-    """The pi in NC(n) with s_chi o pi equal to b."""
-    return unapply(b.shape, b.partition)
 
 
 def _nc_blocks(elems: tuple[int, ...]):
@@ -166,9 +160,9 @@ def ker_map(alpha) -> SetPartition:
 
 def phi_pi(phi, word, pi) -> float:
     """Product over blocks of phi applied to the block subword (positions
-    ascending). `pi` may be a SetPartition or a BNCPartition."""
+    ascending)."""
     word = tuple(word)
-    blocks = pi.partition.blocks if isinstance(pi, BNCPartition) else pi.blocks
+    blocks = pi.blocks
     if sum(len(b) for b in blocks) != len(word):
         raise ShapeMismatchError(
             f"partition of {sum(len(b) for b in blocks)} vs word length {len(word)}"
@@ -200,7 +194,7 @@ def bnc_cumulant(phi, word) -> float:
     sum of mu(s_chi^{-1} o sigma, 1_n) * phi_sigma(word)."""
     shape = ChiShape(phi.alphabet.sides_of(word))
     return sum(
-        mobius_nc_one(nc_preimage(sigma)) * phi_pi(phi, word, sigma)
+        mobius_nc_one(unapply(shape, sigma)) * phi_pi(phi, word, sigma)
         for sigma in enumerate_bnc(shape)
     )
 

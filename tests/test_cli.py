@@ -120,15 +120,15 @@ class TestJsonText:
     @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr"])
     def test_bnc_list_matches_json_dumps(self, chi, capsys):
         _, out, _ = run(["bnc", "list", "--chi", chi], capsys)
-        blocks = [[list(b) for b in s.partition.blocks]
-                  for s in enumerate_bnc(ChiShape(tuple(chi)))]
+        blocks = [[list(b) for b in p.blocks]
+                  for p in enumerate_bnc(ChiShape(tuple(chi)))]
         assert out == json.dumps(blocks, indent=2) + "\n"
 
 
 class TestTables:
     def test_json_roundtrip(self, tmp_path):
         phi, path = sample_table(tmp_path)
-        back = table_from_json(json.loads(open(path).read()), MomentFunctional)
+        back = table_from_json(json.loads(Path(path).read_text()), MomentFunctional)
         for w in all_words(phi.alphabet, phi.degree_cap):
             assert back(w) == phi(w)
 
@@ -200,6 +200,17 @@ class TestTables:
         assert out == ""
         assert err.startswith("ERROR TABLE_PARSE")
         assert message in err
+
+    def test_cap_past_limit_is_validation(self, tmp_path, capsys):
+        # a well-formed table too deep to transform: the cap, not the parse
+        entries = [{"word": [["z", "l"]] * n, "value": 1.0} for n in range(1, 14)]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"schema": 1, "alphabet": {"left": ["z"]},
+                                    "degree_cap": 13, "entries": entries}))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "ERROR VALIDATION: degree cap 13 exceeds 12\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(
@@ -327,6 +338,8 @@ class TestSimulate:
 class TestNumericValidation:
     SIM = ["simulate", "bimatrix", "--lambda", "1", "--atoms", "1:1",
            "--shared", "--sizes", "8", "--trials", "4", "--max-word", "2"]
+    FOCK = ["fock", "verify", "--lambda", "1", "--atoms", "1:1", "--N", "2",
+            "--max-m", "3"]
 
     @pytest.mark.parametrize(
         "args, names",
@@ -337,9 +350,14 @@ class TestNumericValidation:
             (SIM + ["--sizes=0,8"], "sizes"),
             (SIM + ["--sizes=-4,8"], "sizes"),
             (SIM + ["--trials", "1"], "trials"),
+            (SIM + ["--right-atoms", "2:1"], "--shared"),
+            (FOCK + ["--right-atoms", "2:1", "--shared"], "--shared"),
+            (["cbp", "limit", "--deg", "13"], "degree cap 13"),
+            (FOCK[:-1] + ["13", "--depth", "3"], "degree cap 13"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
-             "negative_size", "one_trial"],
+             "negative_size", "one_trial", "simulate_shared_laws",
+             "fock_shared_laws", "limit_deg_past_cap", "fock_max_m_past_cap"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -348,6 +366,15 @@ class TestNumericValidation:
         assert err.startswith("ERROR VALIDATION")
         assert names in err
         assert err.count("\n") == 1
+
+    def test_psd_degree_past_table_cap(self, tmp_path, capsys):
+        _, path = sample_table(tmp_path, cap=4)
+        code, out, err = run(
+            ["cbp", "psd", "--lambda", "1", "--jump", path, "--deg", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "ERROR VALIDATION: need moments to degree 6, cap is 4\n"
 
     def test_workers_flag_removed(self, capsys):
         with pytest.raises(SystemExit):

@@ -366,9 +366,18 @@ class TestCompiledPlan:
 
 class TestPlanGuards:
     def test_word_longer_than_cap_rejected(self):
-        phi = MomentFunctional.from_function(Alphabet(("x",)), 13, lambda w: 1.0)
         with pytest.raises(CapExceededError):
+            phi = MomentFunctional.from_function(Alphabet(("x",)), 13, lambda w: 1.0)
             kappa_from_moments(phi)
+
+    def test_cap_checked_before_any_word(self):
+        def fn(w):
+            raise AssertionError(f"fn called on {w!r} past the cap")
+
+        with pytest.raises(CapExceededError):
+            MomentFunctional.from_function(Alphabet(("x",)), 13, fn)
+        with pytest.raises(CapExceededError):
+            CumulantTable(Alphabet(("x",)), 13, {})
 
     def test_unknown_side_tag_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -54,7 +54,7 @@ class TestAtomLaw:
     def test_moments(self):
         assert TWO_ATOM.moment(1) == 1.5
         assert TWO_ATOM.moment(2) == 2.5
-        assert AtomLaw.point_mass(3.0).moment(4) == 81.0
+        assert AtomLaw((3.0,), (1.0,)).moment(4) == 81.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ class TestEnsembleSpec:
                 1.0,
                 (
                     VariableSpec("a", LEFT, TWO_ATOM, 0),
-                    VariableSpec("b", RIGHT, AtomLaw.point_mass(1.0), 0),
+                    VariableSpec("b", RIGHT, AtomLaw((1.0,), (1.0,)), 0),
                 ),
                 (8,),
                 1,

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.partitions import (
-    BNCPartition,
     ChiShape,
     SetPartition,
     catalan,
@@ -19,7 +18,6 @@ from bipoisson.partitions import (
     is_noncrossing,
     kreweras_complement,
     mobius_nc_one,
-    s_chi_of,
 )
 from oracles import (
     apply_by_relabel,
@@ -27,7 +25,6 @@ from oracles import (
     enumerate_partitions,
     ker_map,
     mobius_nc,
-    nc_preimage,
     num_blocks,
     one_partition,
     refines,
@@ -174,10 +171,10 @@ class TestMobius:
 
 class TestChiShape:
     def test_s_chi_frozen_examples(self):
-        assert s_chi_of("llll").s_chi == (1, 2, 3, 4)
-        assert s_chi_of("lrlr").s_chi == (1, 3, 4, 2)
-        assert s_chi_of("rrrr").s_chi == (4, 3, 2, 1)
-        assert s_chi_of("rllr").s_chi == (2, 3, 4, 1)
+        assert ChiShape(tuple("llll")).s_chi == (1, 2, 3, 4)
+        assert ChiShape(tuple("lrlr")).s_chi == (1, 3, 4, 2)
+        assert ChiShape(tuple("rrrr")).s_chi == (4, 3, 2, 1)
+        assert ChiShape(tuple("rllr")).s_chi == (2, 3, 4, 1)
 
     def test_bad_tags_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -201,14 +198,14 @@ class TestBNC:
         "chi", ["l", "r", "lr", "rl", "lrlr", "llrr", "rllr", "lrrrl"]
     )
     def test_count_is_catalan(self, chi):
-        shape = s_chi_of(chi)
+        shape = ChiShape(tuple(chi))
         bncs = enumerate_bnc(shape)
         assert len(bncs) == catalan(shape.n)
-        assert len({b.partition for b in bncs}) == catalan(shape.n)
+        assert len(set(bncs)) == catalan(shape.n)
 
     def test_all_left_is_plain_nc(self):
-        shape = s_chi_of("lllll")
-        assert {b.partition for b in enumerate_bnc(shape)} == set(enumerate_nc(5))
+        shape = ChiShape(tuple("lllll"))
+        assert set(enumerate_bnc(shape)) == set(enumerate_nc(5))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_relabel_path(self, n):
@@ -216,20 +213,20 @@ class TestBNC:
         ncs = enumerate_nc(n)
         for chi in itertools.product("lr", repeat=n):
             shape = ChiShape(chi)
-            got = [b.partition for b in enumerate_bnc(shape)]
+            got = enumerate_bnc(shape)
             assert all(p.n == n for p in got)
             want = tuple(apply_by_relabel(shape, pi).blocks for pi in ncs)
             assert tuple(p.blocks for p in got) == want, chi
 
     def test_preimage_roundtrip(self):
-        shape = s_chi_of("lrrl")
+        shape = ChiShape(tuple("lrrl"))
         for b in enumerate_bnc(shape):
-            assert shape.apply(nc_preimage(b)) == b.partition
-            assert isinstance(b, BNCPartition)
+            assert shape.apply(unapply(shape, b)) == b
+            assert isinstance(b, SetPartition)
 
     def test_order_isomorphism(self):
         # pi <= rho in NC iff their s_chi images refine in the same way
-        shape = s_chi_of("lrlr")
+        shape = ChiShape(tuple("lrlr"))
         ncs = enumerate_nc(4)
         for pi, rho in itertools.product(ncs, repeat=2):
             assert refines(pi, rho) == refines(shape.apply(pi), shape.apply(rho))
