@@ -18,6 +18,7 @@ from .partitions import (
     is_noncrossing,
     kreweras_complement,
     mobius_nc_one,
+    mobius_nc_values,
 )
 from .cumulants import (
     Alphabet,
@@ -74,6 +75,7 @@ __all__ = [
     "is_noncrossing",
     "kreweras_complement",
     "mobius_nc_one",
+    "mobius_nc_values",
     "Alphabet",
     "CumulantTable",
     "MomentFunctional",

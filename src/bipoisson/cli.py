@@ -20,7 +20,8 @@ import tempfile
 import numpy as np
 
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import ChiShape, LEFT, RIGHT, enumerate_bnc, enumerate_nc, mobius_nc_one
+from .partitions import (ChiShape, LEFT, RIGHT, enumerate_bnc, enumerate_nc,
+                         mobius_nc_values)
 from .cumulants import (
     Alphabet,
     CumulantTable,
@@ -85,9 +86,11 @@ def json_text(obj) -> str:
     tuples and str-keyed dicts of JSON scalars.
 
     The standard encoder falls back to pure Python when given an indent.
-    This writer renders each non-empty all-int tuple once per indent level,
-    and each dict key once, so that the repeated blocks of a partition
-    listing cost one dict lookup each.
+    This writer renders a plain int as `str(x)` without calling the encoder,
+    each non-empty all-int tuple once per indent level, and each dict key
+    once, so that the repeated blocks of a partition listing cost one dict
+    lookup each. Subclasses of int, tuple and list take the general path,
+    so they render as `json.dumps` renders them.
     """
     out: list[str] = []
     _json_chunks(obj, "\n", out, {})
@@ -100,7 +103,9 @@ def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
     indent of the line `obj` starts on. `memo` maps (all-int tuple, nl) to
     the tuple's text, each dict key to its quoted text, and (nl, brackets)
     to a container's punctuation, so that repeated pieces are one string."""
-    if isinstance(obj, (list, tuple)):
+    if type(obj) is int:
+        out.append(str(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -186,7 +191,11 @@ def table_from_json(obj, cls):
         alphabet = Alphabet(
             tuple(obj["alphabet"]["left"]), tuple(obj["alphabet"].get("right", []))
         )
-        cap = int(obj["degree_cap"])
+        cap = obj["degree_cap"]
+        if type(cap) is not int or cap < 0:
+            raise CliError(
+                "TABLE_PARSE", f"degree_cap must be an integer >= 0, got {json.dumps(cap)}"
+            )
         values = {}
         for entry in obj["entries"]:
             word = []
@@ -287,7 +296,8 @@ def cmd_nc_list(args) -> str:
 def cmd_nc_mobius(args) -> str:
     pis = enumerate_nc(args.n)
     return json_text(
-        [{"blocks": p.blocks, "mobius": mobius_nc_one(p)} for p in pis]
+        [{"blocks": p.blocks, "mobius": mu}
+         for p, mu in zip(pis, mobius_nc_values(args.n))]
     )
 
 

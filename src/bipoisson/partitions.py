@@ -63,33 +63,71 @@ def is_noncrossing(p: SetPartition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _nc_range(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Non-crossing partitions of lo..hi-1 as canonical block tuples.
+def _mobius_zero_one(m: int) -> int:
+    """mu(0_m, 1_m) in NC(m)."""
+    return (-1) ** (m - 1) * catalan(m - 1)
 
-    First-block recursion: the block of lo, taken in order of size and then
-    lexicographically, followed by the partitions of each gap it leaves.
-    The gaps are ascending ranges, so the concatenation is already ordered
-    by block minimum.
+
+@lru_cache(maxsize=None)
+def _nc_range(lo: int, hi: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """Non-crossing partitions pi of lo..hi-1 as canonical block tuples,
+    with inner(pi) and outer(pi) in two aligned tuples.
+
+    First-block recursion: the block {b_0 < ... < b_k} of lo, taken in order
+    of size and then lexicographically, followed by a partition sigma_j of
+    each gap b_j < x < b_{j+1} (b_{k+1} = hi). The gaps are ascending
+    ranges, so the concatenation is already ordered by block minimum.
+
+    The Kreweras complement K(pi) has the blocks of each K(sigma_j) off
+    sigma_j's outer face, one block of size outer(sigma_j) + 1 per gap j < k
+    closed off by the first block, and the outer-face block, of size
+    outer(pi) = outer(sigma_k) + 1. inner(pi) is the product of
+    mu(0_|b|, 1_|b|) over the blocks b of K(pi) other than the outer one, so
+    mu(pi, 1) = inner(pi) * mu(0_outer, 1_outer).
     """
     if lo >= hi:
-        return ((),)
-    out = []
+        return ((),), (1,), (0,)
+    parts, inners, outers = [], [], []
     rest = range(lo + 1, hi)
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
             block = (lo,) + chosen
-            gaps = [_nc_range(a + 1, b) for a, b in zip(block, chosen + (hi,))]
-            for pick in itertools.product(*gaps):
-                out.append((block,) + tuple(itertools.chain.from_iterable(pick)))
-    return tuple(out)
+            closed = []
+            for a, b in zip(block, chosen):
+                gaps, inners_j, outers_j = _nc_range(a + 1, b)
+                closed.append(zip(gaps, [i * _mobius_zero_one(o + 1)
+                                         for i, o in zip(inners_j, outers_j)]))
+            last = zip(*_nc_range(block[-1] + 1, hi))
+            for *pick, (tail, inner, outer) in itertools.product(*closed, last):
+                blocks = [block]
+                for gap, weight in pick:
+                    blocks += gap
+                    inner *= weight
+                blocks += tail
+                parts.append(tuple(blocks))
+                inners.append(inner)
+                outers.append(outer + 1)
+    return tuple(parts), tuple(inners), tuple(outers)
+
+
+def _nc_entries(n: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """`_nc_range` of {1..n}, for n within the enumeration cap."""
+    if not 1 <= n <= DEFAULT_CAP:
+        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
+    return _nc_range(1, n + 1)
 
 
 @lru_cache(maxsize=None)
 def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
-    if not 1 <= n <= DEFAULT_CAP:
-        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
-    return tuple(SetPartition(n, blocks) for blocks in _nc_range(1, n + 1))
+    return tuple(SetPartition(n, blocks) for blocks in _nc_entries(n)[0])
+
+
+def mobius_nc_values(n: int) -> tuple[int, ...]:
+    """mu(pi, 1_n) for each pi of `enumerate_nc(n)`, in the same order,
+    read off the enumeration's own recursion."""
+    _, inners, outers = _nc_entries(n)
+    return tuple(i * _mobius_zero_one(o) for i, o in zip(inners, outers))
 
 
 def _kreweras_cycles(p: SetPartition) -> list[list[int]]:
@@ -123,15 +161,11 @@ def kreweras_complement(p: SetPartition) -> SetPartition:
     return SetPartition(p.n, tuple(tuple(sorted(c)) for c in _kreweras_cycles(p)))
 
 
-@lru_cache(maxsize=None)
-def _mobius_zero_one(m: int) -> int:
-    return (-1) ** (m - 1) * catalan(m - 1)
-
-
 def mobius_nc_one(pi: SetPartition) -> int:
-    """Mobius value of the interval [pi, 1_n] in NC(n).
+    """Mobius value of the interval [pi, 1_n] in NC(n), for any one pi.
 
     Uses [pi, 1_n] ~ prod over Kreweras-complement blocks of full NC lattices.
+    `mobius_nc_values` gives the same values for all of NC(n) at once.
     """
     if not is_noncrossing(pi):
         raise ShapeMismatchError(f"{pi} is not non-crossing")

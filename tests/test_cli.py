@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -74,11 +75,20 @@ json_scalars = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text()
 )
+Pair = namedtuple("Pair", "first second")
+
+
+class Row(list):
+    pass
+
+
 json_values = st.recursive(
     json_scalars,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
+        | st.builds(Pair, inner, inner)
+        | st.lists(inner, max_size=4).map(Row)
         | st.dictionaries(st.text(max_size=4), inner, max_size=4)
     ),
     max_leaves=20,
@@ -200,6 +210,18 @@ class TestTables:
         assert out == ""
         assert err.startswith("ERROR TABLE_PARSE")
         assert message in err
+
+    @pytest.mark.parametrize("cap", [-3, 2.9, 2.0, True, "2", None],
+                             ids=["negative", "fraction", "float", "bool", "string", "null"])
+    def test_bad_degree_cap_rejected(self, tmp_path, capsys, cap):
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps({"schema": 1, "alphabet": {"left": ["z"]},
+                                    "degree_cap": cap, "entries": []}))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"ERROR TABLE_PARSE: degree_cap must be an integer >= 0, "
+                       f"got {json.dumps(cap)}\n")
 
     def test_cap_past_limit_is_validation(self, tmp_path, capsys):
         # a well-formed table too deep to transform: the cap, not the parse

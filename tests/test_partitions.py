@@ -18,6 +18,7 @@ from bipoisson.partitions import (
     is_noncrossing,
     kreweras_complement,
     mobius_nc_one,
+    mobius_nc_values,
 )
 from oracles import (
     apply_by_relabel,
@@ -167,6 +168,21 @@ class TestMobius:
     def test_rejects_crossing(self):
         with pytest.raises(ShapeMismatchError):
             mobius_nc_one(SetPartition.from_blocks(4, [[1, 3], [2, 4]]))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_values_match_per_partition(self, n):
+        values = mobius_nc_values(n)
+        assert values == tuple(mobius_nc_one(p) for p in enumerate_nc(n))
+        # sum over pi in [0_n, 1_n] of mu(pi, 1_n) = [0_n == 1_n]
+        assert sum(values) == (1 if n == 1 else 0)
+
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_values_share_enumeration_cap(self, n):
+        with pytest.raises(CapExceededError) as values_err:
+            mobius_nc_values(n)
+        with pytest.raises(CapExceededError) as enum_err:
+            enumerate_nc(n)
+        assert str(values_err.value) == str(enum_err.value)
 
 
 class TestChiShape:
