@@ -49,8 +49,6 @@ from .matrix_models import (
     WordEstimate,
     build_wishart_model,
     estimate_empirical_cumulants,
-    sample_gue,
-    sample_haar_unitary,
 )
 from .fock import (
     FockBasis,
@@ -100,8 +98,6 @@ __all__ = [
     "WordEstimate",
     "build_wishart_model",
     "estimate_empirical_cumulants",
-    "sample_gue",
-    "sample_haar_unitary",
     "FockBasis",
     "FockCumulantRow",
     "build_w_operators",

@@ -1,15 +1,22 @@
 """Seeded random-matrix models for compound (bi-)free Poisson laws.
 
-Write the rate as lambda = k + delta with k an integer and 0 < delta <= 1.
-The model matrix of a jump variable is
+The model matrix of the jump variables in slot s is
 
-    sum_{i<k} U_i X B X U_i^* + X C X,
+    T_s = G* · diag(b_s) · G,
 
-with X a GUE matrix, U_i independent Haar unitaries, and B, C diagonals of
-i.i.d. jump-law samples, C padded with zeros after p(n) = floor(delta * n)
-entries (all n when delta = 1). Rate <= 1 is simply k = 0. The bi-matrix
-model acts by left and right multiplication on the matrix bimodule, so a
-word's value depends only on its (left-subword, right-subword) key.
+with G a p×n complex Gaussian matrix, E|g_ij|² = 1/n and p = round(λ·n),
+and b_s a vector of p i.i.d. samples of the slot's jump law. Every slot of
+a trial shares one G. The effective rate is p/n, within 1/(2n) of λ, and
+the same formula serves every λ. As n → ∞ the joint moments of the T_s
+converge to those of the compound free Poisson law with rate λ and jump
+law that of the vector (b_s)_s (Silverstein & Bai, J. Multivariate Anal.
+1995; Hiai & Petz, The Semicircle Law, Free Random Variables and Entropy,
+2000). This departs from the paper's construction, which rotates diagonal
+jump matrices by independent Haar unitaries; the limits are the same law.
+
+The bi-matrix model acts by left and right multiplication on the matrix
+bimodule, so a word's value depends only on its (left-subword,
+right-subword) key.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ class AtomLaw:
     def __post_init__(self):
         if len(self.atoms) != len(self.weights) or not self.atoms:
             raise ShapeMismatchError("atoms and weights must be nonempty, same length")
+        if not all(map(math.isfinite, self.atoms + self.weights)):
+            raise ValueError(
+                f"atoms and weights must be finite: {self.atoms}, {self.weights}"
+            )
         if abs(sum(self.weights) - 1.0) > 1e-12 or min(self.weights) < 0:
             raise ValueError(f"weights must be a probability vector: {self.weights}")
 
@@ -79,16 +90,21 @@ class EnsembleSpec:
                 raise ShapeMismatchError(
                     f"variables sharing slot {slot} must share a law"
                 )
-        if list(self.sizes) != sorted(self.sizes):
-            raise ValueError(f"sizes must be ascending: {self.sizes}")
+        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ValueError(f"sizes must be strictly ascending: {self.sizes}")
         if min(self.sizes, default=0) < 1:
             raise ValueError(f"sizes must be nonempty and >= 1: {self.sizes}")
         if self.max_word_len < 1:
             raise ValueError("max_word_len must be >= 1")
         if self.trials < 2:
             raise ValueError("trials must be >= 2 for standard errors")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not math.isfinite(self.rate) or self.rate <= 0:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
+        if self.rate * self.sizes[0] < 0.5:
+            raise ValueError(
+                f"rate * n must be >= 1/2 so that p = round(rate * n) >= 1, "
+                f"got rate {self.rate} at n = {self.sizes[0]}"
+            )
 
     @property
     def alphabet(self) -> Alphabet:
@@ -116,63 +132,21 @@ class EnsembleSpec:
         )
 
 
-def sample_gue(n: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE matrix: Var(X_ii) = 1/n, Var(Re X_ij) = Var(Im X_ij) = 1/(2n)."""
-    diag = rng.normal(0.0, math.sqrt(1.0 / n), size=n)
-    re = rng.normal(0.0, math.sqrt(1.0 / (2 * n)), size=(n, n))
-    im = rng.normal(0.0, math.sqrt(1.0 / (2 * n)), size=(n, n))
-    upper = np.triu(re + 1j * im, k=1)
-    return upper + upper.conj().T + np.diag(diag).astype(complex)
-
-
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary via Ginibre + QR with phase-normalized R diagonal."""
-    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def padded_diagonal(law: AtomLaw, p: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Length-n diagonal: p iid samples of the law, then n - p zeros."""
-    d = np.zeros(n)
-    d[:p] = law.sample(p, rng)
-    return d
-
-
-def rate_split(rate: float, n: int) -> tuple[int, int]:
-    """(k, p_frac): rate = k + delta with 0 < delta <= 1, and the padded
-    size p(n) of the fractional-rate diagonal."""
-    k = math.ceil(rate) - 1
-    delta = rate - k
-    p_frac = n if delta == 1.0 else int(math.floor(delta * n))
-    return k, p_frac
-
-
 def build_wishart_model(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """One trial of the compound Poisson matrix model at size n: the model
-    matrix of each variable, by name.
+    matrix G*·diag(b_s)·G of each variable, by name.
 
-    The fractional term is left unrotated: conjugating the whole sum by its
-    Haar unitary would turn the other k unitaries into k independent Haar
-    unitaries and leave every normalized trace unchanged.
+    G is a p×n complex Gaussian matrix with E|g_ij|² = 1/n and
+    p = round(rate·n), drawn once and shared by every slot; slot s draws its
+    own vector b_s of p i.i.d. samples of its jump law.
     """
-    x = sample_gue(n, rng)
-    k, p_frac = rate_split(spec.rate, n)
+    p = math.floor(spec.rate * n + 0.5)
+    g = (rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))) / math.sqrt(2 * n)
+    g_adj = g.conj().T
     slot_law = {v.slot: v.law for v in spec.variables}
-    slots = sorted(slot_law)
-    unitaries = [sample_haar_unitary(n, rng) for _ in range(k)]
-
-    def xdx(diag: np.ndarray) -> np.ndarray:
-        return (x * diag) @ x
-
-    unit = {s: xdx(padded_diagonal(slot_law[s], n, n, rng)) for s in slots if k}
-    mats = {s: xdx(padded_diagonal(slot_law[s], p_frac, n, rng)) for s in slots}
-    for s, term in unit.items():
-        for u in unitaries:
-            mats[s] += u @ term @ u.conj().T
+    mats = {s: (g_adj * slot_law[s].sample(p, rng)) @ g for s in sorted(slot_law)}
     return {v.name: mats[v.slot] for v in spec.variables}
 
 

@@ -376,10 +376,18 @@ class TestNumericValidation:
             (FOCK + ["--right-atoms", "2:1", "--shared"], "--shared"),
             (["cbp", "limit", "--deg", "13"], "degree cap 13"),
             (FOCK[:-1] + ["13", "--depth", "3"], "degree cap 13"),
+            (SIM + ["--lambda", "inf"], "rate must be finite"),
+            (SIM + ["--lambda", "nan"], "rate must be finite"),
+            (SIM + ["--lambda", "0.01"], "rate * n must be >= 1/2"),
+            (SIM + ["--sizes", "8,8"], "strictly ascending"),
+            (SIM + ["--atoms", "nan:1"], "must be finite"),
+            (FOCK + ["--atoms", "nan:1"], "must be finite"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
-             "fock_shared_laws", "limit_deg_past_cap", "fock_max_m_past_cap"],
+             "fock_shared_laws", "limit_deg_past_cap", "fock_max_m_past_cap",
+             "infinite_rate", "nan_rate", "empty_model", "repeated_size",
+             "simulate_nan_atom", "fock_nan_atom"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)

@@ -1,4 +1,4 @@
-"""Random-matrix models: samplers, padded diagonals, bimodule word
+"""Random-matrix models: jump laws and ensemble specs, bimodule word
 evaluation, commutation of left and right actions, and small Monte Carlo
 convergence checks (heavier configurations live in the acceptance tests)."""
 
@@ -20,10 +20,6 @@ from bipoisson.matrix_models import (
     estimate_empirical_cumulants,
     evaluate_bimatrix_word,
     key_values,
-    padded_diagonal,
-    rate_split,
-    sample_gue,
-    sample_haar_unitary,
 )
 from bipoisson.partitions import LEFT, RIGHT
 from oracles import (
@@ -61,48 +57,8 @@ class TestAtomLaw:
             AtomLaw((1.0,), (0.5,))
         with pytest.raises(ShapeMismatchError):
             AtomLaw((1.0, 2.0), (1.0,))
-
-
-class TestSamplers:
-    def test_gue_statistics(self):
-        rng = np.random.default_rng(0)
-        n, reps = 64, 200
-        diag_vals, off_re = [], []
-        for _ in range(reps):
-            x = sample_gue(n, rng)
-            assert np.allclose(x, x.conj().T)
-            diag_vals.extend(np.diagonal(x).real)
-            off_re.extend(x[0, 1:].real)
-        assert np.var(diag_vals) == pytest.approx(1.0 / n, rel=0.1)
-        assert np.var(off_re) == pytest.approx(1.0 / (2 * n), rel=0.1)
-
-    def test_haar_unitary(self):
-        rng = np.random.default_rng(1)
-        u = sample_haar_unitary(32, rng)
-        assert np.allclose(u @ u.conj().T, np.eye(32), atol=1e-12)
-        # mean of |u_11|^2 is 1/n
-        vals = [abs(sample_haar_unitary(16, rng)[0, 0]) ** 2 for _ in range(400)]
-        assert np.mean(vals) == pytest.approx(1 / 16, rel=0.25)
-
-
-class TestDiagonalModel:
-    def test_padded_diagonal(self):
-        rng = np.random.default_rng(2)
-        d = padded_diagonal(TWO_ATOM, 3, 8, rng)
-        assert d.shape == (8,)
-        assert np.all(d[3:] == 0)
-        assert set(d[:3]) <= {1.0, 2.0}
-
-
-class TestRateSplit:
-    def test_fractional(self):
-        assert rate_split(0.5, 100) == (0, 50)
-
-    def test_integer_folds_into_delta(self):
-        assert rate_split(2.0, 100) == (1, 100)
-
-    def test_mixed(self):
-        assert rate_split(2.5, 100) == (2, 50)
+        with pytest.raises(ValueError):
+            AtomLaw((math.nan,), (1.0,))
 
 
 class TestWordEvaluation:
@@ -225,8 +181,9 @@ class TestKeyValues:
 
 class TestEnsembleSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            two_sided_spec(1.0, sizes=(32, 16))
+        for sizes in ((32, 16), (16, 16)):
+            with pytest.raises(ValueError):
+                two_sided_spec(1.0, sizes=sizes)
         with pytest.raises(ShapeMismatchError):
             EnsembleSpec(
                 1.0,
@@ -291,14 +248,34 @@ class TestModelConvergence:
             assert [e.empirical_moment for e in rep.estimates] == mean.tolist()
 
     def test_first_cumulant_unbiased(self):
-        # E tr((X D X)) = (p/n) E[atom]: exact at any size, so the rate-0.5
-        # first cumulant estimate converges fast
+        # E tr(G* diag(b) G)/n = (p/n) E[b]: exact at any size, and p/n is
+        # 24/48 = 0.5, so the rate-0.5 first cumulant estimate converges fast
         spec = two_sided_spec(0.5, sizes=(48,), trials=60, seed=9, max_word=1)
         rep = estimate_empirical_cumulants(spec)[0]
         est = rep.estimates[0]
         assert abs(est.empirical_cumulant - est.target_cumulant) < 4 * max(
             est.moment_std_err, 1e-3
         )
+
+    def test_independent_slots_reach_targets(self):
+        # both slots share one G, so the mixed cumulant is
+        # rate * E[a] * E[b] = 1 * 1.5 * 1.75; a G per slot would make the
+        # two matrices asymptotically free and that cumulant 0
+        spec = EnsembleSpec(
+            rate=1.0,
+            variables=(
+                VariableSpec("zl", LEFT, TWO_ATOM, 0),
+                VariableSpec("zr", RIGHT, AtomLaw((0.5, 3.0), (0.5, 0.5)), 1),
+            ),
+            sizes=(32,),
+            trials=40,
+            seed=0,
+            max_word_len=2,
+        )
+        rep = estimate_empirical_cumulants(spec)[0]
+        mixed = next(e for e in rep.estimates if e.word == ("zl", "zr"))
+        assert mixed.target_cumulant == pytest.approx(2.625)
+        assert all(e.abs_err <= 4 * e.moment_std_err for e in rep.estimates)
 
     @pytest.mark.parametrize("rate", [0.5, 2.5])
     def test_determinism(self, rate):

@@ -48,15 +48,24 @@ def test_limit_convergence():
     assert len(lines) == 3
 
 
-def test_matrix_sweep():
+def check_matrix_sweep(*laws: str) -> None:
     lines = run_script(
         "run_matrix_sweep.py", "--rates", "0.5,2.5", "--sizes", "8,12",
-        "--trials", "4", "--max-word", "2",
+        "--trials", "4", "--max-word", "2", *laws,
     )
     assert [line.split()[0] for line in lines] == [
         "rate=0.5", "n=", "n=", "rate=2.5", "n=", "n=",
     ]
     for line in lines:
         if line.startswith("  n="):
+            assert re.search(r" outside_3se=\d+ ", line)
             residue = re.search(r"imag_residue=(\S+)$", line)
             assert residue and float(residue.group(1)) < IMAG_RESIDUE_TOLERANCE
+
+
+def test_matrix_sweep():
+    check_matrix_sweep()
+
+
+def test_matrix_sweep_independent_slots():
+    check_matrix_sweep("--right-atoms", "0.5:0.5,3:0.5")
