@@ -5,7 +5,7 @@ one past it."""
 
 import argparse
 
-from bipoisson import Alphabet, MomentFunctional
+from bipoisson import LEFT, RIGHT, AtomLaw, VariableSpec, jump_moments
 from bipoisson.fock import verify_fock_cumulants
 
 
@@ -17,10 +17,10 @@ def main() -> None:
     ap.add_argument("--N", type=int, default=3)
     args = ap.parse_args()
 
-    alphabet = Alphabet(("a1",), ("a2",))
-    jump = MomentFunctional.from_function(
-        alphabet, args.N + 1,
-        lambda w: args.m1 ** w.count("a1") * args.m2 ** w.count("a2"),
+    jump = jump_moments(
+        (VariableSpec("a1", LEFT, AtomLaw((args.m1,), (1.0,)), 0),
+         VariableSpec("a2", RIGHT, AtomLaw((args.m2,), (1.0,)), 1)),
+        args.N + 1,
     )
     rows = verify_fock_cumulants(args.rate, jump, args.N, args.N + 1)
     for r in rows:

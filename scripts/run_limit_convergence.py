@@ -7,7 +7,8 @@ import argparse
 
 import numpy as np
 
-from bipoisson import Alphabet, CbpSpec, MomentFunctional, all_words
+from bipoisson import (LEFT, RIGHT, AtomLaw, CbpSpec, VariableSpec, all_words,
+                       jump_moments)
 from bipoisson.poisson import cbp_moments, limit_theorem_moments
 
 
@@ -20,14 +21,14 @@ def main() -> None:
     ap.add_argument("--sizes", default="8,16,32,64,128")
     args = ap.parse_args()
 
-    alphabet = Alphabet(("zl",), ("zr",))
-    jump = MomentFunctional.from_function(
-        alphabet, args.deg,
-        lambda w: args.alpha ** w.count("zl") * args.beta ** w.count("zr"),
+    jump = jump_moments(
+        (VariableSpec("zl", LEFT, AtomLaw((args.alpha,), (1.0,)), 0),
+         VariableSpec("zr", RIGHT, AtomLaw((args.beta,), (1.0,)), 1)),
+        args.deg,
     )
     spec = CbpSpec(args.rate, jump)
     target = cbp_moments(spec)
-    words = list(all_words(alphabet, args.deg))
+    words = list(all_words(jump.alphabet, args.deg))
 
     sizes = [int(x) for x in args.sizes.split(",")]
     errs = []

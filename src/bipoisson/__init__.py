@@ -49,6 +49,7 @@ from .matrix_models import (
     WordEstimate,
     build_wishart_model,
     estimate_empirical_cumulants,
+    jump_moments,
 )
 from .fock import (
     FockBasis,
@@ -98,6 +99,7 @@ __all__ = [
     "WordEstimate",
     "build_wishart_model",
     "estimate_empirical_cumulants",
+    "jump_moments",
     "FockBasis",
     "FockCumulantRow",
     "build_w_operators",

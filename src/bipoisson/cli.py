@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -36,7 +35,8 @@ from .poisson import (
     poisson_approximation,
     psd_check,
 )
-from .matrix_models import AtomLaw, EnsembleSpec, VariableSpec, estimate_empirical_cumulants
+from .matrix_models import (AtomLaw, EnsembleSpec, VariableSpec,
+                            estimate_empirical_cumulants, jump_moments)
 from .fock import verify_fock_cumulants
 
 DEFAULT_SEED = 20240101
@@ -46,6 +46,13 @@ class CliError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as CliError("USAGE"); subparsers share the class."""
+
+    def error(self, message):
+        raise CliError("USAGE", message)
 
 
 # ---------------------------------------------------------------- io helpers
@@ -61,15 +68,17 @@ def write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     d = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
         with os.fdopen(fd, "w") as f:
             f.write(text)
         os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise CliError("IO", f"cannot write {out_path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
@@ -213,8 +222,6 @@ def table_from_json(obj, cls):
                 raise CliError(
                     "TABLE_PARSE", f"entry {word!r} longer than degree_cap {cap}"
                 )
-            if not math.isfinite(value):
-                raise CliError("TABLE_PARSE", f"non-finite value for word {word!r}")
             values[word] = value
         return cls(alphabet, cap, values)
     except (CliError, CapExceededError):
@@ -342,40 +349,27 @@ def cmd_cbp_build(args) -> str:
     )
 
 
-def _point_mass_spec(args) -> CbpSpec:
+def cmd_cbp_series(args) -> str:
+    """The law with rate --lambda whose jump is the point mass (--alpha,
+    --beta), against the moments of the N-fold bi-free sum (`limit`) or the
+    cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
-    alphabet = Alphabet(("zl",), ("zr",))
-    jump = MomentFunctional.from_function(
-        alphabet, args.deg,
-        lambda w: args.alpha ** w.count("zl") * args.beta ** w.count("zr"),
+    jump = jump_moments(
+        (VariableSpec("zl", LEFT, AtomLaw((args.alpha,), (1.0,)), 0),
+         VariableSpec("zr", RIGHT, AtomLaw((args.beta,), (1.0,)), 1)),
+        args.deg,
     )
-    return CbpSpec(args.rate, jump)
-
-
-def cmd_cbp_limit(args) -> str:
-    spec = _point_mass_spec(args)
-    target = cbp_moments(spec)
-    words = sorted(target.moments.values, key=lambda w: (len(w), w))
-    points = []
-    for n in parse_int_list(args.sizes):
-        approx = limit_theorem_moments(spec, n)
-        points.append(
-            (n, [(_word_str(w), approx.moments(w), target.moments(w)) for w in words])
-        )
-    return emit_convergence_series(points, args.format)
-
-
-def cmd_cbp_approx(args) -> str:
-    spec = _point_mass_spec(args)
+    spec = CbpSpec(args.rate, jump)
     nu = cbp_moments(spec)
     words = sorted(nu.moments.values, key=lambda w: (len(w), w))
     points = []
     for n in parse_int_list(args.sizes):
-        approx = poisson_approximation(nu, n)
-        points.append(
-            (n, [(_word_str(w), approx.cumulants(w), nu.cumulants(w)) for w in words])
-        )
+        if args.action == "limit":
+            approx, ref = limit_theorem_moments(spec, n).moments, nu.moments
+        else:
+            approx, ref = poisson_approximation(nu, n).cumulants, nu.cumulants
+        points.append((n, [(_word_str(w), approx(w), ref(w)) for w in words]))
     return emit_convergence_series(points, args.format)
 
 
@@ -388,23 +382,21 @@ def cmd_cbp_psd(args) -> str:
     )
 
 
-def _atom_laws(args) -> tuple[AtomLaw, AtomLaw]:
-    """The left and right jump laws of --atoms and --right-atoms (the left
-    law when absent); --shared requires the two to be equal."""
-    left = parse_atoms(args.atoms)
-    right = parse_atoms(args.right_atoms) if args.right_atoms else left
-    if args.shared and right != left:
+def _variable_pair(args, left: str, right: str) -> tuple[VariableSpec, VariableSpec]:
+    """The left and right jump variables of --atoms and --right-atoms (the
+    left law when absent), in one slot under --shared, which requires the
+    two laws to be equal."""
+    left_law = parse_atoms(args.atoms)
+    right_law = parse_atoms(args.right_atoms) if args.right_atoms else left_law
+    if args.shared and right_law != left_law:
         raise CliError("VALIDATION", "--shared requires identical atom laws")
-    return left, right
+    return (VariableSpec(left, LEFT, left_law, 0),
+            VariableSpec(right, RIGHT, right_law, 0 if args.shared else 1))
 
 
 def cmd_simulate(args) -> str:
     if args.action == "bimatrix":
-        left_law, right_law = _atom_laws(args)
-        variables = (
-            VariableSpec("zl", LEFT, left_law, 0),
-            VariableSpec("zr", RIGHT, right_law, 0 if args.shared else 1),
-        )
+        variables = _variable_pair(args, "zl", "zr")
     else:
         variables = (VariableSpec("z", LEFT, parse_atoms(args.atoms), 0),)
     spec = EnsembleSpec(
@@ -434,17 +426,8 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_fock_verify(args) -> str:
-    a1, a2 = _atom_laws(args)
-    alphabet = Alphabet(("a1",), ("a2",))
-
-    def jump_moment(w):
-        p, q = w.count("a1"), w.count("a2")
-        if args.shared:
-            return a1.moment(p + q)
-        return a1.moment(p) * a2.moment(q)
-
     # the W series and the targets read jump moments of length <= N only
-    jump = MomentFunctional.from_function(alphabet, args.N, jump_moment)
+    jump = jump_moments(_variable_pair(args, "a1", "a2"), args.N)
     rows_out = verify_fock_cumulants(
         args.rate, jump, args.N, args.max_m, depth=args.depth
     )
@@ -464,7 +447,7 @@ def cmd_fock_verify(args) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bipoisson",
         description="Compound bi-free Poisson distributions: enumeration, "
         "transforms, and numerical models.",
@@ -506,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--jump", required=True, help="jump-law moment table (JSON)")
     q.add_argument("--deg", type=int, default=None)
     q.set_defaults(fn=cmd_cbp_build)
-    for name, fn in (("limit", cmd_cbp_limit), ("approx", cmd_cbp_approx)):
+    for name in ("limit", "approx"):
         q = cbp.add_parser(name)
         q.add_argument("--lambda", dest="rate", type=float, default=1.0)
         q.add_argument("--alpha", type=float, default=1.0)
@@ -514,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--sizes", default="8,16,32,64" if name == "limit"
                        else "2,4,8,16")
         q.add_argument("--deg", type=int, default=4)
-        q.set_defaults(fn=fn)
+        q.set_defaults(fn=cmd_cbp_series)
     q = cbp.add_parser("psd")
     q.add_argument("--lambda", dest="rate", type=float, required=True)
     q.add_argument("--jump", required=True)
@@ -552,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.fn(args)
         write_output(text, args.out)
     except CliError as exc:

@@ -8,6 +8,7 @@ dense up to a degree cap: a missing entry is an error, never a silent zero.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,6 +75,9 @@ class _WordTable:
                 raise MissingEntryError(
                     f"dense table missing entry for word {w!r}"
                 )
+        if not all(map(math.isfinite, self.values.values())):
+            w = next(w for w, v in self.values.items() if not math.isfinite(v))
+            raise ValueError(f"non-finite value for word {w!r}")
 
     def __call__(self, word: Word) -> float:
         word = tuple(word)

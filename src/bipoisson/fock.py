@@ -19,6 +19,7 @@ import numpy as np
 from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments, word_offset
 from .partitions import LEFT, RIGHT
+from .poisson import CbpSpec, cbp_cumulants
 
 # Largest truncated Fock basis built (words of length <= depth over dim letters)
 FOCK_STATE_BUDGET = 2_000_000
@@ -100,13 +101,6 @@ def vacuum_moment(ops) -> float:
     return float(v[0])
 
 
-def _commuting_pair_moment(jump_law: MomentFunctional, p: int, q: int) -> float:
-    """phi(a1^p a2^q) for a bipartite one-left one-right jump law."""
-    (a1,) = jump_law.alphabet.left
-    (a2,) = jump_law.alphabet.right
-    return jump_law((a1,) * p + (a2,) * q)
-
-
 def check_commuting(jump_law: MomentFunctional) -> None:
     """Reject jump laws whose moments depend on letter order."""
     if len(jump_law.alphabet.left) != 1 or len(jump_law.alphabet.right) != 1:
@@ -144,6 +138,7 @@ def build_w_operators(
     if max_m < 0:
         raise ValueError(f"moment length {max_m} is negative")
     max_len = max(min(max_m - 1, basis.depth), 0)
+    (a1,), (a2,) = jump_law.alphabet.left, jump_law.alphabet.right
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
         a = creation_string(basis, side, (own,), max_len)
@@ -151,7 +146,7 @@ def build_w_operators(
         for n in range(N):
             for alpha in itertools.product((1, 2), repeat=n):
                 p = alpha.count(1) + (own == 1)
-                coeff = rate * _commuting_pair_moment(jump_law, p, n + 1 - p)
+                coeff = rate * jump_law((a1,) * p + (a2,) * (n + 1 - p))
                 if coeff != 0.0:
                     c = creation_string(basis, side, alpha, max_len)
                     rows.append(c.rows)
@@ -201,7 +196,9 @@ def verify_fock_cumulants(
     depth: int | None = None,
 ) -> list[FockCumulantRow]:
     """Compare bi-free cumulants of W-words against the series targets:
-    lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N."""
+    lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N. They
+    are built first, so a bad rate or target stops the run before W is."""
+    targets = cbp_cumulants(CbpSpec(rate, jump_law))
     if depth is None:
         # W lowers the word length by at most one, so a vacuum-to-vacuum
         # path of length max_m never leaves depth max_m; W needs depth >= N
@@ -210,11 +207,12 @@ def verify_fock_cumulants(
     w_l, w_r = build_w_operators(rate, jump_law, N, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
     kappa = kappa_from_moments(phi)
+    (a1,), (a2,) = jump_law.alphabet.left, jump_law.alphabet.right
     rows = []
     for w in all_words(phi.alphabet, max_m):
         m = len(w)
         p = w.count("wl")
-        target = rate * _commuting_pair_moment(jump_law, p, m - p) if m <= N else 0.0
+        target = targets((a1,) * p + (a2,) * (m - p)) if m <= N else 0.0
         chi = phi.alphabet.sides_of(w)
         rows.append(FockCumulantRow(chi, phi(w), kappa(w), target))
     return rows

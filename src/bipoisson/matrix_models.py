@@ -22,13 +22,15 @@ right-subword) key.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .cumulants import Alphabet, CumulantTable, all_words, transform_rows
+from .cumulants import Alphabet, MomentFunctional, all_words, transform_rows
 from .partitions import LEFT, RIGHT
+from .poisson import CbpSpec, cbp_cumulants
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
 
@@ -51,7 +53,10 @@ class AtomLaw:
             raise ValueError(f"weights must be a probability vector: {self.weights}")
 
     def moment(self, k: int) -> float:
-        return sum(w * a**k for a, w in zip(self.atoms, self.weights))
+        try:
+            return sum(w * a**k for a, w in zip(self.atoms, self.weights))
+        except OverflowError:
+            raise ValueError(f"moment {k} of atoms {self.atoms} overflows") from None
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(np.array(self.atoms), size=n, p=np.array(self.weights))
@@ -72,6 +77,29 @@ class VariableSpec:
     slot: int = 0
 
 
+def jump_moments(variables, degree_cap: int) -> MomentFunctional:
+    """Joint moments of the jump variables to degree_cap, by name. A word's
+    moment is the product over slots (classically independent) of the slot
+    law's moment of its letter count there; a slot has one law."""
+    slot_law = {}
+    for v in variables:
+        if slot_law.setdefault(v.slot, v.law) != v.law:
+            raise ShapeMismatchError(f"variables sharing slot {v.slot} must share a law")
+    slot_of = {v.name: v.slot for v in variables}
+    alphabet = Alphabet(
+        tuple(v.name for v in variables if v.side == LEFT),
+        tuple(v.name for v in variables if v.side == RIGHT),
+    )
+
+    def moment(word) -> float:
+        out = 1.0
+        for slot, count in Counter(slot_of[x] for x in word).items():
+            out *= slot_law[slot].moment(count)
+        return out
+
+    return MomentFunctional.from_function(alphabet, degree_cap, moment)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Configuration of a seeded random-matrix experiment."""
@@ -84,12 +112,7 @@ class EnsembleSpec:
     max_word_len: int
 
     def __post_init__(self):
-        for slot in {v.slot for v in self.variables}:
-            laws = {v.law for v in self.variables if v.slot == slot}
-            if len(laws) > 1:
-                raise ShapeMismatchError(
-                    f"variables sharing slot {slot} must share a law"
-                )
+        self.law  # checks the rate and the slot laws
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly ascending: {self.sizes}")
         if min(self.sizes, default=0) < 1:
@@ -98,8 +121,6 @@ class EnsembleSpec:
             raise ValueError("max_word_len must be >= 1")
         if self.trials < 2:
             raise ValueError("trials must be >= 2 for standard errors")
-        if not math.isfinite(self.rate) or self.rate <= 0:
-            raise ValueError(f"rate must be finite and positive, got {self.rate}")
         if self.rate * self.sizes[0] < 0.5:
             raise ValueError(
                 f"rate * n must be >= 1/2 so that p = round(rate * n) >= 1, "
@@ -107,29 +128,14 @@ class EnsembleSpec:
             )
 
     @property
+    def law(self) -> CbpSpec:
+        """The compound Poisson law the model converges to, on words up to
+        max_word_len."""
+        return CbpSpec(self.rate, jump_moments(self.variables, self.max_word_len))
+
+    @property
     def alphabet(self) -> Alphabet:
-        return Alphabet(
-            tuple(v.name for v in self.variables if v.side == LEFT),
-            tuple(v.name for v in self.variables if v.side == RIGHT),
-        )
-
-    def jump_moment(self, word) -> float:
-        """Joint jump-law moment: factors over slots (classical independence)."""
-        by_slot: dict[int, int] = {}
-        byname = {v.name: v for v in self.variables}
-        for name in word:
-            v = byname[name]
-            by_slot[v.slot] = by_slot.get(v.slot, 0) + 1
-        out = 1.0
-        for slot, count in by_slot.items():
-            law = next(v.law for v in self.variables if v.slot == slot)
-            out *= law.moment(count)
-        return out
-
-    def target_cumulants(self) -> CumulantTable:
-        return CumulantTable.from_function(
-            self.alphabet, self.max_word_len, lambda w: self.rate * self.jump_moment(w)
-        )
+        return self.law.jump_law.alphabet
 
 
 def build_wishart_model(
@@ -249,7 +255,8 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
     that key. Each size inverts its mean moments in one call. Identical
     seed and spec give identical reports.
     """
-    alphabet = spec.alphabet
+    law = spec.law
+    alphabet = law.jump_law.alphabet
     words = list(all_words(alphabet, spec.max_word_len))
     left = set(alphabet.left)
     key_index: dict = {}
@@ -260,7 +267,7 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
         )
         for w in words
     ]
-    targets = spec.target_cumulants()
+    targets = cbp_cumulants(law)
     root = np.random.SeedSequence(spec.seed)
     size_seeds = root.spawn(len(spec.sizes))
     reports = []

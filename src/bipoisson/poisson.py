@@ -9,6 +9,7 @@ semigroups scale them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,14 @@ PSD_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class CbpSpec:
-    """Rate and jump law of a compound bi-free Poisson distribution."""
+    """Rate and jump law of a compound bi-free Poisson law; owns the rate check."""
 
     rate: float
     jump_law: MomentFunctional
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not math.isfinite(self.rate) or self.rate <= 0:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
 
 @dataclass(frozen=True)

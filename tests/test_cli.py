@@ -382,12 +382,28 @@ class TestNumericValidation:
             (SIM + ["--sizes", "8,8"], "strictly ascending"),
             (SIM + ["--atoms", "nan:1"], "must be finite"),
             (FOCK + ["--atoms", "nan:1"], "must be finite"),
+            (FOCK + ["--lambda", "nan"], "rate must be finite"),
+            (FOCK + ["--lambda", "0"], "rate must be finite and positive"),
+            (FOCK + ["--lambda", "-1"], "rate must be finite and positive"),
+            (["cbp", "limit", "--lambda", "nan"], "rate must be finite"),
+            (["cbp", "approx", "--lambda", "inf"], "rate must be finite"),
+            (["cbp", "limit", "--alpha", "nan"], "must be finite"),
+            (["cbp", "approx", "--beta", "inf"], "must be finite"),
+            (FOCK + ["--atoms", "1e300:1", "--max-m", "4"], "overflows"),
+            (["cbp", "limit", "--alpha", "1e300", "--deg", "7"], "overflows"),
+            (FOCK + ["--lambda", "1e308", "--atoms", "10:1"], "non-finite value"),
+            (["cbp", "approx", "--lambda", "1e300", "--alpha", "1e10", "--deg", "2",
+              "--sizes", "2"], "non-finite value"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
              "fock_shared_laws", "limit_deg_past_cap", "fock_max_m_past_cap",
              "infinite_rate", "nan_rate", "empty_model", "repeated_size",
-             "simulate_nan_atom", "fock_nan_atom"],
+             "simulate_nan_atom", "fock_nan_atom", "fock_nan_rate",
+             "fock_zero_rate", "fock_negative_rate", "limit_nan_rate",
+             "approx_infinite_rate", "limit_nan_alpha", "approx_infinite_beta",
+             "fock_moment_overflow", "limit_moment_overflow",
+             "fock_infinite_target", "approx_infinite_target"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -406,10 +422,44 @@ class TestNumericValidation:
         assert out == ""
         assert err == "ERROR VALIDATION: need moments to degree 6, cap is 4\n"
 
+    def test_build_nan_rate(self, tmp_path, capsys):
+        _, path = sample_table(tmp_path)
+        code, out, err = run(["cbp", "build", "--lambda", "nan", "--jump", path],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "ERROR VALIDATION: rate must be finite and positive, got nan\n"
+
     def test_workers_flag_removed(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--workers", "2", "nc", "list", "--n", "3"])
-        capsys.readouterr()
+        # `--workers 2` would read "2" as the subcommand; `=` keeps the flag whole
+        code, out, err = run(["--workers=2", "nc", "list", "--n", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR USAGE: ")
+        assert "--workers" in err
+        assert err.count("\n") == 1
+
+    def test_bad_argument_is_usage_error(self, capsys):
+        code, out, err = run(["nc", "list", "--n", "abc"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "ERROR USAGE: argument --n: invalid int value: 'abc'\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nc", "list", "--help"])
+        assert exc.value.code == 0
+        assert "--n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["missing/x", "d"], ids=["no_dir", "is_dir"])
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys, target):
+        (tmp_path / "d").mkdir()
+        out_path = tmp_path / target
+        code, out, err = run(["--out", str(out_path), "nc", "list", "--n", "2"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR IO: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+        # no temp file is left next to the target
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
 
 
 class TestStartup:

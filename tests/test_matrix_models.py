@@ -19,9 +19,11 @@ from bipoisson.matrix_models import (
     build_wishart_model,
     estimate_empirical_cumulants,
     evaluate_bimatrix_word,
+    jump_moments,
     key_values,
 )
 from bipoisson.partitions import LEFT, RIGHT
+from bipoisson.poisson import cbp_cumulants
 from oracles import (
     bimodule_operators,
     bimodule_residue,
@@ -199,13 +201,14 @@ class TestEnsembleSpec:
 
     def test_jump_moment_factors_over_slots(self):
         spec = two_sided_spec(1.0, shared=False)
-        assert spec.jump_moment(("zl", "zr")) == pytest.approx(1.5 * 1.5)
+        jump = jump_moments(spec.variables, 2)
+        assert jump(("zl", "zr")) == pytest.approx(1.5 * 1.5)
         shared = two_sided_spec(1.0, shared=True)
-        assert shared.jump_moment(("zl", "zr")) == pytest.approx(2.5)
+        assert jump_moments(shared.variables, 2)(("zl", "zr")) == pytest.approx(2.5)
 
     def test_targets(self):
         spec = two_sided_spec(0.5)
-        t = spec.target_cumulants()
+        t = cbp_cumulants(spec.law)
         assert t(("zl",)) == pytest.approx(0.5 * 1.5)
         assert t(("zl", "zr")) == pytest.approx(0.5 * 2.5)
 
