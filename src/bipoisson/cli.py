@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from .cumulants import (
     MomentFunctional,
     kappa_from_moments,
     moments_from_kappa,
+    word_offset,
 )
 from .poisson import (
     CbpSpec,
@@ -59,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise CliError("NUMERIC", f"non-finite value {x} in the output")
+    return f"{x:.17g}"
 
 
 def write_output(text: str, out_path: str | None) -> None:
@@ -178,11 +183,11 @@ def table_to_json(table) -> dict:
     """Serialize a word table with side tags made explicit."""
     alphabet = table.alphabet
     entries = []
-    for word in sorted(table.values, key=lambda w: (len(w), w)):
+    for word, value in sorted(table.values.items(), key=lambda e: (len(e[0]), e[0])):
         entries.append(
             {
                 "word": [[name, alphabet.side_of(name)] for name in word],
-                "value": table.values[word],
+                "value": value,
             }
         )
     return {
@@ -223,7 +228,13 @@ def table_from_json(obj, cls):
                     "TABLE_PARSE", f"entry {word!r} longer than degree_cap {cap}"
                 )
             values[word] = value
-        return cls(alphabet, cap, values)
+
+        def entry(w):
+            if w not in values:
+                raise MissingEntryError(f"dense table missing entry for word {w!r}")
+            return values[w]
+
+        return cls.from_function(alphabet, cap, entry)
     except (CliError, CapExceededError):
         raise
     except (KeyError, TypeError, ValueError, AttributeError,
@@ -330,8 +341,8 @@ def _truncate(table, cls, deg: int):
     if deg > table.degree_cap:
         raise CliError("VALIDATION",
                        f"degree {deg} exceeds table cap {table.degree_cap}")
-    values = {w: v for w, v in table.values.items() if len(w) <= deg}
-    return cls(table.alphabet, deg, values)
+    count = word_offset(len(table.alphabet.names), max(deg, 0) + 1) - 1
+    return cls(table.alphabet, deg, table.row[:count])
 
 
 def cmd_cbp_build(args) -> str:
@@ -537,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        text = args.fn(args)
+        with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
+            text = args.fn(args)
         write_output(text, args.out)
     except CliError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

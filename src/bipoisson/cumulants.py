@@ -8,9 +8,9 @@ dense up to a degree cap: a missing entry is an error, never a silent zero.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .errors import (
 from .partitions import LEFT, RIGHT
 
 Word = tuple[str, ...]
+
+# Largest transform plan compiled: terms times words at the top length
+PLAN_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,27 @@ def _check_cap(degree_cap: int) -> None:
 
 
 class _WordTable:
-    def __init__(self, alphabet: Alphabet, degree_cap: int, values: dict[Word, float]):
+    """A dense table: one read-only float row in `all_words` order, the row
+    `transform_rows` reads and writes."""
+
+    def __init__(self, alphabet: Alphabet, degree_cap: int, row):
         _check_cap(degree_cap)
         self.alphabet = alphabet
         self.degree_cap = degree_cap
-        self.values = dict(values)
-        for w in all_words(alphabet, degree_cap):
-            if w not in self.values:
-                raise MissingEntryError(
-                    f"dense table missing entry for word {w!r}"
-                )
-        if not all(map(math.isfinite, self.values.values())):
-            w = next(w for w, v in self.values.items() if not math.isfinite(v))
+        self.row = np.array(row, dtype=float)
+        self.row.flags.writeable = False
+        count = word_offset(len(alphabet.names), max(degree_cap, 0) + 1) - 1
+        if self.row.shape != (count,):
+            raise ShapeMismatchError(f"need {count} values, got {self.row.shape}")
+        if not np.isfinite(self.row).all():
+            w = list(all_words(alphabet, degree_cap))[np.isfinite(self.row).argmin()]
             raise ValueError(f"non-finite value for word {w!r}")
+
+    @property
+    def values(self) -> MappingProxyType:
+        """A read-only word -> value view, in `all_words` order."""
+        words = all_words(self.alphabet, self.degree_cap)
+        return MappingProxyType(dict(zip(words, self.row.tolist())))
 
     def __call__(self, word: Word) -> float:
         word = tuple(word)
@@ -87,19 +98,17 @@ class _WordTable:
             raise CapExceededError(
                 f"word length {len(word)} exceeds cap {self.degree_cap}"
             )
-        try:
-            return self.values[word]
-        except KeyError:
-            raise MissingEntryError(f"no entry for word {word!r}") from None
+        names = self.alphabet.names
+        if not set(word) <= set(names):
+            raise MissingEntryError(f"no entry for word {word!r}")
+        rank = sum(names.index(x) * len(names) ** i for i, x in enumerate(word[::-1]))
+        return float(self.row[word_offset(len(names), len(word)) - 1 + rank])
 
     @classmethod
     def from_function(cls, alphabet: Alphabet, degree_cap: int, fn):
         _check_cap(degree_cap)
-        return cls(
-            alphabet,
-            degree_cap,
-            {w: float(fn(w)) for w in all_words(alphabet, degree_cap)},
-        )
+        words = all_words(alphabet, degree_cap)
+        return cls(alphabet, degree_cap, [float(fn(w)) for w in words])
 
 
 class MomentFunctional(_WordTable):
@@ -112,16 +121,10 @@ class CumulantTable(_WordTable):
     def add(self, other: "CumulantTable") -> "CumulantTable":
         if other.alphabet != self.alphabet or other.degree_cap != self.degree_cap:
             raise ShapeMismatchError("cumulant tables on different alphabets/caps")
-        return CumulantTable(
-            self.alphabet,
-            self.degree_cap,
-            {w: v + other.values[w] for w, v in self.values.items()},
-        )
+        return CumulantTable(self.alphabet, self.degree_cap, self.row + other.row)
 
     def scale(self, t: float) -> "CumulantTable":
-        return CumulantTable(
-            self.alphabet, self.degree_cap, {w: t * v for w, v in self.values.items()}
-        )
+        return CumulantTable(self.alphabet, self.degree_cap, t * self.row)
 
 
 def word_offset(size: int, n):
@@ -172,7 +175,13 @@ def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool
     cumulants, each row over `all_words` order. Terms multiply left to right
     and add in order from 0.0, so each value is the per-word recursion's."""
     _check_cap(degree_cap)
-    rows, size = np.asarray(rows, dtype=float), len(alphabet.names)
+    size = len(alphabet.names)
+    if degree_cap >= 1 and 2 ** (degree_cap - 1) * size**degree_cap > PLAN_BUDGET:
+        raise CapExceededError(
+            f"transform plan of {2 ** (degree_cap - 1)} terms x {size**degree_cap} "
+            f"words exceeds budget {PLAN_BUDGET}"
+        )
+    rows = np.asarray(rows, dtype=float)
     count = word_offset(size, max(degree_cap, 0) + 1) - 1
     if rows.ndim != 2 or rows.shape[1] != count:
         raise ShapeMismatchError(f"need rows of {count} values, got {rows.shape}")
@@ -191,18 +200,13 @@ def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool
     return out[:, 1:]
 
 
-def _convert(table: _WordTable, to_cumulants: bool) -> dict[Word, float]:
-    words = list(all_words(table.alphabet, table.degree_cap))
-    row = [[table.values[w] for w in words]]
-    out = transform_rows(table.alphabet, table.degree_cap, row, to_cumulants)
-    return dict(zip(words, out[0].tolist()))
-
-
 def kappa_from_moments(phi: MomentFunctional) -> CumulantTable:
     """Every word's bi-free cumulant from its moments."""
-    return CumulantTable(phi.alphabet, phi.degree_cap, _convert(phi, True))
+    rows = transform_rows(phi.alphabet, phi.degree_cap, [phi.row], True)
+    return CumulantTable(phi.alphabet, phi.degree_cap, rows[0])
 
 
 def moments_from_kappa(kappa: CumulantTable) -> MomentFunctional:
     """The inverse transform: every word's moment from the cumulants."""
-    return MomentFunctional(kappa.alphabet, kappa.degree_cap, _convert(kappa, False))
+    rows = transform_rows(kappa.alphabet, kappa.degree_cap, [kappa.row], False)
+    return MomentFunctional(kappa.alphabet, kappa.degree_cap, rows[0])

@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import Alphabet, MomentFunctional, all_words, transform_rows
 from .partitions import LEFT, RIGHT
 from .poisson import CbpSpec, cbp_cumulants
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
+# Largest p x n Gaussian factor G a trial draws (complex, 16 bytes an entry)
+GAUSSIAN_ENTRY_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,14 @@ class EnsembleSpec:
                 f"rate * n must be >= 1/2 so that p = round(rate * n) >= 1, "
                 f"got rate {self.rate} at n = {self.sizes[0]}"
             )
+        n = self.sizes[-1]
+        if math.floor(self.rate * n + 0.5) * n > GAUSSIAN_ENTRY_BUDGET:
+            raise CapExceededError(
+                f"Gaussian factor of round(rate * n) x n entries at n = {n} "
+                f"exceeds budget {GAUSSIAN_ENTRY_BUDGET}"
+            )
 
-    @property
+    @cached_property
     def law(self) -> CbpSpec:
         """The compound Poisson law the model converges to, on words up to
         max_word_len."""
@@ -288,7 +297,7 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
                 empirical_moment=float(mean[j]),
                 moment_std_err=float(sem[j]),
                 empirical_cumulant=float(kappa[0, j]),
-                target_cumulant=targets(w),
+                target_cumulant=float(targets.row[j]),
             )
             for j, w in enumerate(words)
         ]

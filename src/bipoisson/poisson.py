@@ -54,9 +54,7 @@ class Distribution:
 def cbp_cumulants(spec: CbpSpec) -> CumulantTable:
     """kappa_chi(word) = lambda * jump_law(word), every word up to cap."""
     jump = spec.jump_law
-    return CumulantTable.from_function(
-        jump.alphabet, jump.degree_cap, lambda w: spec.rate * jump(w)
-    )
+    return CumulantTable(jump.alphabet, jump.degree_cap, spec.rate * jump.row)
 
 
 def cbp_moments(spec: CbpSpec) -> Distribution:
@@ -79,11 +77,9 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
     """Free-projection compression: a length-n entry scales by lam**(n-1)."""
     if not 0 < lam <= 1:
         raise ValueError(f"compression ratio must be in (0, 1], got {lam}")
-    return CumulantTable(
-        kappa.alphabet,
-        kappa.degree_cap,
-        {w: lam ** (len(w) - 1) * v for w, v in kappa.values.items()},
-    )
+    size, lengths = len(kappa.alphabet.names), np.arange(1, kappa.degree_cap + 1)
+    scales = np.repeat(lam ** (lengths - 1), size**lengths)
+    return CumulantTable(kappa.alphabet, kappa.degree_cap, scales * kappa.row)
 
 
 def limit_theorem_moments(spec: CbpSpec, N: int) -> Distribution:
@@ -92,8 +88,8 @@ def limit_theorem_moments(spec: CbpSpec, N: int) -> Distribution:
     if N < spec.rate:
         raise ValueError(f"N={N} below rate {spec.rate}")
     jump = spec.jump_law
-    phi_summand = MomentFunctional.from_function(
-        jump.alphabet, jump.degree_cap, lambda w: spec.rate / N * jump(w)
+    phi_summand = MomentFunctional(
+        jump.alphabet, jump.degree_cap, spec.rate / N * jump.row
     )
     kappa_sum = kappa_from_moments(phi_summand).scale(N)
     return Distribution.from_cumulants(kappa_sum)
@@ -104,13 +100,10 @@ def poisson_approximation(nu: Distribution, n: int) -> Distribution:
     those of nu as n grows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    nu_frac = semigroup_element(nu, 1.0 / n)
-    kappa = CumulantTable.from_function(
-        nu.moments.alphabet,
-        nu.moments.degree_cap,
-        lambda w: n * nu_frac.moments(w),
+    phi = semigroup_element(nu, 1.0 / n).moments
+    return Distribution.from_cumulants(
+        CumulantTable(phi.alphabet, phi.degree_cap, n * phi.row)
     )
-    return Distribution.from_cumulants(kappa)
 
 
 def gram_basis(alphabet: Alphabet, deg: int) -> list[Word]:

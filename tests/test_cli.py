@@ -223,6 +223,19 @@ class TestTables:
         assert err == (f"ERROR TABLE_PARSE: degree_cap must be an integer >= 0, "
                        f"got {json.dumps(cap)}\n")
 
+    def test_missing_entry_rejected(self, tmp_path, capsys):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "alphabet": {"left": ["z"], "right": ["u"]},
+            "degree_cap": 1,
+            "entries": [{"word": [["z", "l"]], "value": 0.5}],
+        }))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("ERROR TABLE_PARSE: malformed table: "
+                       "\"dense table missing entry for word ('u',)\"\n")
+
     def test_cap_past_limit_is_validation(self, tmp_path, capsys):
         # a well-formed table too deep to transform: the cap, not the parse
         entries = [{"word": [["z", "l"]] * n, "value": 1.0} for n in range(1, 14)]
@@ -256,7 +269,7 @@ def word_tables(draw):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = {w: draw(finite) for w in all_words(alphabet, cap)}
     cls = draw(st.sampled_from([MomentFunctional, CumulantTable]))
-    return cls(alphabet, cap, values)
+    return cls.from_function(alphabet, cap, values.__getitem__)
 
 
 class TestTableJsonProperty:
@@ -394,6 +407,9 @@ class TestNumericValidation:
             (FOCK + ["--lambda", "1e308", "--atoms", "10:1"], "non-finite value"),
             (["cbp", "approx", "--lambda", "1e300", "--alpha", "1e10", "--deg", "2",
               "--sizes", "2"], "non-finite value"),
+            (["cbp", "limit", "--lambda", "1e200", "--deg", "4"], "non-finite value"),
+            (FOCK + ["--lambda", "1e200", "--max-m", "4"], "non-finite value"),
+            (SIM + ["--lambda", "1e12"], "exceeds budget"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -403,7 +419,9 @@ class TestNumericValidation:
              "fock_zero_rate", "fock_negative_rate", "limit_nan_rate",
              "approx_infinite_rate", "limit_nan_alpha", "approx_infinite_beta",
              "fock_moment_overflow", "limit_moment_overflow",
-             "fock_infinite_target", "approx_infinite_target"],
+             "fock_infinite_target", "approx_infinite_target",
+             "limit_overflow_in_transform", "fock_overflow_in_moments",
+             "gaussian_past_budget"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -412,6 +430,18 @@ class TestNumericValidation:
         assert err.startswith("ERROR VALIDATION")
         assert names in err
         assert err.count("\n") == 1
+
+    def test_overflowing_model_is_numeric_error(self, capsys):
+        # matrix products overflow to inf/nan cells; none may be printed
+        code, out, err = run(
+            ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "4e76:1",
+             "--shared", "--sizes", "8,16", "--trials", "2", "--max-word", "4"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("ERROR NUMERIC: ")
+        assert err.count("ERROR") == 1
+        assert "Warning" not in err
 
     def test_psd_degree_past_table_cap(self, tmp_path, capsys):
         _, path = sample_table(tmp_path, cap=4)

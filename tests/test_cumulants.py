@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bipoisson import cumulants
 from bipoisson.errors import CapExceededError, MissingEntryError, ShapeMismatchError
 from bipoisson.cumulants import (
     Alphabet,
@@ -79,11 +80,38 @@ class TestTables:
 
     def test_missing_entry_and_cap(self):
         a = Alphabet(("x",))
-        with pytest.raises(MissingEntryError):
-            MomentFunctional(a, 2, {("x",): 1.0})
+        with pytest.raises(ShapeMismatchError):
+            MomentFunctional(a, 2, [1.0])
         phi = MomentFunctional.from_function(a, 2, lambda w: 1.0)
+        with pytest.raises(MissingEntryError):
+            phi(("y",))
         with pytest.raises(CapExceededError):
             phi(("x",) * 3)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.integers(0, 4),
+        st.sampled_from([MomentFunctional, CumulantTable]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_row_indexing(self, nleft, nright, cap, cls):
+        a = Alphabet(
+            tuple(f"x{i}" for i in range(nleft)),
+            tuple(f"u{i}" for i in range(nright)),
+        )
+        words = list(all_words(a, cap))
+        table = cls(a, cap, np.arange(len(words), dtype=float))
+        assert list(table.values) == words
+        for w in words:
+            assert table(w) == table.values[w]
+        if cap:
+            with pytest.raises(MissingEntryError):
+                table(("x0",) * (cap - 1) + ("nope",))
+        with pytest.raises(ValueError):
+            table.row[:] = 0.0
+        with pytest.raises(TypeError):
+            table.values[("x0",)] = 0.0
 
     def test_add_scale(self):
         a = Alphabet(("x",))
@@ -334,9 +362,11 @@ class TestCompiledPlan:
         moments = transform_rows(a, cap, rows, to_cumulants=False)
         for r, row in enumerate(rows):
             table = dict(zip(words, row.tolist()))
-            want = cumulants_by_words(MomentFunctional(a, cap, table))
+            want = cumulants_by_words(
+                MomentFunctional.from_function(a, cap, table.__getitem__))
             assert bits(kappas[r]) == bits([want[w] for w in words])
-            want = moments_by_words(CumulantTable(a, cap, table))
+            want = moments_by_words(
+                CumulantTable.from_function(a, cap, table.__getitem__))
             assert bits(moments[r]) == bits([want[w] for w in words])
             one = rows[r:r + 1]
             assert bits(transform_rows(a, cap, one, to_cumulants=True)) == bits(kappas[r])
@@ -347,8 +377,8 @@ class TestCompiledPlan:
         a = Alphabet(("x",), ("u",))
         words = list(all_words(a, 5))
         row = [rng.uniform(-1, 1) for _ in words]
-        phi = MomentFunctional(a, 5, dict(zip(words, row)))
-        kappa = CumulantTable(a, 5, dict(zip(words, row)))
+        phi = MomentFunctional(a, 5, row)
+        kappa = CumulantTable(a, 5, row)
         got = kappa_from_moments(phi).values
         assert list(got) == words
         assert bits(list(got.values())) == bits(transform_rows(a, 5, [row], to_cumulants=True))
@@ -377,7 +407,27 @@ class TestPlanGuards:
         with pytest.raises(CapExceededError):
             MomentFunctional.from_function(Alphabet(("x",)), 13, fn)
         with pytest.raises(CapExceededError):
-            CumulantTable(Alphabet(("x",)), 13, {})
+            CumulantTable(Alphabet(("x",)), 13, ())
+
+    @pytest.mark.parametrize(
+        "left, cap, admitted",
+        [(("x",), 12, True), (("x", "y"), 9, True), (("x", "y"), 11, False)],
+        ids=["1L1R_cap12", "2L1R_cap9", "2L1R_cap11"],
+    )
+    def test_plan_budget(self, monkeypatch, left, cap, admitted):
+        # 2L1R at cap 11 is within DEFAULT_CAP, yet its plan would be 1024
+        # terms x 177147 words; a rejection comes before any compile
+        class Compiled(Exception):
+            pass
+
+        def compile_plan(*args):
+            raise Compiled
+
+        monkeypatch.setattr(cumulants, "_length_plan", compile_plan)
+        a = Alphabet(left, ("u",))
+        rows = np.zeros((1, len(list(all_words(a, cap)))))
+        with pytest.raises(Compiled if admitted else CapExceededError):
+            transform_rows(a, cap, rows, to_cumulants=True)
 
     def test_unknown_side_tag_rejected(self):
         with pytest.raises(ShapeMismatchError):

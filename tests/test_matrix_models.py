@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bipoisson.errors import ShapeMismatchError
+from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.cumulants import all_words
 from bipoisson.matrix_models import (
     IMAG_RESIDUE_TOLERANCE,
@@ -186,6 +186,9 @@ class TestEnsembleSpec:
         for sizes in ((32, 16), (16, 16)):
             with pytest.raises(ValueError):
                 two_sided_spec(1.0, sizes=sizes)
+        # a p x n Gaussian factor past the budget, before any trial is drawn
+        with pytest.raises(CapExceededError, match="exceeds budget"):
+            two_sided_spec(1e7, sizes=(8,))
         with pytest.raises(ShapeMismatchError):
             EnsembleSpec(
                 1.0,
