@@ -46,14 +46,12 @@ from .matrix_models import (
     EnsembleSpec,
     SizeReport,
     VariableSpec,
-    WordEstimate,
     build_wishart_model,
     estimate_empirical_cumulants,
     jump_moments,
 )
 from .fock import (
     FockBasis,
-    FockCumulantRow,
     build_w_operators,
     fock_moments,
     vacuum_moment,
@@ -96,12 +94,10 @@ __all__ = [
     "EnsembleSpec",
     "SizeReport",
     "VariableSpec",
-    "WordEstimate",
     "build_wishart_model",
     "estimate_empirical_cumulants",
     "jump_moments",
     "FockBasis",
-    "FockCumulantRow",
     "build_w_operators",
     "fock_moments",
     "vacuum_moment",

@@ -26,12 +26,14 @@ from .cumulants import (
     Alphabet,
     CumulantTable,
     MomentFunctional,
+    all_words,
     kappa_from_moments,
     moments_from_kappa,
     word_offset,
 )
 from .poisson import (
     CbpSpec,
+    cbp_cumulants,
     cbp_moments,
     limit_theorem_moments,
     poisson_approximation,
@@ -276,15 +278,14 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 # ------------------------------------------------------- convergence series
 
 
-def emit_convergence_series(points: list[tuple[int, list[tuple[str, float, float]]]],
-                            fmt: str) -> str:
-    """Long-format (N, word, value, reference, abs_err) rows plus a fitted
+def emit_convergence_series(words: list[str], points, fmt: str) -> str:
+    """Long-format (N, word, value, reference, abs_err) rows from points
+    (N, value row, reference row), each row over `words`, plus a fitted
     log-log slope of the per-N maximum error; slope blank with a flag when
     fewer than two points are available."""
-    sizes, max_errs = [], []
-    for n, triples in points:
-        sizes.append(n)
-        max_errs.append(max(abs(v - ref) for _, v, ref in triples))
+    sizes = [n for n, _, _ in points]
+    errs = [np.abs(np.subtract(value, ref)) for _, value, ref in points]
+    max_errs = [err.max() for err in errs]
     if len(sizes) >= 2 and min(max_errs) > 0:
         slope = float(np.polyfit(np.log(sizes), np.log(max_errs), 1)[0])
         slope_str, flag = _fmt(slope), ""
@@ -292,10 +293,9 @@ def emit_convergence_series(points: list[tuple[int, list[tuple[str, float, float
         slope_str, flag = "", "slope_omitted"
     header = ["N", "word", "value", "reference", "abs_err", "slope", "flag"]
     rows = []
-    for n, triples in points:
-        for word, v, ref in triples:
-            rows.append([n, word, _fmt(v), _fmt(ref), _fmt(abs(v - ref)),
-                         slope_str, flag])
+    for (n, value, ref), err in zip(points, errs):
+        for word, *values in zip(words, value, ref, err):
+            rows.append([n, word, *map(_fmt, values), slope_str, flag])
     return rows_as(fmt, header, rows)
 
 
@@ -320,9 +320,6 @@ def cmd_nc_mobius(args) -> str:
 
 
 def cmd_bnc_list(args) -> str:
-    bad = set(args.chi) - {LEFT, RIGHT}
-    if bad:
-        raise CliError("VALIDATION", f"chi must be over 'l'/'r', got {bad}")
     shape = ChiShape(tuple(args.chi))
     return json_text([p.blocks for p in enumerate_bnc(shape)])
 
@@ -338,10 +335,10 @@ def cmd_moments_from_cumulants(args) -> str:
 
 
 def _truncate(table, cls, deg: int):
-    if deg > table.degree_cap:
+    if not 0 <= deg <= table.degree_cap:
         raise CliError("VALIDATION",
-                       f"degree {deg} exceeds table cap {table.degree_cap}")
-    count = word_offset(len(table.alphabet.names), max(deg, 0) + 1) - 1
+                       f"degree {deg} outside [0, {table.degree_cap}], the table cap")
+    count = word_offset(len(table.alphabet.names), deg + 1) - 1
     return cls(table.alphabet, deg, table.row[:count])
 
 
@@ -373,15 +370,15 @@ def cmd_cbp_series(args) -> str:
     )
     spec = CbpSpec(args.rate, jump)
     nu = cbp_moments(spec)
-    words = sorted(nu.moments.values, key=lambda w: (len(w), w))
     points = []
     for n in parse_int_list(args.sizes):
         if args.action == "limit":
             approx, ref = limit_theorem_moments(spec, n).moments, nu.moments
         else:
             approx, ref = poisson_approximation(nu, n).cumulants, nu.cumulants
-        points.append((n, [(_word_str(w), approx(w), ref(w)) for w in words]))
-    return emit_convergence_series(points, args.format)
+        points.append((n, approx.row, ref.row))
+    words = [_word_str(w) for w in all_words(jump.alphabet, args.deg)]
+    return emit_convergence_series(words, points, args.format)
 
 
 def cmd_cbp_psd(args) -> str:
@@ -419,38 +416,37 @@ def cmd_simulate(args) -> str:
         max_word_len=args.max_word,
     )
     print(f"simulating sizes {spec.sizes}, {spec.trials} trials", file=sys.stderr)
+    target = cbp_cumulants(spec.law).row
     reports = estimate_empirical_cumulants(spec)
+    words = [_word_str(w) for w in all_words(spec.alphabet, spec.max_word_len)]
     header = ["n", "word", "empirical", "target", "abs_err", "std_err"]
     rows = []
     for rep in reports:
+        err = np.abs(rep.cumulants - target)
         print(
-            f"  n={rep.n} max_abs_err={rep.max_abs_err():.3e} "
+            f"  n={rep.n} max_abs_err={err.max():.3e} "
             f"max_imag={rep.max_imag_residue:.1e}",
             file=sys.stderr,
         )
-        for e in rep.estimates:
-            rows.append(
-                [rep.n, _word_str(e.word), _fmt(e.empirical_cumulant),
-                 _fmt(e.target_cumulant), _fmt(e.abs_err), _fmt(e.moment_std_err)]
-            )
+        for word, *values in zip(words, rep.cumulants, target, err, rep.moment_se):
+            rows.append([rep.n, word, *map(_fmt, values)])
     return rows_as(args.format, header, rows)
 
 
 def cmd_fock_verify(args) -> str:
     # the W series and the targets read jump moments of length <= N only
     jump = jump_moments(_variable_pair(args, "a1", "a2"), args.N)
-    rows_out = verify_fock_cumulants(
+    phi, kappa, target = verify_fock_cumulants(
         args.rate, jump, args.N, args.max_m, depth=args.depth
     )
     header = ["word", "chi", "omega_moment", "kappa_empirical", "kappa_target",
               "abs_err"]
     rows = []
-    for r in rows_out:
-        word = ["wl" if s == LEFT else "wr" for s in r.chi]
-        rows.append(
-            [_word_str(word), "".join(r.chi), _fmt(r.omega_moment),
-             _fmt(r.kappa_empirical), _fmt(r.kappa_target), _fmt(r.abs_err)]
-        )
+    words = all_words(phi.alphabet, args.max_m)
+    err = np.abs(kappa.row - target)
+    for w, *values in zip(words, phi.row, kappa.row, target, err):
+        chi = "".join(phi.alphabet.sides_of(w))
+        rows.append([_word_str(w), chi, *map(_fmt, values)])
     return rows_as(args.format, header, rows)
 
 
@@ -463,9 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compound bi-free Poisson distributions: enumeration, "
         "transforms, and numerical models.",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # --seed and --format are an error for a command that does not read them
+    p.add_argument("--seed", type=int, default=None, help="simulate only")
     p.add_argument("--out", default=None, help="output file (atomic write)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="csv (default) or json: simulate, fock verify, "
+                   "cbp limit/approx only")
+    p.set_defaults(reads=())
     sub = p.add_subparsers(dest="command", required=True)
 
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(
@@ -508,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--sizes", default="8,16,32,64" if name == "limit"
                        else "2,4,8,16")
         q.add_argument("--deg", type=int, default=4)
-        q.set_defaults(fn=cmd_cbp_series)
+        q.set_defaults(fn=cmd_cbp_series, reads=("format",))
     q = cbp.add_parser("psd")
     q.add_argument("--lambda", dest="rate", type=float, required=True)
     q.add_argument("--jump", required=True)
@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--sizes", default="32,64,128")
         q.add_argument("--trials", type=int, default=200)
         q.add_argument("--max-word", type=int, default=4)
-        q.set_defaults(fn=cmd_simulate)
+        q.set_defaults(fn=cmd_simulate, reads=("seed", "format"))
 
     fock = sub.add_parser("fock", help="truncated Fock-space model").add_subparsers(
         dest="action", required=True)
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--N", type=int, required=True, help="series order")
     q.add_argument("--max-m", type=int, required=True)
     q.add_argument("--depth", type=int, default=None)
-    q.set_defaults(fn=cmd_fock_verify)
+    q.set_defaults(fn=cmd_fock_verify, reads=("format",))
 
     return p
 
@@ -548,6 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for name, default in (("seed", DEFAULT_SEED), ("format", "csv")):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif name not in args.reads:
+                raise CliError("USAGE", f"--{name} does nothing for "
+                               f"{args.command} {args.action}")
         with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
             text = args.fn(args)
         write_output(text, args.out)

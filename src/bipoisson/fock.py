@@ -11,13 +11,13 @@ bi-free cumulants reproduce lambda * phi(a1^p a2^q) up to the series order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import Alphabet, MomentFunctional, all_words, kappa_from_moments, word_offset
+from .cumulants import (Alphabet, CumulantTable, MomentFunctional, all_words,
+                        kappa_from_moments, word_offset)
 from .partitions import LEFT, RIGHT
 from .poisson import CbpSpec, cbp_cumulants
 
@@ -158,18 +158,6 @@ def build_w_operators(
     return out[0], out[1]
 
 
-@dataclass
-class FockCumulantRow:
-    chi: tuple[str, ...]
-    omega_moment: float
-    kappa_empirical: float
-    kappa_target: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.kappa_empirical - self.kappa_target)
-
-
 def fock_moments(
     w_l: IndexMap, w_r: IndexMap, basis: FockBasis, max_m: int
 ) -> MomentFunctional:
@@ -194,10 +182,14 @@ def verify_fock_cumulants(
     N: int,
     max_m: int,
     depth: int | None = None,
-) -> list[FockCumulantRow]:
-    """Compare bi-free cumulants of W-words against the series targets:
-    lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N. They
-    are built first, so a bad rate or target stops the run before W is."""
+) -> tuple[MomentFunctional, CumulantTable, np.ndarray]:
+    """The vacuum moments of the W-words to length max_m, their bi-free
+    cumulants, and the series targets as a row over the same words:
+    lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N. The
+    rate and the targets are checked first, so a bad one stops the run
+    before W is built. A W-word's target is read at its own row position:
+    W accepts only a commuting jump law, whose moments depend on letter
+    counts alone."""
     targets = cbp_cumulants(CbpSpec(rate, jump_law))
     if depth is None:
         # W lowers the word length by at most one, so a vacuum-to-vacuum
@@ -206,13 +198,7 @@ def verify_fock_cumulants(
     basis = FockBasis(2, depth)
     w_l, w_r = build_w_operators(rate, jump_law, N, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
-    kappa = kappa_from_moments(phi)
-    (a1,), (a2,) = jump_law.alphabet.left, jump_law.alphabet.right
-    rows = []
-    for w in all_words(phi.alphabet, max_m):
-        m = len(w)
-        p = w.count("wl")
-        target = targets((a1,) * p + (a2,) * (m - p)) if m <= N else 0.0
-        chi = phi.alphabet.sides_of(w)
-        rows.append(FockCumulantRow(chi, phi(w), kappa(w), target))
-    return rows
+    target = np.zeros(len(phi.row))
+    count = word_offset(2, min(N, max_m) + 1) - 1
+    target[:count] = targets.row[:count]
+    return phi, kappa_from_moments(phi), target

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import Alphabet, MomentFunctional, all_words, transform_rows
 from .partitions import LEFT, RIGHT
-from .poisson import CbpSpec, cbp_cumulants
+from .poisson import CbpSpec
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
 # Largest p x n Gaussian factor G a trial draws (complex, 16 bytes an entry)
@@ -232,40 +232,29 @@ def evaluate_bimatrix_word(letters) -> complex:
 
 
 @dataclass
-class WordEstimate:
-    word: tuple[str, ...]
-    empirical_moment: float
-    moment_std_err: float
-    empirical_cumulant: float
-    target_cumulant: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.empirical_cumulant - self.target_cumulant)
-
-
-@dataclass
 class SizeReport:
-    n: int
-    estimates: list[WordEstimate]
-    max_imag_residue: float
+    """One size's estimates, each a row in `all_words` order: the mean
+    moments over trials, their standard errors, and the empirical cumulants
+    inverted from the mean; with the largest imaginary part of a word value
+    over the trials."""
 
-    def max_abs_err(self) -> float:
-        return max(e.abs_err for e in self.estimates)
+    n: int
+    moments: np.ndarray
+    moment_se: np.ndarray
+    cumulants: np.ndarray
+    max_imag_residue: float
 
 
 def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
     """Monte Carlo moments of all model words per size, inverted to
-    empirical cumulants, with per-word moment standard errors over trials
-    and the target comparison.
+    empirical cumulants, with per-word moment standard errors over trials.
 
     Each trial evaluates every distinct (left-subword, right-subword) key
     once, in one `key_values` call, and gives its value to every word with
     that key. Each size inverts its mean moments in one call. Identical
     seed and spec give identical reports.
     """
-    law = spec.law
-    alphabet = law.jump_law.alphabet
+    alphabet = spec.alphabet
     words = list(all_words(alphabet, spec.max_word_len))
     left = set(alphabet.left)
     key_index: dict = {}
@@ -276,30 +265,19 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
         )
         for w in words
     ]
-    targets = cbp_cumulants(law)
     root = np.random.SeedSequence(spec.seed)
     size_seeds = root.spawn(len(spec.sizes))
     reports = []
     for n, size_seed in zip(spec.sizes, size_seeds):
         trial_values = np.empty((spec.trials, len(words)))
-        max_imag = 0.0
+        imag = np.empty(spec.trials)
         for t, child in enumerate(size_seed.spawn(spec.trials)):
             mats = build_wishart_model(spec, n, np.random.default_rng(child))
             values = key_values(mats, key_index)
-            max_imag = max(max_imag, float(np.abs(values.imag).max()))
+            imag[t] = np.abs(values.imag).max()
             trial_values[t] = values.real[word_key]
         mean = trial_values.mean(axis=0)
         sem = trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
         kappa = transform_rows(alphabet, spec.max_word_len, [mean], to_cumulants=True)
-        estimates = [
-            WordEstimate(
-                word=w,
-                empirical_moment=float(mean[j]),
-                moment_std_err=float(sem[j]),
-                empirical_cumulant=float(kappa[0, j]),
-                target_cumulant=float(targets.row[j]),
-            )
-            for j, w in enumerate(words)
-        ]
-        reports.append(SizeReport(n, estimates, max_imag))
+        reports.append(SizeReport(n, mean, sem, kappa[0], float(imag.max())))
     return reports

@@ -287,7 +287,7 @@ class TestCbp:
     def test_build_outputs_both_tables(self, tmp_path, capsys):
         _, path = sample_table(tmp_path, cap=2)
         code, out, _ = run(
-            ["--format", "json", "cbp", "build", "--lambda", "2", "--jump", path],
+            ["cbp", "build", "--lambda", "2", "--jump", path],
             capsys,
         )
         assert code == 0
@@ -375,6 +375,9 @@ class TestNumericValidation:
            "--shared", "--sizes", "8", "--trials", "4", "--max-word", "2"]
     FOCK = ["fock", "verify", "--lambda", "1", "--atoms", "1:1", "--N", "2",
             "--max-m", "3"]
+    # matrix products overflow to inf/nan cells from n = 8 on
+    OVERFLOW = ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "4e76:1",
+                "--shared", "--sizes", "8,16", "--trials", "2", "--max-word", "4"]
 
     @pytest.mark.parametrize(
         "args, names",
@@ -432,16 +435,17 @@ class TestNumericValidation:
         assert err.count("\n") == 1
 
     def test_overflowing_model_is_numeric_error(self, capsys):
-        # matrix products overflow to inf/nan cells; none may be printed
-        code, out, err = run(
-            ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "4e76:1",
-             "--shared", "--sizes", "8,16", "--trials", "2", "--max-word", "4"],
-            capsys,
-        )
+        # none of the inf/nan cells may be printed
+        code, out, err = run(self.OVERFLOW, capsys)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].startswith("ERROR NUMERIC: ")
         assert err.count("ERROR") == 1
         assert "Warning" not in err
+
+    def test_progress_line_shows_nan(self, capsys):
+        # the maxima over words and trials keep a NaN instead of dropping it
+        _, _, err = run(self.OVERFLOW, capsys)
+        assert err.splitlines()[1] == "  n=8 max_abs_err=nan max_imag=nan"
 
     def test_psd_degree_past_table_cap(self, tmp_path, capsys):
         _, path = sample_table(tmp_path, cap=4)
@@ -451,6 +455,14 @@ class TestNumericValidation:
         assert code == 2
         assert out == ""
         assert err == "ERROR VALIDATION: need moments to degree 6, cap is 4\n"
+
+    def test_build_negative_degree(self, tmp_path, capsys):
+        _, path = sample_table(tmp_path)
+        code, out, err = run(
+            ["cbp", "build", "--lambda", "2", "--jump", path, "--deg", "-1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "ERROR VALIDATION: degree -1 outside [0, 3], the table cap\n"
 
     def test_build_nan_rate(self, tmp_path, capsys):
         _, path = sample_table(tmp_path)
@@ -490,6 +502,52 @@ class TestNumericValidation:
         # no temp file is left next to the target
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
+
+
+# One small run of each subcommand; "{table}" stands for a sample table file
+COMMANDS = {
+    "nc_list": ["nc", "list", "--n", "2"],
+    "nc_mobius": ["nc", "mobius", "--n", "2"],
+    "bnc_list": ["bnc", "list", "--chi", "lr"],
+    "cumulants": ["cumulants", "from-moments", "--in", "{table}"],
+    "moments": ["moments", "from-cumulants", "--in", "{table}"],
+    "cbp_build": ["cbp", "build", "--lambda", "1", "--jump", "{table}"],
+    "cbp_psd": ["cbp", "psd", "--lambda", "1", "--jump", "{table}", "--deg", "1"],
+    "cbp_limit": ["cbp", "limit", "--deg", "2", "--sizes", "2,4"],
+    "cbp_approx": ["cbp", "approx", "--deg", "2", "--sizes", "2,4"],
+    "fock": TestNumericValidation.FOCK,
+    "simulate": TestNumericValidation.SIM,
+}
+
+
+def command(tmp_path, name) -> list[str]:
+    _, path = sample_table(tmp_path)
+    return [path if a == "{table}" else a for a in COMMANDS[name]]
+
+
+class TestGlobalFlags:
+    """--format and --seed stand before the subcommand and are an error for
+    a command whose output does not read them."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_format_only_for_reports(self, tmp_path, capsys, name):
+        argv = command(tmp_path, name)
+        code, out, err = run(["--format", "json"] + argv, capsys)
+        if name in ("cbp_limit", "cbp_approx", "fock", "simulate"):
+            assert code == 0 and json.loads(out)
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"ERROR USAGE: --format does nothing for {argv[0]} {argv[1]}\n"
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_seed_only_for_simulate(self, tmp_path, capsys, name):
+        argv = command(tmp_path, name)
+        code, out, err = run(["--seed", "3"] + argv, capsys)
+        if name == "simulate":
+            assert code == 0 and out.startswith("n,word,")
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"ERROR USAGE: --seed does nothing for {argv[0]} {argv[1]}\n"
 
 
 class TestStartup:
@@ -552,20 +610,20 @@ class TestHelpers:
         assert law.weights == (0.25, 0.75)
 
     def test_convergence_slope_perfect(self):
-        points = [(n, [("w", 1.0 + 1.0 / n, 1.0)]) for n in (2, 4, 8, 16)]
-        text = emit_convergence_series(points, "csv")
+        points = [(n, [1.0 + 1.0 / n], [1.0]) for n in (2, 4, 8, 16)]
+        text = emit_convergence_series(["w"], points, "csv")
         slope = float(text.strip().split("\n")[1].split(",")[5])
         assert slope == pytest.approx(-1.0, abs=1e-6)
 
     def test_convergence_slope_constant(self):
-        points = [(n, [("w", 1.5, 1.0)]) for n in (2, 4, 8)]
-        text = emit_convergence_series(points, "csv")
+        points = [(n, [1.5], [1.0]) for n in (2, 4, 8)]
+        text = emit_convergence_series(["w"], points, "csv")
         slope = float(text.strip().split("\n")[1].split(",")[5])
         assert slope == pytest.approx(0.0, abs=1e-9)
 
     def test_single_point_omits_slope(self):
-        points = [(4, [("w", 1.5, 1.0)])]
-        text = emit_convergence_series(points, "csv")
+        points = [(4, [1.5], [1.0])]
+        text = emit_convergence_series(["w"], points, "csv")
         row = text.strip().split("\n")[1].split(",")
         assert row[5] == ""
         assert row[6] == "slope_omitted"

@@ -239,6 +239,7 @@ class TestModelConvergence:
             max_word_len=4,
         )
         reports = estimate_empirical_cumulants(spec)
+        words = list(all_words(spec.alphabet, spec.max_word_len))
         root = np.random.SeedSequence(spec.seed)
         for n, size_seed, rep in zip(spec.sizes, root.spawn(len(spec.sizes)), reports):
             values = []
@@ -246,22 +247,20 @@ class TestModelConvergence:
                 mats = build_wishart_model(spec, n, np.random.default_rng(child))
                 values.append([
                     evaluate_bimatrix_word(
-                        [(mats[x], spec.alphabet.side_of(x)) for x in e.word]
+                        [(mats[x], spec.alphabet.side_of(x)) for x in w]
                     ).real
-                    for e in rep.estimates
+                    for w in words
                 ])
             mean = np.mean(values, axis=0)
-            assert [e.empirical_moment for e in rep.estimates] == mean.tolist()
+            assert rep.moments.tolist() == mean.tolist()
 
     def test_first_cumulant_unbiased(self):
         # E tr(G* diag(b) G)/n = (p/n) E[b]: exact at any size, and p/n is
         # 24/48 = 0.5, so the rate-0.5 first cumulant estimate converges fast
         spec = two_sided_spec(0.5, sizes=(48,), trials=60, seed=9, max_word=1)
         rep = estimate_empirical_cumulants(spec)[0]
-        est = rep.estimates[0]
-        assert abs(est.empirical_cumulant - est.target_cumulant) < 4 * max(
-            est.moment_std_err, 1e-3
-        )
+        target = cbp_cumulants(spec.law).row
+        assert abs(rep.cumulants[0] - target[0]) < 4 * max(rep.moment_se[0], 1e-3)
 
     def test_independent_slots_reach_targets(self):
         # both slots share one G, so the mixed cumulant is
@@ -279,18 +278,18 @@ class TestModelConvergence:
             max_word_len=2,
         )
         rep = estimate_empirical_cumulants(spec)[0]
-        mixed = next(e for e in rep.estimates if e.word == ("zl", "zr"))
-        assert mixed.target_cumulant == pytest.approx(2.625)
-        assert all(e.abs_err <= 4 * e.moment_std_err for e in rep.estimates)
+        target = cbp_cumulants(spec.law).row
+        mixed = list(all_words(spec.alphabet, 2)).index(("zl", "zr"))
+        assert target[mixed] == pytest.approx(2.625)
+        assert (np.abs(rep.cumulants - target) <= 4 * rep.moment_se).all()
 
     @pytest.mark.parametrize("rate", [0.5, 2.5])
     def test_determinism(self, rate):
         spec = two_sided_spec(rate, sizes=(12,), trials=5, seed=21, max_word=2)
         r1 = estimate_empirical_cumulants(spec)
         r2 = estimate_empirical_cumulants(spec)
-        for e1, e2 in zip(r1[0].estimates, r2[0].estimates):
-            assert e1.empirical_moment == e2.empirical_moment
-            assert e1.empirical_cumulant == e2.empirical_cumulant
+        assert r1[0].moments.tolist() == r2[0].moments.tolist()
+        assert r1[0].cumulants.tolist() == r2[0].cumulants.tolist()
 
     def test_imag_residue_small(self):
         spec = two_sided_spec(1.0, sizes=(16,), trials=5, seed=2, max_word=3)
@@ -300,4 +299,4 @@ class TestModelConvergence:
     def test_rate_above_one_runs(self):
         spec = two_sided_spec(2.5, sizes=(12,), trials=4, seed=13, max_word=2)
         rep = estimate_empirical_cumulants(spec)[0]
-        assert all(math.isfinite(e.empirical_cumulant) for e in rep.estimates)
+        assert np.isfinite(rep.cumulants).all()
