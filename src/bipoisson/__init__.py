@@ -4,102 +4,45 @@ Exact bi-non-crossing partition combinatorics, moment/cumulant transforms
 on two-faced families, compound Poisson laws with their convolution
 semigroup, and numerical verification models (random bi-matrix ensembles
 and truncated Fock-space operators).
+
+The public names are imported from their modules on first use (PEP 562),
+so the partition commands run without importing numpy.
 """
 
-from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import (
-    LEFT,
-    RIGHT,
-    ChiShape,
-    SetPartition,
-    catalan,
-    enumerate_bnc,
-    enumerate_nc,
-    is_noncrossing,
-    kreweras_complement,
-    mobius_nc_one,
-    mobius_nc_values,
-)
-from .cumulants import (
-    Alphabet,
-    CumulantTable,
-    MomentFunctional,
-    Word,
-    all_words,
-    kappa_from_moments,
-    moments_from_kappa,
-)
-from .poisson import (
-    CbpSpec,
-    Distribution,
-    cbp_cumulants,
-    cbp_moments,
-    compress,
-    convolve,
-    limit_theorem_moments,
-    poisson_approximation,
-    psd_check,
-    semigroup_element,
-)
-from .matrix_models import (
-    AtomLaw,
-    EnsembleSpec,
-    SizeReport,
-    VariableSpec,
-    build_wishart_model,
-    estimate_empirical_cumulants,
-    jump_moments,
-)
-from .fock import (
-    FockBasis,
-    build_w_operators,
-    fock_moments,
-    vacuum_moment,
-    verify_fock_cumulants,
-)
+import importlib
 
-__all__ = [
-    "CapExceededError",
-    "MissingEntryError",
-    "ShapeMismatchError",
-    "LEFT",
-    "RIGHT",
-    "ChiShape",
-    "SetPartition",
-    "catalan",
-    "enumerate_bnc",
-    "enumerate_nc",
-    "is_noncrossing",
-    "kreweras_complement",
-    "mobius_nc_one",
-    "mobius_nc_values",
-    "Alphabet",
-    "CumulantTable",
-    "MomentFunctional",
-    "Word",
-    "all_words",
-    "kappa_from_moments",
-    "moments_from_kappa",
-    "CbpSpec",
-    "Distribution",
-    "cbp_cumulants",
-    "cbp_moments",
-    "compress",
-    "convolve",
-    "limit_theorem_moments",
-    "poisson_approximation",
-    "psd_check",
-    "semigroup_element",
-    "AtomLaw",
-    "EnsembleSpec",
-    "SizeReport",
-    "VariableSpec",
-    "build_wishart_model",
-    "estimate_empirical_cumulants",
-    "jump_moments",
-    "FockBasis",
-    "build_w_operators",
-    "fock_moments",
-    "vacuum_moment",
-    "verify_fock_cumulants",
-]
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "errors": ("CapExceededError", "MissingEntryError", "ShapeMismatchError"),
+        "partitions": ("LEFT", "RIGHT", "ChiShape", "SetPartition", "catalan",
+                       "enumerate_bnc", "enumerate_nc", "is_noncrossing",
+                       "kreweras_complement", "mobius_nc_one", "mobius_nc_values"),
+        "cumulants": ("Alphabet", "CumulantTable", "MomentFunctional", "Word",
+                      "all_words", "kappa_from_moments", "moments_from_kappa"),
+        "poisson": ("CbpSpec", "Distribution", "cbp_cumulants", "cbp_moments",
+                    "compress", "convolve", "limit_theorem_moments",
+                    "poisson_approximation", "psd_check", "semigroup_element"),
+        "matrix_models": ("AtomLaw", "EnsembleSpec", "SizeReport", "VariableSpec",
+                          "build_wishart_model", "estimate_empirical_cumulants",
+                          "jump_moments"),
+        "fock": ("FockBasis", "build_w_operators", "fock_moments", "vacuum_moment",
+                 "verify_fock_cumulants"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,32 +16,13 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
-import numpy as np
-
+# The numerical modules (and numpy) are imported inside the commands that
+# use them, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
 from .partitions import (ChiShape, LEFT, RIGHT, enumerate_bnc, enumerate_nc,
                          mobius_nc_values)
-from .cumulants import (
-    Alphabet,
-    CumulantTable,
-    MomentFunctional,
-    all_words,
-    kappa_from_moments,
-    moments_from_kappa,
-    word_offset,
-)
-from .poisson import (
-    CbpSpec,
-    cbp_cumulants,
-    cbp_moments,
-    limit_theorem_moments,
-    poisson_approximation,
-    psd_check,
-)
-from .matrix_models import (AtomLaw, EnsembleSpec, VariableSpec,
-                            estimate_empirical_cumulants, jump_moments)
-from .fock import verify_fock_cumulants
 
 DEFAULT_SEED = 20240101
 
@@ -62,24 +43,30 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- io helpers
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
+def _finite(x: float) -> float:
     if not math.isfinite(x):
         raise CliError("NUMERIC", f"non-finite value {x} in the output")
-    return f"{x:.17g}"
+    return x
 
 
-def write_output(text: str, out_path: str | None) -> None:
-    """Write to stdout, or atomically (temp file + rename) to out_path."""
+def _fmt(x: float) -> str:
+    return f"{_finite(float(x)):.17g}"
+
+
+def write_output(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write a text, or a text's chunks in order, to stdout, or atomically
+    (temp file + rename) to out_path; the temp file is removed on any
+    error, including one raised by the chunks."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     d = os.path.dirname(os.path.abspath(out_path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, out_path)
     except OSError as exc:
         raise CliError("IO", f"cannot write {out_path}: {exc}") from exc
@@ -97,9 +84,14 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+# Items of a top-level JSON list rendered into one chunk of `json_stream`
+JSON_BATCH = 1024
+
+
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=2) + "\\n"`, byte for byte, for nested lists,
-    tuples and str-keyed dicts of JSON scalars.
+    tuples and str-keyed dicts of JSON scalars; a non-finite float raises
+    CliError("NUMERIC") where `json.dumps` would write NaN or Infinity.
 
     The standard encoder falls back to pure Python when given an indent.
     This writer renders a plain int as `str(x)` without calling the encoder,
@@ -108,10 +100,30 @@ def json_text(obj) -> str:
     lookup each. Subclasses of int, tuple and list take the general path,
     so they render as `json.dumps` renders them.
     """
+    return "".join(json_stream(obj))
+
+
+def json_stream(obj) -> Iterator[str]:
+    """The text of `json_text(obj)` in chunks. A top-level list or tuple, or
+    an iterator standing for one, is read lazily and rendered JSON_BATCH
+    items to a chunk, so that its full text never exists at once."""
     out: list[str] = []
-    _json_chunks(obj, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
+    memo: dict = {}
+    if not isinstance(obj, (list, tuple, Iterator)):
+        _json_chunks(obj, "\n", out, memo)
+        out.append("\n")
+        yield "".join(out)
+        return
+    sep, comma, close = _json_punctuation("\n", "[]", memo)
+    for i, item in enumerate(obj, 1):
+        out.append(sep)
+        _json_chunks(item, "\n  ", out, memo)
+        sep = comma
+        if i % JSON_BATCH == 0:
+            yield "".join(out)
+            out.clear()
+    out.append(close + "\n" if sep is comma else "[]\n")
+    yield "".join(out)
 
 
 def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
@@ -159,6 +171,8 @@ def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
             sep = comma
         out.append(close)
     else:
+        if isinstance(obj, float):
+            _finite(obj)
         out.append(json.dumps(obj))
 
 
@@ -201,6 +215,8 @@ def table_to_json(table) -> dict:
 
 
 def table_from_json(obj, cls):
+    from .cumulants import Alphabet
+
     try:
         if obj.get("schema") != 1:
             raise CliError("TABLE_PARSE", f"unsupported schema {obj.get('schema')!r}")
@@ -255,8 +271,10 @@ def load_table(path: str, cls):
     return table_from_json(obj, cls)
 
 
-def parse_atoms(text: str) -> AtomLaw:
+def parse_atoms(text: str):
     """Parse 'atom:weight,atom:weight' into an AtomLaw."""
+    from .matrix_models import AtomLaw
+
     try:
         atoms, weights = [], []
         for part in text.split(","):
@@ -283,6 +301,8 @@ def emit_convergence_series(words: list[str], points, fmt: str) -> str:
     (N, value row, reference row), each row over `words`, plus a fitted
     log-log slope of the per-N maximum error; slope blank with a flag when
     fewer than two points are available."""
+    import numpy as np
+
     sizes = [n for n, _, _ in points]
     errs = [np.abs(np.subtract(value, ref)) for _, value, ref in points]
     max_errs = [err.max() for err in errs]
@@ -306,35 +326,43 @@ def _word_str(word) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_nc_list(args) -> str:
-    pis = enumerate_nc(args.n)
-    return json_text([p.blocks for p in pis])
+# The partition commands return their rows as chunks rendered while they
+# are written. A generator expression builds its first iterable at once, so
+# the enumeration, and every error it raises, comes before the first byte.
 
 
-def cmd_nc_mobius(args) -> str:
-    pis = enumerate_nc(args.n)
-    return json_text(
-        [{"blocks": p.blocks, "mobius": mu}
-         for p, mu in zip(pis, mobius_nc_values(args.n))]
+def cmd_nc_list(args) -> Iterator[str]:
+    return json_stream(p.blocks for p in enumerate_nc(args.n))
+
+
+def cmd_nc_mobius(args) -> Iterator[str]:
+    return json_stream(
+        {"blocks": p.blocks, "mobius": mu}
+        for p, mu in zip(enumerate_nc(args.n), mobius_nc_values(args.n))
     )
 
 
-def cmd_bnc_list(args) -> str:
-    shape = ChiShape(tuple(args.chi))
-    return json_text([p.blocks for p in enumerate_bnc(shape)])
+def cmd_bnc_list(args) -> Iterator[str]:
+    return json_stream(p.blocks for p in enumerate_bnc(ChiShape(tuple(args.chi))))
 
 
 def cmd_cumulants_from_moments(args) -> str:
+    from .cumulants import MomentFunctional, kappa_from_moments
+
     phi = load_table(args.infile, MomentFunctional)
     return json_text(table_to_json(kappa_from_moments(phi)))
 
 
 def cmd_moments_from_cumulants(args) -> str:
+    from .cumulants import CumulantTable, moments_from_kappa
+
     kappa = load_table(args.infile, CumulantTable)
     return json_text(table_to_json(moments_from_kappa(kappa)))
 
 
 def _truncate(table, cls, deg: int):
+    from .cumulants import word_offset
+
     if not 0 <= deg <= table.degree_cap:
         raise CliError("VALIDATION",
                        f"degree {deg} outside [0, {table.degree_cap}], the table cap")
@@ -343,6 +371,9 @@ def _truncate(table, cls, deg: int):
 
 
 def cmd_cbp_build(args) -> str:
+    from .cumulants import MomentFunctional
+    from .poisson import CbpSpec, cbp_moments
+
     jump = load_table(args.jump, MomentFunctional)
     if args.deg is not None:
         jump = _truncate(jump, MomentFunctional, args.deg)
@@ -361,8 +392,17 @@ def cmd_cbp_series(args) -> str:
     """The law with rate --lambda whose jump is the point mass (--alpha,
     --beta), against the moments of the N-fold bi-free sum (`limit`) or the
     cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
+    from .cumulants import all_words
+    from .matrix_models import AtomLaw, VariableSpec, jump_moments
+    from .poisson import (CbpSpec, cbp_moments, limit_theorem_moments,
+                          poisson_approximation)
+
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
+    sizes = parse_int_list(args.sizes)
+    if len(set(sizes)) < len(sizes):
+        # the slope is a fit over distinct sizes
+        raise CliError("VALIDATION", f"--sizes must not repeat a size: {args.sizes}")
     jump = jump_moments(
         (VariableSpec("zl", LEFT, AtomLaw((args.alpha,), (1.0,)), 0),
          VariableSpec("zr", RIGHT, AtomLaw((args.beta,), (1.0,)), 1)),
@@ -371,7 +411,7 @@ def cmd_cbp_series(args) -> str:
     spec = CbpSpec(args.rate, jump)
     nu = cbp_moments(spec)
     points = []
-    for n in parse_int_list(args.sizes):
+    for n in sizes:
         if args.action == "limit":
             approx, ref = limit_theorem_moments(spec, n).moments, nu.moments
         else:
@@ -382,6 +422,9 @@ def cmd_cbp_series(args) -> str:
 
 
 def cmd_cbp_psd(args) -> str:
+    from .cumulants import MomentFunctional
+    from .poisson import CbpSpec, cbp_moments, psd_check
+
     jump = load_table(args.jump, MomentFunctional)
     dist = cbp_moments(CbpSpec(args.rate, jump))
     ok, min_eig = psd_check(dist, args.deg)
@@ -390,10 +433,12 @@ def cmd_cbp_psd(args) -> str:
     )
 
 
-def _variable_pair(args, left: str, right: str) -> tuple[VariableSpec, VariableSpec]:
+def _variable_pair(args, left: str, right: str) -> tuple:
     """The left and right jump variables of --atoms and --right-atoms (the
     left law when absent), in one slot under --shared, which requires the
     two laws to be equal."""
+    from .matrix_models import VariableSpec
+
     left_law = parse_atoms(args.atoms)
     right_law = parse_atoms(args.right_atoms) if args.right_atoms else left_law
     if args.shared and right_law != left_law:
@@ -403,6 +448,13 @@ def _variable_pair(args, left: str, right: str) -> tuple[VariableSpec, VariableS
 
 
 def cmd_simulate(args) -> str:
+    import numpy as np
+
+    from .cumulants import all_words
+    from .matrix_models import (EnsembleSpec, VariableSpec,
+                                estimate_empirical_cumulants)
+    from .poisson import cbp_cumulants
+
     if args.action == "bimatrix":
         variables = _variable_pair(args, "zl", "zr")
     else:
@@ -434,6 +486,12 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_fock_verify(args) -> str:
+    import numpy as np
+
+    from .cumulants import all_words
+    from .fock import verify_fock_cumulants
+    from .matrix_models import jump_moments
+
     # the W series and the targets read jump moments of length <= N only
     jump = jump_moments(_variable_pair(args, "a1", "a2"), args.N)
     phi, kappa, target = verify_fock_cumulants(
@@ -465,23 +523,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="csv (default) or json: simulate, fock verify, "
                    "cbp limit/approx only")
-    p.set_defaults(reads=())
+    # numeric: the command computes in floating point, under np.errstate
+    p.set_defaults(reads=(), numeric=True)
     sub = p.add_subparsers(dest="command", required=True)
 
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(
         dest="action", required=True)
     q = nc.add_parser("list")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_nc_list)
+    q.set_defaults(fn=cmd_nc_list, numeric=False)
     q = nc.add_parser("mobius")
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_nc_mobius)
+    q.set_defaults(fn=cmd_nc_mobius, numeric=False)
 
     bnc = sub.add_parser("bnc", help="bi-non-crossing partitions").add_subparsers(
         dest="action", required=True)
     q = bnc.add_parser("list")
     q.add_argument("--chi", required=True, help="side word over l/r, e.g. lrlr")
-    q.set_defaults(fn=cmd_bnc_list)
+    q.set_defaults(fn=cmd_bnc_list, numeric=False)
 
     cum = sub.add_parser("cumulants").add_subparsers(dest="action", required=True)
     q = cum.add_parser("from-moments")
@@ -554,7 +613,12 @@ def main(argv: list[str] | None = None) -> int:
             elif name not in args.reads:
                 raise CliError("USAGE", f"--{name} does nothing for "
                                f"{args.command} {args.action}")
-        with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
+        if args.numeric:
+            import numpy as np
+
+            with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
+                text = args.fn(args)
+        else:
             text = args.fn(args)
         write_output(text, args.out)
     except CliError as exc:

@@ -36,6 +36,9 @@ from .poisson import CbpSpec
 IMAG_RESIDUE_TOLERANCE = 1e-9
 # Largest p x n Gaussian factor G a trial draws (complex, 16 bytes an entry)
 GAUSSIAN_ENTRY_BUDGET = 4_000_000
+# Most floats one size's estimate keeps: per trial, a value of every word
+# and the largest imaginary residue
+TRIAL_VALUE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,12 @@ class EnsembleSpec:
             raise CapExceededError(
                 f"Gaussian factor of round(rate * n) x n entries at n = {n} "
                 f"exceeds budget {GAUSSIAN_ENTRY_BUDGET}"
+            )
+        values = self.trials * (len(self.law.jump_law.row) + 1)
+        if values > TRIAL_VALUE_BUDGET:
+            raise CapExceededError(
+                f"{self.trials} trials keep {values} values, past the trial "
+                f"budget {TRIAL_VALUE_BUDGET}"
             )
 
     @cached_property
@@ -271,7 +280,9 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
     for n, size_seed in zip(spec.sizes, size_seeds):
         trial_values = np.empty((spec.trials, len(words)))
         imag = np.empty(spec.trials)
-        for t, child in enumerate(size_seed.spawn(spec.trials)):
+        for t in range(spec.trials):
+            # one child at a time: the same seeds as spawn(trials), unlisted
+            (child,) = size_seed.spawn(1)
             mats = build_wishart_model(spec, n, np.random.default_rng(child))
             values = key_values(mats, key_index)
             imag[t] = np.abs(values.imag).max()

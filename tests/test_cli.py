@@ -2,11 +2,14 @@
 error paths with machine-parsable codes, determinism of seeded reports,
 and the convergence-series emitter."""
 
+import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from collections import namedtuple
 from pathlib import Path
 
@@ -15,7 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import bipoisson
 from bipoisson.cli import (
+    JSON_BATCH,
+    CliError,
     emit_convergence_series,
+    json_stream,
     json_text,
     main,
     parse_atoms,
@@ -67,6 +73,16 @@ class TestEnumeration:
         assert code == 2
         assert err.startswith("ERROR VALIDATION")
 
+    @pytest.mark.parametrize("args", [["nc", "mobius", "--n", "13"],
+                                      ["nc", "list", "--n", "0"],
+                                      ["bnc", "list", "--chi", "lrx"]])
+    def test_invalid_input_writes_nothing(self, capsys, args):
+        # the output is streamed, so every check comes before the first byte
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR VALIDATION: ")
+        assert err.count("\n") == 1
+
 
 json_scalars = (
     st.integers()
@@ -106,12 +122,26 @@ class TestJsonText:
     @given(json_values)
     @settings(max_examples=300)
     def test_matches_json_dumps(self, obj):
-        assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        try:
+            expected = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # a NaN or an infinity
+            with pytest.raises(CliError) as exc:
+                json_text(obj)
+            assert exc.value.code == "NUMERIC"
+        else:
+            assert json_text(obj) == expected
 
     @given(int_like_tuples)
     def test_mixed_tuples_match_json_dumps(self, obj):
         for value in (obj, [obj, {"a": obj}]):
             assert json_text(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("size", [0, 1, JSON_BATCH, JSON_BATCH + 1])
+    def test_iterator_streams_in_batches(self, size):
+        items = [{"blocks": ((1, 2), (3,)), "mobius": -1}] * size
+        chunks = list(json_stream(iter(items)))
+        assert len(chunks) == size // JSON_BATCH + 1
+        assert "".join(chunks) == json.dumps(items, indent=2) + "\n"
 
     def test_non_str_key_rejected(self):
         with pytest.raises(TypeError):
@@ -413,6 +443,9 @@ class TestNumericValidation:
             (["cbp", "limit", "--lambda", "1e200", "--deg", "4"], "non-finite value"),
             (FOCK + ["--lambda", "1e200", "--max-m", "4"], "non-finite value"),
             (SIM + ["--lambda", "1e12"], "exceeds budget"),
+            (SIM + ["--trials", "100000000"], "past the trial budget"),
+            (["cbp", "limit", "--sizes", "2,2"], "must not repeat"),
+            (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -424,7 +457,8 @@ class TestNumericValidation:
              "fock_moment_overflow", "limit_moment_overflow",
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
-             "gaussian_past_budget"],
+             "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
+             "approx_repeated_size"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -503,6 +537,29 @@ class TestNumericValidation:
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert list((tmp_path / "d").iterdir()) == []
 
+    def test_write_failure_mid_stream_leaves_no_file(self, tmp_path, capsys,
+                                                      monkeypatch):
+        class FullDisk(io.TextIOWrapper):
+            """Takes one write, then fails as a full disk does."""
+            writes = 0
+
+            def write(self, text):
+                if FullDisk.writes:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                FullDisk.writes += 1
+                return super().write(text)
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: FullDisk(open(fd, mode + "b")))
+        out_path = tmp_path / "nc.json"
+        # Catalan(8) = 1430 partitions: more than one chunk
+        code, out, err = run(["--out", str(out_path), "nc", "list", "--n", "8"],
+                             capsys)
+        assert FullDisk.writes == 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR IO: cannot write {out_path}: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 # One small run of each subcommand; "{table}" stands for a sample table file
 COMMANDS = {
@@ -552,10 +609,8 @@ class TestGlobalFlags:
 
 class TestStartup:
     @staticmethod
-    def scipy_modules_after(code: str) -> str:
-        """The scipy modules loaded once `code` has run in a fresh process,
-        as the last line it prints."""
-        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    def last_line(code: str) -> str:
+        """The last line `code` prints, run in a fresh process."""
         src = Path(bipoisson.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         out = subprocess.run(
@@ -564,9 +619,15 @@ class TestStartup:
         )
         return out.stdout.strip().splitlines()[-1]
 
+    def modules_after(self, code: str, package: str) -> str:
+        """The modules of `package` loaded once `code` has run in a fresh
+        process."""
+        return self.last_line(code + f"; print(sorted(m for m in sys.modules "
+                                     f"if m.split('.')[0] == {package!r}))")
+
     def test_cli_startup_leaves_scipy_unloaded(self):
         code = "import sys, bipoisson.cli; bipoisson.cli.build_parser()"
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code, "scipy") == "[]"
 
     def test_fock_verify_leaves_scipy_unloaded(self):
         # the Fock model runs on numpy alone
@@ -575,7 +636,35 @@ class TestStartup:
             "'--lambda', '0.5', '--atoms', '0.7:1', '--right-atoms', '0.3:1', "
             "'--N', '3', '--max-m', '4']) == 0"
         )
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code, "scipy") == "[]"
+
+    @pytest.mark.parametrize("args", [["nc", "list", "--n", "4"],
+                                      ["nc", "mobius", "--n", "4"],
+                                      ["bnc", "list", "--chi", "lrl"]])
+    def test_partition_commands_leave_numpy_unloaded(self, args):
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert self.modules_after(code, "numpy") == "[]"
+
+    def test_package_names_resolve_to_their_modules(self):
+        # A fresh process, so that each name is resolved on first use. The
+        # expected object is the one the modules bind under the name.
+        code = textwrap.dedent("""
+            import importlib, sys, bipoisson
+            assert not [m for m in sys.modules if m.startswith("bipoisson.")]
+            modules = [importlib.import_module("bipoisson." + m) for m in (
+                "errors", "partitions", "cumulants", "poisson", "matrix_models",
+                "fock")]
+            star = {}
+            wrong = []
+            for name in bipoisson.__all__:
+                ids = {id(getattr(m, name)) for m in modules if hasattr(m, name)}
+                if ids != {id(getattr(bipoisson, name))}:
+                    wrong.append(name)
+            exec("from bipoisson import *", star)
+            wrong += [n for n in bipoisson.__all__ if star[n] is not getattr(bipoisson, n)]
+            print(len(set(bipoisson.__all__)), wrong)
+        """)
+        assert self.last_line(code) == "43 []"
 
 
 class TestFock:

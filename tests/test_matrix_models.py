@@ -4,6 +4,7 @@ convergence checks (heavier configurations live in the acceptance tests)."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +14,7 @@ from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.cumulants import all_words
 from bipoisson.matrix_models import (
     IMAG_RESIDUE_TOLERANCE,
+    TRIAL_VALUE_BUDGET,
     AtomLaw,
     EnsembleSpec,
     VariableSpec,
@@ -201,6 +203,20 @@ class TestEnsembleSpec:
                 0,
                 2,
             )
+
+    def test_trial_budget(self):
+        # max_word 3 over two letters: 14 words, so 15 values a trial
+        at_budget = TRIAL_VALUE_BUDGET // 15
+        assert two_sided_spec(1.0, trials=at_budget).trials == at_budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="trial budget"):
+                two_sided_spec(1.0, trials=at_budget + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rejected before the trials' values or seeds exist
+        assert peak < 1_000_000
 
     def test_jump_moment_factors_over_slots(self):
         spec = two_sided_spec(1.0, shared=False)
