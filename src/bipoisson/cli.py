@@ -21,8 +21,7 @@ from collections.abc import Iterable, Iterator
 # The numerical modules (and numpy) are imported inside the commands that
 # use them, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import (ChiShape, LEFT, RIGHT, enumerate_bnc, enumerate_nc,
-                         mobius_nc_values)
+from .partitions import ChiShape, LEFT, RIGHT, enumerate_nc, mobius_nc_values
 
 DEFAULT_SEED = 20240101
 
@@ -84,53 +83,26 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-# Items of a top-level JSON list rendered into one chunk of `json_stream`
-JSON_BATCH = 1024
-
-
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=2) + "\\n"`, byte for byte, for nested lists,
     tuples and str-keyed dicts of JSON scalars; a non-finite float raises
     CliError("NUMERIC") where `json.dumps` would write NaN or Infinity.
 
     The standard encoder falls back to pure Python when given an indent.
-    This writer renders a plain int as `str(x)` without calling the encoder,
-    each non-empty all-int tuple once per indent level, and each dict key
-    once, so that the repeated blocks of a partition listing cost one dict
-    lookup each. Subclasses of int, tuple and list take the general path,
-    so they render as `json.dumps` renders them.
+    This writer renders a plain int as `str(x)` without calling the encoder
+    and each dict key once. Subclasses of int, tuple and list take the
+    general path, so they render as `json.dumps` renders them.
     """
-    return "".join(json_stream(obj))
-
-
-def json_stream(obj) -> Iterator[str]:
-    """The text of `json_text(obj)` in chunks. A top-level list or tuple, or
-    an iterator standing for one, is read lazily and rendered JSON_BATCH
-    items to a chunk, so that its full text never exists at once."""
     out: list[str] = []
-    memo: dict = {}
-    if not isinstance(obj, (list, tuple, Iterator)):
-        _json_chunks(obj, "\n", out, memo)
-        out.append("\n")
-        yield "".join(out)
-        return
-    sep, comma, close = _json_punctuation("\n", "[]", memo)
-    for i, item in enumerate(obj, 1):
-        out.append(sep)
-        _json_chunks(item, "\n  ", out, memo)
-        sep = comma
-        if i % JSON_BATCH == 0:
-            yield "".join(out)
-            out.clear()
-    out.append(close + "\n" if sep is comma else "[]\n")
-    yield "".join(out)
+    _json_chunks(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
 
 
-def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
+def _json_chunks(obj, nl: str, out: list[str], names: dict) -> None:
     """Append the text of `obj` to `out`; `nl` is a newline followed by the
-    indent of the line `obj` starts on. `memo` maps (all-int tuple, nl) to
-    the tuple's text, each dict key to its quoted text, and (nl, brackets)
-    to a container's punctuation, so that repeated pieces are one string."""
+    indent of the line `obj` starts on. `names` maps each dict key already
+    seen to its quoted text."""
     if type(obj) is int:
         out.append(str(obj))
     elif isinstance(obj, (list, tuple)):
@@ -138,52 +110,33 @@ def _json_chunks(obj, nl: str, out: list[str], memo: dict) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        if type(obj) is tuple and all(type(x) is int for x in obj):
-            key = (obj, nl)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = (
-                    "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
-                )
-            out.append(text)
-            return
-        sep, comma, close = _json_punctuation(nl, "[]", memo)
+        sep, comma = "[" + inner, "," + inner
         for item in obj:
             out.append(sep)
-            _json_chunks(item, inner, out, memo)
+            _json_chunks(item, inner, out, names)
             sep = comma
-        out.append(close)
+        out.append(nl + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         inner = nl + "  "
-        sep, comma, close = _json_punctuation(nl, "{}", memo)
+        sep, comma = "{" + inner, "," + inner
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            name = memo.get(k)
+            name = names.get(k)
             if name is None:
-                name = memo[k] = json.dumps(k) + ": "
+                name = names[k] = json.dumps(k) + ": "
             out.append(sep)
             out.append(name)
-            _json_chunks(v, inner, out, memo)
+            _json_chunks(v, inner, out, names)
             sep = comma
-        out.append(close)
+        out.append(nl + "}")
     else:
         if isinstance(obj, float):
             _finite(obj)
         out.append(json.dumps(obj))
-
-
-def _json_punctuation(nl: str, brackets: str, memo: dict) -> tuple[str, str, str]:
-    """Opening, separating and closing text of a non-empty container."""
-    key = (nl, brackets)
-    text = memo.get(key)
-    if text is None:
-        inner = nl + "  "
-        text = memo[key] = (brackets[0] + inner, "," + inner, nl + brackets[1])
-    return text
 
 
 def rows_as(fmt: str, header: list[str], rows: list[list]) -> str:
@@ -326,24 +279,63 @@ def _word_str(word) -> str:
 # ------------------------------------------------------------- subcommands
 
 
+# Partitions rendered into one chunk of `partition_stream`
+JSON_BATCH = 1024
+
+
+def partition_stream(partitions: Iterable, mobius: Iterable[int] | None = None
+                     ) -> Iterator[str]:
+    """The text of `json_text(list(partitions))`, or with Mobius values that
+    of `json_text([{"blocks": p, "mobius": mu} for p, mu in zip(partitions,
+    mobius)])`, in chunks of JSON_BATCH partitions. Both iterables are read
+    lazily, so the full text never exists at once.
+
+    A partition is a non-empty tuple of non-empty int tuples. Each block's
+    text is rendered once and kept, and a partition is its blocks' texts and
+    separators between a fixed head and a tail.
+    """
+    if mobius is None:
+        head, nl = "[", "\n    "  # nl: a newline and a block's indent
+        rows = ((p, "\n  ]") for p in partitions)
+    else:
+        head, nl = '{\n    "blocks": [', "\n      "
+        rows = ((p, f'\n    ],\n    "mobius": {mu}\n  }}')
+                for p, mu in zip(partitions, mobius))
+    sep, inner = "," + nl, nl + "  "
+    first, rest = "[\n  " + head + nl, ",\n  " + head + nl
+    texts, out, i = {}, [], 0
+    for i, (blocks, tail) in enumerate(rows, 1):
+        out.append(rest if i > 1 else first)
+        for b in blocks:
+            text = texts.get(b)
+            if text is None:
+                text = texts[b] = "[" + inner + ("," + inner).join(map(str, b)) + nl + "]"
+            out += (text, sep)
+        out[-1] = tail  # in place of the last block's separator
+        if i % JSON_BATCH == 0:
+            yield "".join(out)
+            out.clear()
+    out.append("\n]\n" if i else "[]\n")
+    yield "".join(out)
+
+
 # The partition commands return their rows as chunks rendered while they
-# are written. A generator expression builds its first iterable at once, so
-# the enumeration, and every error it raises, comes before the first byte.
+# are written. `partition_stream`'s arguments are evaluated at once, so the
+# enumeration, and every error it raises, comes before the first byte.
 
 
 def cmd_nc_list(args) -> Iterator[str]:
-    return json_stream(p.blocks for p in enumerate_nc(args.n))
+    return partition_stream(p.blocks for p in enumerate_nc(args.n))
 
 
 def cmd_nc_mobius(args) -> Iterator[str]:
-    return json_stream(
-        {"blocks": p.blocks, "mobius": mu}
-        for p, mu in zip(enumerate_nc(args.n), mobius_nc_values(args.n))
-    )
+    return partition_stream((p.blocks for p in enumerate_nc(args.n)),
+                            mobius_nc_values(args.n))
 
 
 def cmd_bnc_list(args) -> Iterator[str]:
-    return json_stream(p.blocks for p in enumerate_bnc(ChiShape(tuple(args.chi))))
+    shape = ChiShape(tuple(args.chi))
+    return partition_stream(shape.apply(pi).blocks for pi in enumerate_nc(shape.n))
 
 
 def cmd_cumulants_from_moments(args) -> str:

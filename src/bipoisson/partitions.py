@@ -7,7 +7,7 @@ ordered by their minimum) so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -180,11 +180,15 @@ class ChiShape:
     """A side map chi: {1..n} -> {l, r} and its induced permutation s_chi."""
 
     sides: tuple[str, ...]
+    # block of positions -> its sorted image under s_chi; at most 2^n entries
+    _block_images: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         bad = set(self.sides) - {LEFT, RIGHT}
-        if bad:
-            raise ShapeMismatchError(f"unknown side tags {bad}")
+        if bad:  # sorted, so that the message does not depend on the hash seed
+            tags = ", ".join(sorted(map(repr, bad)))
+            raise ShapeMismatchError(f"unknown side tags {{{tags}}}")
 
     @property
     def n(self) -> int:
@@ -201,10 +205,13 @@ class ChiShape:
     def apply(self, pi: SetPartition) -> SetPartition:
         """s_chi o pi: push a partition of positions through s_chi. s_chi is
         a bijection, so the mapped blocks are disjoint and sorting them as
-        tuples orders them by their minimum: the result is canonical."""
-        s = (0,) + self.s_chi  # s[x] = s_chi(x)
-        blocks = sorted([tuple(sorted(map(s.__getitem__, b))) for b in pi.blocks])
-        return SetPartition(self.n, tuple(blocks))
+        tuples orders them by their minimum: the result is canonical. Each
+        block's sorted image is kept in this shape's own memo."""
+        images = self._block_images
+        for b in pi.blocks:
+            if b not in images:
+                images[b] = tuple(sorted(self.s_chi[x - 1] for x in b))
+        return SetPartition(self.n, tuple(sorted(map(images.__getitem__, pi.blocks))))
 
 
 def enumerate_bnc(shape: ChiShape) -> list[SetPartition]:

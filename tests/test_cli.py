@@ -21,16 +21,16 @@ from bipoisson.cli import (
     JSON_BATCH,
     CliError,
     emit_convergence_series,
-    json_stream,
     json_text,
     main,
     parse_atoms,
+    partition_stream,
     table_from_json,
     table_to_json,
 )
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
-from bipoisson.partitions import ChiShape, enumerate_bnc, enumerate_nc, mobius_nc_one
+from bipoisson.partitions import ChiShape, enumerate_nc, mobius_nc_one
 
 
 def run(args, capsys):
@@ -72,6 +72,18 @@ class TestEnumeration:
         code, _, err = run(["bnc", "list", "--chi", "lrx"], capsys)
         assert code == 2
         assert err.startswith("ERROR VALIDATION")
+
+    def test_bad_chi_message_does_not_depend_on_hash_seed(self):
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        errs = {
+            subprocess.run(
+                [sys.executable, "-m", "bipoisson.cli", "bnc", "list", "--chi", "lRxL"],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=120,
+            ).stderr
+            for seed in ("1", "2")
+        }
+        assert errs == {"ERROR VALIDATION: unknown side tags {'L', 'R', 'x'}\n"}
 
     @pytest.mark.parametrize("args", [["nc", "mobius", "--n", "13"],
                                       ["nc", "list", "--n", "0"],
@@ -138,10 +150,16 @@ class TestJsonText:
 
     @pytest.mark.parametrize("size", [0, 1, JSON_BATCH, JSON_BATCH + 1])
     def test_iterator_streams_in_batches(self, size):
-        items = [{"blocks": ((1, 2), (3,)), "mobius": -1}] * size
-        chunks = list(json_stream(iter(items)))
-        assert len(chunks) == size // JSON_BATCH + 1
-        assert "".join(chunks) == json.dumps(items, indent=2) + "\n"
+        # the partition renderer, in both of its forms
+        blocks = ([((1, 2), (3,)), ((1,), (2, 3))] * (size // 2)
+                  + [((1, 2, 3),)] * (size % 2))
+        mobius = [-1, 1] * (size // 2) + [2] * (size % 2)
+        items = [{"blocks": b, "mobius": mu} for b, mu in zip(blocks, mobius)]
+        for chunks, rows in ((partition_stream(iter(blocks)), blocks),
+                             (partition_stream(iter(blocks), iter(mobius)), items)):
+            chunks = list(chunks)
+            assert len(chunks) == size // JSON_BATCH + 1
+            assert "".join(chunks) == json.dumps(rows, indent=2) + "\n"
 
     def test_non_str_key_rejected(self):
         with pytest.raises(TypeError):
@@ -157,11 +175,14 @@ class TestJsonText:
         rows = [{"blocks": b, "mobius": mobius_nc_one(p)} for b, p in zip(blocks, pis)]
         assert out == json.dumps(rows, indent=2) + "\n"
 
-    @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr"])
+    @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr",
+                                     "lrlrlrlrlr", "rlrrllrlrl"])
     def test_bnc_list_matches_json_dumps(self, chi, capsys):
         _, out, _ = run(["bnc", "list", "--chi", chi], capsys)
-        blocks = [[list(b) for b in p.blocks]
-                  for p in enumerate_bnc(ChiShape(tuple(chi)))]
+        # s_chi o pi for each pi of NC(n), mapped here rather than by the library
+        s = ChiShape(tuple(chi)).s_chi
+        blocks = [sorted(sorted(s[x - 1] for x in b) for b in p.blocks)
+                  for p in enumerate_nc(len(chi))]
         assert out == json.dumps(blocks, indent=2) + "\n"
 
 

@@ -201,6 +201,17 @@ class TestChiShape:
         s = ChiShape(tuple(tags)).s_chi
         assert sorted(s) == list(range(1, len(tags) + 1))
 
+    def test_apply_memo_belongs_to_its_shape(self):
+        # two shapes of one n, called in turn on the same partitions, so that
+        # a block image kept for one shape and read by the other shows up
+        shapes = [ChiShape(tuple("lrlrl")), ChiShape(tuple("rrlll"))]
+        for _ in range(2):
+            for pi in enumerate_nc(5):
+                for shape in shapes:
+                    s = dict(zip(range(1, 6), shape.s_chi))
+                    want = tuple(sorted(tuple(sorted(s[x] for x in b)) for b in pi.blocks))
+                    assert shape.apply(pi) == SetPartition(5, want)
+
     @given(st.lists(st.sampled_from("lr"), min_size=1, max_size=6))
     @settings(max_examples=50)
     def test_apply_unapply_roundtrip(self, tags):
