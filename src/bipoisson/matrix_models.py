@@ -14,9 +14,20 @@ law that of the vector (b_s)_s (Silverstein & Bai, J. Multivariate Anal.
 2000). This departs from the paper's construction, which rotates diagonal
 jump matrices by independent Haar unitaries; the limits are the same law.
 
+A trial draws that law without G itself. The k rows of G whose jump atoms
+agree in every slot (one joint atom class) enter every T_s only through
+their Wishart matrix G_c*·G_c, which equals R_c*·R_c for the min(k, n)×n
+upper-trapezoidal factor R_c of the Bartlett decomposition: independent
+entries, R_ii = sqrt(Gamma(k − i, 1)/n) on the diagonal (i from 0) and
+CN(0, 1/n) above it (Bartlett 1933; Goodman, Ann. Math. Statist. 1963).
+So T_s = X*·diag(b_s)·X with X the stacked factors, of at most p rows and
+half zeros, and the joint law of the T_s is exactly that of the formula
+above.
+
 The bi-matrix model acts by left and right multiplication on the matrix
 bimodule, so a word's value depends only on its (left-subword,
-right-subword) key.
+right-subword) key, the trace of a product of model matrices; each key's
+trace is taken from the products of its two halves.
 """
 
 from __future__ import annotations
@@ -34,7 +45,8 @@ from .partitions import LEFT, RIGHT
 from .poisson import CbpSpec
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
-# Largest p x n Gaussian factor G a trial draws (complex, 16 bytes an entry)
+# Largest p x n Gaussian factor G a trial stands for; its stacked Bartlett
+# factors X have at most as many entries (complex, 16 bytes an entry)
 GAUSSIAN_ENTRY_BUDGET = 4_000_000
 # Most floats one size's estimate keeps: per trial, a value of every word
 # and the largest imaginary residue
@@ -63,9 +75,6 @@ class AtomLaw:
             return sum(w * a**k for a, w in zip(self.atoms, self.weights))
         except OverflowError:
             raise ValueError(f"moment {k} of atoms {self.atoms} overflows") from None
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(np.array(self.atoms), size=n, p=np.array(self.weights))
 
 
 @dataclass(frozen=True)
@@ -160,18 +169,54 @@ def build_wishart_model(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """One trial of the compound Poisson matrix model at size n: the model
-    matrix G*·diag(b_s)·G of each variable, by name.
+    matrix G*·diag(b_s)·G of each variable, by name, drawn as X*·diag(b_s)·X.
 
-    G is a p×n complex Gaussian matrix with E|g_ij|² = 1/n and
-    p = round(rate·n), drawn once and shared by every slot; slot s draws its
-    own vector b_s of p i.i.d. samples of its jump law.
+    Each of the p = round(rate·n) rows draws one atom of every slot's jump
+    law. The rows are grouped by joint atom class, and a class of k rows
+    gives X its Bartlett factor times sqrt(2n): min(k, n) rows, row i holding
+    sqrt(2·Gamma(k − i, 1)) at column i and, to its right, entries whose
+    real and imaginary parts are standard normals. b_s holds each row's
+    slot-s atom over 2n, which undoes that scale.
     """
     p = math.floor(spec.rate * n + 0.5)
-    g = (rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))) / math.sqrt(2 * n)
-    g_adj = g.conj().T
     slot_law = {v.slot: v.law for v in spec.variables}
-    mats = {s: (g_adj * slot_law[s].sample(p, rng)) @ g for s in sorted(slot_law)}
+    row_atoms, code = {}, np.zeros(p, dtype=np.int64)
+    for s in sorted(slot_law):
+        atoms = slot_law[s].atoms
+        picks = rng.choice(len(atoms), size=p, p=slot_law[s].weights)
+        row_atoms[s] = np.array(atoms)[picks]
+        # ranked after every slot, so a code stays below p·|A_s| however
+        # many atoms the product law has
+        code = np.unique(code * len(atoms) + picks, return_inverse=True)[1]
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    rows = np.minimum(counts, n)
+    # each row's index i within its class's factor: its diagonal column
+    i = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
+    upper = np.arange(n) > i[:, None]
+    x = np.zeros((i.size, n), dtype=complex)
+    x[upper] = rng.standard_normal((np.count_nonzero(upper), 2)).view(complex).ravel()
+    k = np.repeat(counts, rows)  # the class size of each row of X
+    x[np.arange(i.size), i] = np.sqrt(2 * rng.standard_gamma(k - i))
+    x_adj = x.conj().T
+    mats = {s: (x_adj * np.repeat(a[first] / (2 * n), rows)) @ x
+            for s, a in row_atoms.items()}
     return {v.name: mats[v.slot] for v in spec.variables}
+
+
+def _product(products: dict, ids: tuple, factors: list) -> np.ndarray:
+    """The product of `factors`, kept in `products` under their identities
+    `ids` and formed once, as its one-shorter prefix times its last factor.
+
+    A module function, not a closure: a closure referring to itself is a
+    reference cycle, which would keep every trial's matrices alive until
+    the cycle collector runs.
+    """
+    if ids not in products:
+        products[ids] = (
+            factors[0] if len(ids) == 1
+            else _product(products, ids[:-1], factors[:-1]) @ factors[-1]
+        )
+    return products[ids]
 
 
 def key_values(mats: dict, keys) -> np.ndarray:
@@ -181,36 +226,30 @@ def key_values(mats: dict, keys) -> np.ndarray:
     L is the product of the left letters in order (left actions compose as
     a homomorphism) and R the product of the right letters in reverse order
     (right actions compose as an anti-homomorphism); an empty side is the
-    identity. A product is keyed by the identities of the matrices it
-    multiplies, in multiplication order, and formed once as its one-shorter
-    prefix times its last matrix. So keys sharing prefixes share their
-    matmuls, and so do the two sides when they name one matrix (a shared
-    slot). A mixed key's trace is an O(n²) contraction.
-
-    The products are built in a loop over a local dict, not by a recursive
-    closure: a closure referring to itself is a reference cycle, which would
-    keep every trial's matrices alive until the cycle collector runs.
+    identity. A key's k factors, lefts then reversed rights, are split into
+    the first ceil(k/2) and the rest, and its value is the trace of the
+    product of the two halves, an O(n²) contraction. Each half's product is
+    formed once per call (`_product`), so halves sharing prefixes share
+    their matmuls, and over a shared slot every half is a power of one
+    matrix: words up to length 4 form only its square. Keys multiplying the
+    same matrices in the same order (over a shared slot, all keys of one
+    length) share one trace.
     """
     products: dict[tuple[int, ...], np.ndarray] = {}
+    traces: dict[tuple[int, ...], complex] = {}
     values = []
     for lefts, rights in keys:
-        ends = []
-        for names in (lefts, rights[::-1]):
-            factors = [mats[name] for name in names]
-            ids = tuple(map(id, factors))
-            prod = None
-            for i, mat in enumerate(factors, 1):
-                prefix = ids[:i]
-                if prefix not in products:
-                    products[prefix] = mat if prod is None else prod @ mat
-                prod = products[prefix]
-            if prod is not None:
-                ends.append(prod)
-        n = ends[0].shape[0]
-        if len(ends) == 2:
-            values.append(np.einsum("ij,ji->", ends[0], ends[1]) / n)
-        else:
-            values.append(np.trace(ends[0]) / n)
+        factors = [mats[name] for name in (*lefts, *rights[::-1])]
+        ids = tuple(map(id, factors))
+        if ids not in traces:
+            half = (len(ids) + 1) // 2
+            head = _product(products, ids[:half], factors[:half])
+            if half < len(ids):
+                tail = _product(products, ids[half:], factors[half:])
+                traces[ids] = np.einsum("ij,ji->", head, tail) / len(head)
+            else:
+                traces[ids] = np.trace(head) / len(head)
+        values.append(traces[ids])
     return np.array(values, dtype=complex)
 
 

@@ -4,7 +4,8 @@ over NC(n) and BNC(n, chi), kept independent of the first-block recursion
 that the library's transforms use, that recursion word by word (the
 reference the compiled plan must match bit for bit, and the inner transform
 of the compression oracle), the brute-force compression oracle, the
-explicit bimodule operators that check the bi-matrix word evaluation, and
+explicit bimodule operators that check the bi-matrix word evaluation, the
+direct Gaussian sampler of the matrix model that checks its law, and
 the Fock creation and W operators on the whole truncated space, built by
 enumerating words as tuples and multiplying scipy sparse matrices."""
 
@@ -378,6 +379,23 @@ def bimodule_residue(letters, rng, num_words: int = 20, max_len: int = 6) -> flo
         got = evaluate_bimatrix_word([letters[i] for i in word])
         worst = max(worst, abs(got - expected))
     return float(worst)
+
+
+def direct_wishart_model(spec, n: int, rng) -> dict:
+    """One trial of the compound Poisson matrix model drawn as its formula
+    states: a p×n complex Gaussian G with E|g_ij|² = 1/n and
+    p = round(rate·n), shared by every slot, and per slot a vector b_s of p
+    i.i.d. samples of the slot's jump law; T_s = G*·diag(b_s)·G, by
+    variable name. The library draws the same law from Bartlett factors."""
+    p = math.floor(spec.rate * n + 0.5)
+    g = (rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))) / math.sqrt(2 * n)
+    slot_law = {v.slot: v.law for v in spec.variables}
+    mats = {}
+    for s in sorted(slot_law):
+        law = slot_law[s]
+        b = rng.choice(np.array(law.atoms), size=p, p=np.array(law.weights))
+        mats[s] = (g.conj().T * b) @ g
+    return {v.name: mats[v.slot] for v in spec.variables}
 
 
 def model_letters(spec, n: int, rng, trials: int = 3) -> list:

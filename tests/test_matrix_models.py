@@ -29,6 +29,7 @@ from bipoisson.poisson import cbp_cumulants
 from oracles import (
     bimodule_operators,
     bimodule_residue,
+    direct_wishart_model,
     model_letters,
     operator_word_value,
 )
@@ -107,10 +108,12 @@ class CountingMatrix(np.ndarray):
 
 
 class TestKeyValues:
-    @pytest.mark.parametrize("shared, products", [(True, 3), (False, 6)])
+    @pytest.mark.parametrize("shared, products", [(True, 1), (False, 3)])
     def test_products_formed_once(self, shared, products):
-        # 1L1R words up to length 4 need the powers 2..4 of each side's
-        # matrix; over a shared slot both sides take the same three
+        # 1L1R words up to length 4 split into halves of at most two
+        # factors: over a shared slot every half is T or T², one matmul;
+        # with independent matrices A and B the halves of two factors are
+        # AA, AB and BB
         spec = two_sided_spec(2.5, sizes=(8,), max_word=4, shared=shared)
         views = {}
         mats = {
@@ -181,6 +184,96 @@ class TestKeyValues:
         finally:
             gc.enable()
         assert not any(alive)
+
+
+def law_spec(shared, rate, n):
+    """zl over the two-atom law and zr over it (shared) or over a second
+    law of its own slot, at one size."""
+    right = TWO_ATOM if shared else AtomLaw((0.5, 3.0), (0.5, 0.5))
+    return EnsembleSpec(
+        rate=rate,
+        variables=(
+            VariableSpec("zl", LEFT, TWO_ATOM, 0),
+            VariableSpec("zr", RIGHT, right, 0 if shared else 1),
+        ),
+        sizes=(n,),
+        trials=2,
+        seed=0,
+        max_word_len=1,
+    )
+
+
+def trial_traces(sampler, spec, n, trials, seed, words):
+    """tr(F_1 ... F_k)/n of each word (a tuple of variable names) over
+    `trials` draws of `sampler`, one row per trial."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((trials, len(words)))
+    for t in range(trials):
+        mats = sampler(spec, n, rng)
+        for j, w in enumerate(words):
+            prod = mats[w[0]]
+            for name in w[1:]:
+                prod = prod @ mats[name]
+            out[t, j] = np.trace(prod).real / n
+    return out
+
+
+def mean_and_se(rows):
+    return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
+
+
+# (shared, rate, n): at p = 10, n = 4 a shared slot's two classes mostly
+# hold k >= n rows and the four joint classes of independent slots mostly
+# k < n, with the other kind in a share of trials; at p = 4, n = 8 every
+# class has k < n rows
+LAW_CASES = [(True, 2.5, 4), (True, 0.5, 8), (False, 2.5, 4), (False, 0.5, 8)]
+
+
+class TestModelLaw:
+    """The Bartlett-factor sampler draws the law of T_s = G*·diag(b_s)·G."""
+
+    @pytest.mark.parametrize("shared, rate, n", LAW_CASES)
+    def test_exact_finite_n_moments(self, shared, rate, n):
+        # rows r of G are i.i.d. with E|g_r|^4 = 1 + 1/n and
+        # E|<g_r, g_r'>|^2 = 1/n for r != r', so at every n
+        # E tr T/n = (p/n) m1, E tr T^2/n = (p/n) m2 (1 + 1/n) + p(p-1) m1^2/n^2
+        # and E tr(T_l T_r)/n is the second with E[ab] and E[a]E[b]
+        spec = law_spec(shared, rate, n)
+        p = math.floor(rate * n + 0.5)
+        a, b = (v.law for v in spec.variables)
+        ab = a.moment(2) if shared else a.moment(1) * b.moment(1)
+
+        def second(m2, m1m1):
+            return p / n * m2 * (1 + 1 / n) + p * (p - 1) * m1m1 / n**2
+
+        words = [("zl",), ("zr",), ("zl", "zl"), ("zr", "zr"), ("zl", "zr")]
+        expected = [
+            p / n * a.moment(1),
+            p / n * b.moment(1),
+            second(a.moment(2), a.moment(1) ** 2),
+            second(b.moment(2), b.moment(1) ** 2),
+            second(ab, a.moment(1) * b.moment(1)),
+        ]
+        mean, se = mean_and_se(
+            trial_traces(build_wishart_model, spec, n, 1500, 5, words)
+        )
+        assert (np.abs(mean - expected) <= 4 * se).all(), (mean, expected, se)
+
+    @pytest.mark.parametrize("shared, rate, n", LAW_CASES)
+    def test_higher_traces_match_direct_sampler(self, shared, rate, n):
+        # two independent samples, the library's and the oracle's direct
+        # Gaussian G: their means of third and fourth traces agree within
+        # four standard errors of the difference
+        spec = law_spec(shared, rate, n)
+        words = [("zl",) * 3, ("zl",) * 4, ("zr",) * 3, ("zr",) * 4,
+                 ("zl", "zr", "zl", "zr")]
+        got, got_se = mean_and_se(
+            trial_traces(build_wishart_model, spec, n, 1500, 6, words)
+        )
+        ref, ref_se = mean_and_se(
+            trial_traces(direct_wishart_model, spec, n, 1500, 7, words)
+        )
+        assert (np.abs(got - ref) <= 4 * np.hypot(got_se, ref_se)).all(), (got, ref)
 
 
 class TestEnsembleSpec:
@@ -271,8 +364,11 @@ class TestModelConvergence:
             assert rep.moments.tolist() == mean.tolist()
 
     def test_first_cumulant_unbiased(self):
-        # E tr(G* diag(b) G)/n = (p/n) E[b]: exact at any size, and p/n is
-        # 24/48 = 0.5, so the rate-0.5 first cumulant estimate converges fast
+        # a class of k rows of G has E tr(G_c* G_c) = k, and so has its
+        # Bartlett factor: row i holds E|R_ii|^2 = (k - i)/n and n - 1 - i
+        # entries of variance 1/n. So E tr T/n = (p/n) E[b] exactly at any
+        # size; p/n is 24/48 = 0.5, so the rate-0.5 first cumulant estimate
+        # converges fast
         spec = two_sided_spec(0.5, sizes=(48,), trials=60, seed=9, max_word=1)
         rep = estimate_empirical_cumulants(spec)[0]
         target = cbp_cumulants(spec.law).row
