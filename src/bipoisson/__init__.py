@@ -20,12 +20,11 @@ _MODULE_OF = {
                        "kreweras_complement", "mobius_nc_one", "mobius_nc_values"),
         "cumulants": ("Alphabet", "CumulantTable", "MomentFunctional", "Word",
                       "all_words", "kappa_from_moments", "moments_from_kappa"),
-        "poisson": ("CbpSpec", "Distribution", "cbp_cumulants", "cbp_moments",
-                    "compress", "convolve", "limit_theorem_moments",
+        "poisson": ("CbpSpec", "Distribution", "JumpLaw", "cbp_cumulants",
+                    "cbp_moments", "compress", "convolve", "limit_theorem_moments",
                     "poisson_approximation", "psd_check", "semigroup_element"),
-        "matrix_models": ("AtomLaw", "EnsembleSpec", "SizeReport", "VariableSpec",
-                          "build_wishart_model", "estimate_empirical_cumulants",
-                          "jump_moments"),
+        "matrix_models": ("EnsembleSpec", "SizeReport", "build_wishart_model",
+                          "estimate_empirical_cumulants"),
         "fock": ("FockBasis", "build_w_operators", "fock_moments", "vacuum_moment",
                  "verify_fock_cumulants"),
     }.items()

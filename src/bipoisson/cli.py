@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 # The numerical modules (and numpy) are imported inside the commands that
 # use them, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import ChiShape, LEFT, RIGHT, enumerate_nc, mobius_nc_values
+from .partitions import ChiShape, enumerate_nc, mobius_nc_values
 
 DEFAULT_SEED = 20240101
 
@@ -224,19 +224,18 @@ def load_table(path: str, cls):
     return table_from_json(obj, cls)
 
 
-def parse_atoms(text: str):
-    """Parse 'atom:weight,atom:weight' into an AtomLaw."""
-    from .matrix_models import AtomLaw
-
+def parse_atoms(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Parse 'atom:weight,atom:weight' into (atoms, weights); the law they
+    form checks them."""
     try:
         atoms, weights = [], []
         for part in text.split(","):
             a, w = part.split(":")
             atoms.append(float(a))
             weights.append(float(w))
-        return AtomLaw(tuple(atoms), tuple(weights))
-    except (ValueError, ShapeMismatchError) as exc:
+    except ValueError as exc:
         raise CliError("VALIDATION", f"bad atom law {text!r}: {exc}") from exc
+    return tuple(atoms), tuple(weights)
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -384,9 +383,8 @@ def cmd_cbp_series(args) -> str:
     """The law with rate --lambda whose jump is the point mass (--alpha,
     --beta), against the moments of the N-fold bi-free sum (`limit`) or the
     cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
-    from .cumulants import all_words
-    from .matrix_models import AtomLaw, VariableSpec, jump_moments
-    from .poisson import (CbpSpec, cbp_moments, limit_theorem_moments,
+    from .cumulants import Alphabet, all_words
+    from .poisson import (CbpSpec, JumpLaw, cbp_moments, limit_theorem_moments,
                           poisson_approximation)
 
     if args.deg < 1:
@@ -395,11 +393,8 @@ def cmd_cbp_series(args) -> str:
     if len(set(sizes)) < len(sizes):
         # the slope is a fit over distinct sizes
         raise CliError("VALIDATION", f"--sizes must not repeat a size: {args.sizes}")
-    jump = jump_moments(
-        (VariableSpec("zl", LEFT, AtomLaw((args.alpha,), (1.0,)), 0),
-         VariableSpec("zr", RIGHT, AtomLaw((args.beta,), (1.0,)), 1)),
-        args.deg,
-    )
+    jump = JumpLaw(Alphabet(("zl",), ("zr",)), ((args.alpha, args.beta),),
+                   (1.0,)).moments(args.deg)
     spec = CbpSpec(args.rate, jump)
     nu = cbp_moments(spec)
     points = []
@@ -425,35 +420,39 @@ def cmd_cbp_psd(args) -> str:
     )
 
 
-def _variable_pair(args, left: str, right: str) -> tuple:
-    """The left and right jump variables of --atoms and --right-atoms (the
-    left law when absent), in one slot under --shared, which requires the
-    two laws to be equal."""
-    from .matrix_models import VariableSpec
+def _jump_law(args, left: str, right: str):
+    """The joint law of the left and right jump variables: those of --atoms
+    and --right-atoms (the left law when absent) independent, or under
+    --shared one variable, the diagonal law {(x, x)}, which requires the two
+    laws to be equal."""
+    from .cumulants import Alphabet
+    from .poisson import JumpLaw
 
-    left_law = parse_atoms(args.atoms)
-    right_law = parse_atoms(args.right_atoms) if args.right_atoms else left_law
-    if args.shared and right_law != left_law:
+    law = parse_atoms(args.atoms)
+    right_law = parse_atoms(args.right_atoms) if args.right_atoms else law
+    alphabet = Alphabet((left,), (right,))
+    if not args.shared:
+        return JumpLaw.independent(alphabet, (law, right_law))
+    if right_law != law:
         raise CliError("VALIDATION", "--shared requires identical atom laws")
-    return (VariableSpec(left, LEFT, left_law, 0),
-            VariableSpec(right, RIGHT, right_law, 0 if args.shared else 1))
+    atoms, weights = law
+    return JumpLaw(alphabet, tuple((a, a) for a in atoms), weights)
 
 
 def cmd_simulate(args) -> str:
     import numpy as np
 
-    from .cumulants import all_words
-    from .matrix_models import (EnsembleSpec, VariableSpec,
-                                estimate_empirical_cumulants)
-    from .poisson import cbp_cumulants
+    from .cumulants import Alphabet, all_words
+    from .matrix_models import EnsembleSpec, estimate_empirical_cumulants
+    from .poisson import JumpLaw, cbp_cumulants
 
     if args.action == "bimatrix":
-        variables = _variable_pair(args, "zl", "zr")
+        jump = _jump_law(args, "zl", "zr")
     else:
-        variables = (VariableSpec("z", LEFT, parse_atoms(args.atoms), 0),)
+        jump = JumpLaw.independent(Alphabet(("z",)), (parse_atoms(args.atoms),))
     spec = EnsembleSpec(
         rate=args.rate,
-        variables=variables,
+        jump=jump,
         sizes=parse_int_list(args.sizes),
         trials=args.trials,
         seed=args.seed,
@@ -482,12 +481,9 @@ def cmd_fock_verify(args) -> str:
 
     from .cumulants import all_words
     from .fock import verify_fock_cumulants
-    from .matrix_models import jump_moments
 
-    # the W series and the targets read jump moments of length <= N only
-    jump = jump_moments(_variable_pair(args, "a1", "a2"), args.N)
     phi, kappa, target = verify_fock_cumulants(
-        args.rate, jump, args.N, args.max_m, depth=args.depth
+        args.rate, _jump_law(args, "a1", "a2"), args.N, args.max_m, depth=args.depth
     )
     header = ["word", "chi", "omega_moment", "kappa_empirical", "kappa_target",
               "abs_err"]

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import (Alphabet, CumulantTable, MomentFunctional, all_words,
+from .cumulants import (Alphabet, CumulantTable, MomentFunctional,
                         kappa_from_moments, word_offset)
 from .partitions import LEFT, RIGHT
-from .poisson import CbpSpec, cbp_cumulants
+from .poisson import CbpSpec, JumpLaw, cbp_cumulants
 
 # Largest truncated Fock basis built (words of length <= depth over dim letters)
 FOCK_STATE_BUDGET = 2_000_000
@@ -101,20 +101,8 @@ def vacuum_moment(ops) -> float:
     return float(v[0])
 
 
-def check_commuting(jump_law: MomentFunctional) -> None:
-    """Reject jump laws whose moments depend on letter order."""
-    if len(jump_law.alphabet.left) != 1 or len(jump_law.alphabet.right) != 1:
-        raise ShapeMismatchError("need exactly one left and one right jump variable")
-    for w in all_words(jump_law.alphabet, jump_law.degree_cap):
-        canonical = tuple(sorted(w))
-        if abs(jump_law(w) - jump_law(canonical)) > 1e-12:
-            raise ShapeMismatchError(
-                f"jump law is not commuting: phi{w} != phi{canonical}"
-            )
-
-
 def build_w_operators(
-    rate: float, jump_law: MomentFunctional, N: int, basis: FockBasis, max_m: int
+    rate: float, jump: JumpLaw, N: int, basis: FockBasis, max_m: int
 ) -> tuple[IndexMap, IndexMap]:
     """The series operators (W_l, W_r) of order N on the vacuum and the
     words of length < max_m, <= depth: all that moments to length max_m read.
@@ -125,20 +113,21 @@ def build_w_operators(
     strings at length N-1 makes the bi-free cumulants of W-words equal
     rate * phi(a1^p a2^q) for word lengths <= N and exactly zero beyond.
     No two terms share an entry, so each entry of W is one coefficient.
+    The jump law has one left name a1 and one right name a2.
     """
+    if len(jump.alphabet.left) != 1 or len(jump.alphabet.right) != 1:
+        raise ShapeMismatchError("need exactly one left and one right jump variable")
     if basis.dim != 2:
         raise ShapeMismatchError("W operators need a two-generator basis")
     if N < 1:
         raise ValueError("series order N must be >= 1")
     if basis.depth < N:
         raise CapExceededError(f"depth {basis.depth} < N = {N}")
-    if jump_law.degree_cap < N:
-        raise CapExceededError("jump law table too shallow for the series order")
-    check_commuting(jump_law)
     if max_m < 0:
         raise ValueError(f"moment length {max_m} is negative")
     max_len = max(min(max_m - 1, basis.depth), 0)
-    (a1,), (a2,) = jump_law.alphabet.left, jump_law.alphabet.right
+    phi = jump.moments(N)
+    (a1,), (a2,) = jump.alphabet.left, jump.alphabet.right
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
         a = creation_string(basis, side, (own,), max_len)
@@ -146,7 +135,7 @@ def build_w_operators(
         for n in range(N):
             for alpha in itertools.product((1, 2), repeat=n):
                 p = alpha.count(1) + (own == 1)
-                coeff = rate * jump_law((a1,) * p + (a2,) * (n + 1 - p))
+                coeff = rate * phi((a1,) * p + (a2,) * (n + 1 - p))
                 if coeff != 0.0:
                     c = creation_string(basis, side, alpha, max_len)
                     rows.append(c.rows)
@@ -178,7 +167,7 @@ def fock_moments(
 
 def verify_fock_cumulants(
     rate: float,
-    jump_law: MomentFunctional,
+    jump: JumpLaw,
     N: int,
     max_m: int,
     depth: int | None = None,
@@ -188,15 +177,14 @@ def verify_fock_cumulants(
     lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N. The
     rate and the targets are checked first, so a bad one stops the run
     before W is built. A W-word's target is read at its own row position:
-    W accepts only a commuting jump law, whose moments depend on letter
-    counts alone."""
-    targets = cbp_cumulants(CbpSpec(rate, jump_law))
+    the moments of a joint jump law depend on letter counts alone."""
+    targets = cbp_cumulants(CbpSpec(rate, jump.moments(N)))
     if depth is None:
         # W lowers the word length by at most one, so a vacuum-to-vacuum
         # path of length max_m never leaves depth max_m; W needs depth >= N
         depth = max(max_m, N)
     basis = FockBasis(2, depth)
-    w_l, w_r = build_w_operators(rate, jump_law, N, basis, max_m)
+    w_l, w_r = build_w_operators(rate, jump, N, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
     target = np.zeros(len(phi.row))
     count = word_offset(2, min(N, max_m) + 1) - 1

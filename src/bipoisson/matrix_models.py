@@ -1,27 +1,28 @@
 """Seeded random-matrix models for compound (bi-)free Poisson laws.
 
-The model matrix of the jump variables in slot s is
+The model matrix of jump variable v is
 
-    T_s = G* · diag(b_s) · G,
+    T_v = G* · diag(b_v) · G,
 
 with G a p×n complex Gaussian matrix, E|g_ij|² = 1/n and p = round(λ·n),
-and b_s a vector of p i.i.d. samples of the slot's jump law. Every slot of
-a trial shares one G. The effective rate is p/n, within 1/(2n) of λ, and
-the same formula serves every λ. As n → ∞ the joint moments of the T_s
-converge to those of the compound free Poisson law with rate λ and jump
-law that of the vector (b_s)_s (Silverstein & Bai, J. Multivariate Anal.
-1995; Hiai & Petz, The Semicircle Law, Free Random Variables and Entropy,
-2000). This departs from the paper's construction, which rotates diagonal
-jump matrices by independent Haar unitaries; the limits are the same law.
+and b_v the v-coordinates of p i.i.d. draws from the joint jump law
+(`JumpLaw`), one per row of G; every variable shares G and the draws. The
+effective rate is p/n, within 1/(2n) of λ, and the same formula serves
+every λ. As n → ∞ the joint moments of the T_v converge to those of the
+compound free Poisson law with rate λ and that jump law (Silverstein &
+Bai, J. Multivariate Anal. 1995; Hiai & Petz, The Semicircle Law, Free
+Random Variables and Entropy, 2000). This departs from the paper's
+construction, which rotates diagonal jump matrices by independent Haar
+unitaries; the limits are the same law.
 
-A trial draws that law without G itself. The k rows of G whose jump atoms
-agree in every slot (one joint atom class) enter every T_s only through
-their Wishart matrix G_c*·G_c, which equals R_c*·R_c for the min(k, n)×n
-upper-trapezoidal factor R_c of the Bartlett decomposition: independent
-entries, R_ii = sqrt(Gamma(k − i, 1)/n) on the diagonal (i from 0) and
-CN(0, 1/n) above it (Bartlett 1933; Goodman, Ann. Math. Statist. 1963).
-So T_s = X*·diag(b_s)·X with X the stacked factors, of at most p rows and
-half zeros, and the joint law of the T_s is exactly that of the formula
+A trial draws that law without G itself. The k rows of G that drew one
+joint atom (its class) enter every T_v only through their Wishart matrix
+G_c*·G_c, which equals R_c*·R_c for the min(k, n)×n upper-trapezoidal
+factor R_c of the Bartlett decomposition: independent entries,
+R_ii = sqrt(Gamma(k − i, 1)/n) on the diagonal (i from 0) and CN(0, 1/n)
+above it (Bartlett 1933; Goodman, Ann. Math. Statist. 1963). So
+T_v = X*·diag(b_v)·X with X the stacked factors, of at most p rows and
+half zeros, and the joint law of the T_v is exactly that of the formula
 above.
 
 The bi-matrix model acts by left and right multiplication on the matrix
@@ -33,16 +34,15 @@ trace is taken from the products of its two halves.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import Alphabet, MomentFunctional, all_words, transform_rows
+from .cumulants import Alphabet, all_words, transform_rows
 from .partitions import LEFT, RIGHT
-from .poisson import CbpSpec
+from .poisson import CbpSpec, JumpLaw
 
 IMAG_RESIDUE_TOLERANCE = 1e-9
 # Largest p x n Gaussian factor G a trial stands for; its stacked Bartlett
@@ -54,80 +54,18 @@ TRIAL_VALUE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
-class AtomLaw:
-    """A finitely supported probability law on the real line."""
-
-    atoms: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.atoms) != len(self.weights) or not self.atoms:
-            raise ShapeMismatchError("atoms and weights must be nonempty, same length")
-        if not all(map(math.isfinite, self.atoms + self.weights)):
-            raise ValueError(
-                f"atoms and weights must be finite: {self.atoms}, {self.weights}"
-            )
-        if abs(sum(self.weights) - 1.0) > 1e-12 or min(self.weights) < 0:
-            raise ValueError(f"weights must be a probability vector: {self.weights}")
-
-    def moment(self, k: int) -> float:
-        try:
-            return sum(w * a**k for a, w in zip(self.atoms, self.weights))
-        except OverflowError:
-            raise ValueError(f"moment {k} of atoms {self.atoms} overflows") from None
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    """One jump variable: its side and marginal law.
-
-    Variables sharing a `slot` are the same underlying random variable and
-    must carry the same law (e.g. a commuting pair a_l = a_r); variables in
-    different slots are classically independent.
-    """
-
-    name: str
-    side: str
-    law: AtomLaw
-    slot: int = 0
-
-
-def jump_moments(variables, degree_cap: int) -> MomentFunctional:
-    """Joint moments of the jump variables to degree_cap, by name. A word's
-    moment is the product over slots (classically independent) of the slot
-    law's moment of its letter count there; a slot has one law."""
-    slot_law = {}
-    for v in variables:
-        if slot_law.setdefault(v.slot, v.law) != v.law:
-            raise ShapeMismatchError(f"variables sharing slot {v.slot} must share a law")
-    slot_of = {v.name: v.slot for v in variables}
-    alphabet = Alphabet(
-        tuple(v.name for v in variables if v.side == LEFT),
-        tuple(v.name for v in variables if v.side == RIGHT),
-    )
-
-    def moment(word) -> float:
-        out = 1.0
-        for slot, count in Counter(slot_of[x] for x in word).items():
-            out *= slot_law[slot].moment(count)
-        return out
-
-    return MomentFunctional.from_function(alphabet, degree_cap, moment)
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
     """Configuration of a seeded random-matrix experiment."""
 
     rate: float
-    variables: tuple[VariableSpec, ...]
+    jump: JumpLaw
     sizes: tuple[int, ...]
     trials: int
     seed: int
     max_word_len: int
 
     def __post_init__(self):
-        self.law  # checks the rate and the slot laws
+        self.law  # checks the rate
         if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError(f"sizes must be strictly ascending: {self.sizes}")
         if min(self.sizes, default=0) < 1:
@@ -158,37 +96,31 @@ class EnsembleSpec:
     def law(self) -> CbpSpec:
         """The compound Poisson law the model converges to, on words up to
         max_word_len."""
-        return CbpSpec(self.rate, jump_moments(self.variables, self.max_word_len))
+        return CbpSpec(self.rate, self.jump.moments(self.max_word_len))
 
     @property
     def alphabet(self) -> Alphabet:
-        return self.law.jump_law.alphabet
+        return self.jump.alphabet
 
 
 def build_wishart_model(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """One trial of the compound Poisson matrix model at size n: the model
-    matrix G*·diag(b_s)·G of each variable, by name, drawn as X*·diag(b_s)·X.
+    matrix G*·diag(b_v)·G of each jump variable v, by name, drawn as
+    X*·diag(b_v)·X; names of one variable share one matrix object.
 
-    Each of the p = round(rate·n) rows draws one atom of every slot's jump
-    law. The rows are grouped by joint atom class, and a class of k rows
-    gives X its Bartlett factor times sqrt(2n): min(k, n) rows, row i holding
+    Each of the p = round(rate·n) rows draws one joint atom of the jump law,
+    and the rows drawing one atom form its class. A class of k rows gives X
+    its Bartlett factor times sqrt(2n): min(k, n) rows, row i holding
     sqrt(2·Gamma(k − i, 1)) at column i and, to its right, entries whose
-    real and imaginary parts are standard normals. b_s holds each row's
-    slot-s atom over 2n, which undoes that scale.
+    real and imaginary parts are standard normals. b_v holds each row's
+    v-coordinate over 2n, which undoes that scale.
     """
     p = math.floor(spec.rate * n + 0.5)
-    slot_law = {v.slot: v.law for v in spec.variables}
-    row_atoms, code = {}, np.zeros(p, dtype=np.int64)
-    for s in sorted(slot_law):
-        atoms = slot_law[s].atoms
-        picks = rng.choice(len(atoms), size=p, p=slot_law[s].weights)
-        row_atoms[s] = np.array(atoms)[picks]
-        # ranked after every slot, so a code stays below p·|A_s| however
-        # many atoms the product law has
-        code = np.unique(code * len(atoms) + picks, return_inverse=True)[1]
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
+    jump = spec.jump
+    picks = rng.choice(len(jump.atoms), size=p, p=jump.weights)
+    classes, counts = np.unique(picks, return_counts=True)
     rows = np.minimum(counts, n)
     # each row's index i within its class's factor: its diagonal column
     i = np.arange(rows.sum()) - np.repeat(np.cumsum(rows) - rows, rows)
@@ -198,9 +130,12 @@ def build_wishart_model(
     k = np.repeat(counts, rows)  # the class size of each row of X
     x[np.arange(i.size), i] = np.sqrt(2 * rng.standard_gamma(k - i))
     x_adj = x.conj().T
-    mats = {s: (x_adj * np.repeat(a[first] / (2 * n), rows)) @ x
-            for s, a in row_atoms.items()}
-    return {v.name: mats[v.slot] for v in spec.variables}
+    b = np.repeat(np.array([jump.atoms[c] for c in classes]) / (2 * n), rows, axis=0)
+    mats: dict[int, np.ndarray] = {}
+    for v, col in zip(jump.variables, b.T):
+        if v not in mats:
+            mats[v] = (x_adj * col) @ x
+    return {name: mats[v] for name, v in zip(spec.alphabet.names, jump.variables)}
 
 
 def _product(products: dict, ids: tuple, factors: list) -> np.ndarray:
@@ -230,10 +165,10 @@ def key_values(mats: dict, keys) -> np.ndarray:
     the first ceil(k/2) and the rest, and its value is the trace of the
     product of the two halves, an O(n²) contraction. Each half's product is
     formed once per call (`_product`), so halves sharing prefixes share
-    their matmuls, and over a shared slot every half is a power of one
-    matrix: words up to length 4 form only its square. Keys multiplying the
-    same matrices in the same order (over a shared slot, all keys of one
-    length) share one trace.
+    their matmuls, and when every name is one variable (one matrix) each
+    half is a power of it: words up to length 4 form only its square. Keys
+    multiplying the same matrices in the same order (over one matrix, all
+    keys of one length) share one trace.
     """
     products: dict[tuple[int, ...], np.ndarray] = {}
     traces: dict[tuple[int, ...], complex] = {}

@@ -3,18 +3,22 @@
 A compound Poisson law with rate lambda and jump law phi_a is the
 distribution whose every bi-free cumulant is lambda times the matching
 joint moment of the jump family. Convolution adds cumulant tables;
-semigroups scale them.
+semigroups scale them. A jump family given as a finitely supported joint
+law of commuting variables is a `JumpLaw`.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import (
     Alphabet,
     CumulantTable,
@@ -25,6 +29,82 @@ from .cumulants import (
 )
 
 PSD_TOLERANCE = 1e-9
+# Most atoms `JumpLaw.independent` lists: a product law this large builds
+# its moment table to degree 4 over two names in about a second
+JOINT_ATOM_BUDGET = 250_000
+
+
+@dataclass(frozen=True)
+class JumpLaw:
+    """A finitely supported joint law of commuting jump variables.
+
+    Atom j holds one real coordinate per name in `alphabet.names` and has
+    probability weights[j]. Names whose coordinate columns are equal are one
+    random variable (a commuting pair a_l = a_r is the diagonal law
+    {(x, x)}); a word's moment depends only on its letter counts.
+    """
+
+    alphabet: Alphabet
+    atoms: tuple[tuple[float, ...], ...]
+    weights: tuple[float, ...]
+
+    def __post_init__(self):
+        names = self.alphabet.names
+        if (not self.atoms or len(self.atoms) != len(self.weights)
+                or any(len(atom) != len(names) for atom in self.atoms)):
+            raise ShapeMismatchError(f"need as many atoms as weights, at least "
+                                     f"one, each with one coordinate per name in {names}")
+        if not all(map(math.isfinite, itertools.chain(self.weights, *self.atoms))):
+            raise ValueError("atoms and weights must be finite")
+        total, least = math.fsum(self.weights), min(self.weights)
+        if abs(total - 1.0) > 1e-12 or least < 0:
+            raise ValueError(f"weights must be a probability vector, got sum "
+                             f"{total!r} and min {least!r}")
+
+    @classmethod
+    def independent(cls, alphabet: Alphabet, marginals) -> "JumpLaw":
+        """The product law of one (atoms, weights) marginal per name in
+        `alphabet.names`; its size is checked before any atom is listed."""
+        size = math.prod(len(atoms) for atoms, _ in marginals)
+        if size > JOINT_ATOM_BUDGET:
+            raise CapExceededError(f"product law of {size} atoms exceeds the "
+                                   f"joint atom budget {JOINT_ATOM_BUDGET}")
+        for atoms, weights in marginals:  # a marginal is a law of its own
+            cls(Alphabet(("x",)), tuple((a,) for a in atoms), weights)
+        return cls(
+            alphabet,
+            tuple(itertools.product(*(atoms for atoms, _ in marginals))),
+            tuple(map(math.prod, itertools.product(*(w for _, w in marginals)))),
+        )
+
+    @functools.cached_property
+    def variables(self) -> tuple[int, ...]:
+        """Each name's random variable: the rank of its coordinate column
+        among the distinct columns, in order of first appearance."""
+        first: dict = {}
+        return tuple(first.setdefault(col, len(first)) for col in zip(*self.atoms))
+
+    def moments(self, cap: int) -> MomentFunctional:
+        """Joint moments to degree cap: a word's moment is the sum over atoms
+        of the weight times each variable's coordinate to the power of its
+        letter count in the word."""
+        var = dict(zip(self.alphabet.names, self.variables))
+        columns = dict(zip(self.variables, zip(*self.atoms)))
+
+        @functools.cache
+        def power(v: int, count: int) -> list[float]:
+            try:
+                return [a**count for a in columns[v]]
+            except OverflowError:
+                raise ValueError(f"a jump moment overflows at power {count}") from None
+
+        @functools.cache
+        def moment(counts: tuple) -> float:
+            products = map(math.prod, zip(*(power(*vc) for vc in counts)))
+            return sum(map(operator.mul, self.weights, products))
+
+        return MomentFunctional.from_function(self.alphabet, cap, lambda w: moment(
+            tuple(sorted(collections.Counter(var[x] for x in w).items()))))
 
 
 @dataclass(frozen=True)

@@ -384,30 +384,27 @@ def bimodule_residue(letters, rng, num_words: int = 20, max_len: int = 6) -> flo
 def direct_wishart_model(spec, n: int, rng) -> dict:
     """One trial of the compound Poisson matrix model drawn as its formula
     states: a p×n complex Gaussian G with E|g_ij|² = 1/n and
-    p = round(rate·n), shared by every slot, and per slot a vector b_s of p
-    i.i.d. samples of the slot's jump law; T_s = G*·diag(b_s)·G, by
-    variable name. The library draws the same law from Bartlett factors."""
+    p = round(rate·n), and per row of G one i.i.d. draw of a joint atom of
+    the jump law; T_x = G*·diag(b_x)·G with b_x the rows' x-coordinates,
+    by variable name x. The library draws the same law from Bartlett
+    factors."""
     p = math.floor(spec.rate * n + 0.5)
     g = (rng.normal(size=(p, n)) + 1j * rng.normal(size=(p, n))) / math.sqrt(2 * n)
-    slot_law = {v.slot: v.law for v in spec.variables}
-    mats = {}
-    for s in sorted(slot_law):
-        law = slot_law[s]
-        b = rng.choice(np.array(law.atoms), size=p, p=np.array(law.weights))
-        mats[s] = (g.conj().T * b) @ g
-    return {v.name: mats[v.slot] for v in spec.variables}
+    atoms, weights = np.array(spec.jump.atoms), np.array(spec.jump.weights)
+    b = atoms[rng.choice(len(atoms), size=p, p=weights)]
+    return {x: (g.conj().T * b[:, i]) @ g for i, x in enumerate(spec.alphabet.names)}
 
 
 def model_letters(spec, n: int, rng, trials: int = 3) -> list:
     """(matrix, side) letters of every variable over independent trials of
-    the model at size n. Over one trial of a shared-slot spec every letter
-    is one matrix, and over two the trace of a short word equals that of its
-    reversal; three trials give words whose value changes when a product's
-    order does."""
+    the model at size n. Over one trial of a spec whose names are one
+    variable every letter is one matrix, and over two the trace of a short
+    word equals that of its reversal; three trials give words whose value
+    changes when a product's order does."""
     return [
-        (mats[v.name], v.side)
+        (mats[x], spec.alphabet.side_of(x))
         for mats in (build_wishart_model(spec, n, rng) for _ in range(trials))
-        for v in spec.variables
+        for x in spec.alphabet.names
     ]
 
 

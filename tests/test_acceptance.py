@@ -20,15 +20,8 @@ from bipoisson.cumulants import (
     kappa_from_moments,
     moments_from_kappa,
 )
-from bipoisson.matrix_models import (
-    AtomLaw,
-    EnsembleSpec,
-    VariableSpec,
-    estimate_empirical_cumulants,
-)
+from bipoisson.matrix_models import EnsembleSpec, estimate_empirical_cumulants
 from bipoisson.partitions import (
-    LEFT,
-    RIGHT,
     ChiShape,
     catalan,
     enumerate_bnc,
@@ -36,6 +29,7 @@ from bipoisson.partitions import (
 )
 from bipoisson.poisson import (
     CbpSpec,
+    JumpLaw,
     cbp_cumulants,
     cbp_moments,
     compress,
@@ -185,16 +179,14 @@ def test_criterion_4_divisibility_and_compression():
 
 def test_criterion_5_matrix_model():
     t0 = time.time()
-    law = AtomLaw((1.0, 2.0), (0.5, 0.5))
+    # zl = zr, one jump variable uniform on {1, 2}
+    law = JumpLaw(Alphabet(("zl",), ("zr",)), ((1.0, 1.0), (2.0, 2.0)), (0.5, 0.5))
     all_ok = True
     details = []
     for rate in (0.5, 1.0, 2.5):
         spec = EnsembleSpec(
             rate=rate,
-            variables=(
-                VariableSpec("zl", LEFT, law, 0),
-                VariableSpec("zr", RIGHT, law, 0),
-            ),
+            jump=law,
             sizes=(32, 64, 128),
             trials=200,
             seed=20240101,
@@ -219,13 +211,10 @@ def test_criterion_5_matrix_model():
 
 def test_criterion_6_fock_model():
     t0 = time.time()
-    a = Alphabet(("a1",), ("a2",))
+    # independent point masses at 0.7 (left) and 0.3 (right)
+    jump = JumpLaw(Alphabet(("a1",), ("a2",)), ((0.7, 0.3),), (1.0,))
     worst = 0.0
     for N in (2, 3):
-        jump = MomentFunctional.from_function(
-            a, N + 1,
-            lambda w: 0.7 ** w.count("a1") * 0.3 ** w.count("a2"),
-        )
         _, kappa, target = verify_fock_cumulants(0.5, jump, N, N + 1)
         worst = max(worst, np.abs(kappa.row - target).max())
     # truncation doubling leaves moments unchanged: the library's block
@@ -233,12 +222,10 @@ def test_criterion_6_fock_model():
     # depth 12, built by word enumeration
     from bipoisson.fock import FockBasis, build_w_operators, fock_moments
 
-    jump = MomentFunctional.from_function(
-        a, 3, lambda w: 0.7 ** w.count("a1") * 0.3 ** w.count("a2")
-    )
     basis = FockBasis(2, 6)
     phi = fock_moments(*build_w_operators(0.5, jump, 2, basis, 3), basis, 3)
-    full = dict(zip(("wl", "wr"), w_operators_by_words(0.5, jump, 2, FockBasis(2, 12))))
+    by_words = w_operators_by_words(0.5, jump.moments(2), 2, FockBasis(2, 12))
+    full = dict(zip(("wl", "wr"), by_words))
     tables = [{w: phi(w) for w in phi.values}, {}]
     for w in phi.values:
         v = np.zeros(full["wl"].shape[0])

@@ -31,6 +31,12 @@ from bipoisson.cli import (
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
 from bipoisson.partitions import ChiShape, enumerate_nc, mobius_nc_one
+from bipoisson.poisson import JOINT_ATOM_BUDGET
+
+
+# a uniform law whose product with itself is past the joint atom budget
+WIDE_SIDE = math.isqrt(JOINT_ATOM_BUDGET) + 1
+WIDE_LAW = ",".join(f"{i}:{1 / WIDE_SIDE}" for i in range(WIDE_SIDE))
 
 
 def run(args, capsys):
@@ -467,6 +473,7 @@ class TestNumericValidation:
             (SIM + ["--trials", "100000000"], "past the trial budget"),
             (["cbp", "limit", "--sizes", "2,2"], "must not repeat"),
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
+            (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -479,7 +486,7 @@ class TestNumericValidation:
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
              "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
-             "approx_repeated_size"],
+             "approx_repeated_size", "product_law_past_budget"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -659,6 +666,15 @@ class TestStartup:
         )
         assert self.modules_after(code, "scipy") == "[]"
 
+    @pytest.mark.parametrize("args", [
+        ["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--N", "2",
+         "--max-m", "3"],
+        ["cbp", "limit", "--deg", "2", "--sizes", "8,16"]])
+    def test_jump_law_commands_leave_matrix_models_unloaded(self, args):
+        # the jump law lives in `poisson`; only `simulate` needs the matrix model
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert "bipoisson.matrix_models" not in self.modules_after(code, "bipoisson")
+
     @pytest.mark.parametrize("args", [["nc", "list", "--n", "4"],
                                       ["nc", "mobius", "--n", "4"],
                                       ["bnc", "list", "--chi", "lrl"]])
@@ -685,7 +701,7 @@ class TestStartup:
             wrong += [n for n in bipoisson.__all__ if star[n] is not getattr(bipoisson, n)]
             print(len(set(bipoisson.__all__)), wrong)
         """)
-        assert self.last_line(code) == "43 []"
+        assert self.last_line(code) == "41 []"
 
 
 class TestFock:
@@ -715,9 +731,7 @@ class TestFock:
 
 class TestHelpers:
     def test_parse_atoms(self):
-        law = parse_atoms("1:0.25,2:0.75")
-        assert law.atoms == (1.0, 2.0)
-        assert law.weights == (0.25, 0.75)
+        assert parse_atoms("1:0.25,2:0.75") == ((1.0, 2.0), (0.25, 0.75))
 
     def test_convergence_slope_perfect(self):
         points = [(n, [1.0 + 1.0 / n], [1.0]) for n in (2, 4, 8, 16)]

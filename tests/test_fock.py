@@ -10,18 +10,20 @@ import pytest
 from oracles import creation_by_words, creation_product_by_words, w_operators_by_words
 
 from bipoisson.errors import CapExceededError, ShapeMismatchError
-from bipoisson.cumulants import Alphabet, MomentFunctional
+from bipoisson.cumulants import Alphabet
 from bipoisson.fock import (
     FockBasis,
     IndexMap,
     build_w_operators,
-    check_commuting,
     creation_string,
     fock_moments,
     vacuum_moment,
     verify_fock_cumulants,
 )
 from bipoisson.partitions import LEFT, RIGHT
+from bipoisson.poisson import JumpLaw
+
+PAIR = Alphabet(("a1",), ("a2",))
 
 
 def vacuum(basis: FockBasis) -> np.ndarray:
@@ -40,7 +42,7 @@ def annihilators(basis: FockBasis, max_len: int) -> tuple[IndexMap, IndexMap]:
     """(l_1^*, r_2^*) on the words of length <= max_len: the W operators at
     rate 0, where every series term vanishes, for moments to length
     max_len + 1."""
-    return build_w_operators(0.0, product_jump(0.7, 0.3, 1), 1, basis, max_len + 1)
+    return build_w_operators(0.0, product_jump(0.7, 0.3), 1, basis, max_len + 1)
 
 
 def assert_sorted(op: IndexMap) -> None:
@@ -57,20 +59,14 @@ def index_of(basis: FockBasis, word: tuple[int, ...]) -> int:
     return basis.offset(len(word)) + rank
 
 
-def product_jump(m1: float, m2: float, cap: int) -> MomentFunctional:
+def product_jump(m1: float, m2: float) -> JumpLaw:
     """Commuting pair of independent point masses at m1 (left) and m2."""
-    a = Alphabet(("a1",), ("a2",))
-    return MomentFunctional.from_function(
-        a, cap, lambda w: m1 ** w.count("a1") * m2 ** w.count("a2")
-    )
+    return JumpLaw.independent(PAIR, (((m1,), (1.0,)), ((m2,), (1.0,))))
 
 
-def shared_jump(cap: int) -> MomentFunctional:
+def shared_jump() -> JumpLaw:
     """a1 = a2, one variable with law (delta_{0.5} + delta_{-1.2}) / 2."""
-    a = Alphabet(("a1",), ("a2",))
-    return MomentFunctional.from_function(
-        a, cap, lambda w: (0.5 ** len(w) + (-1.2) ** len(w)) / 2
-    )
+    return JumpLaw(PAIR, ((0.5, 0.5), (-1.2, -1.2)), (0.5, 0.5))
 
 
 class TestBasis:
@@ -181,23 +177,10 @@ class TestOperators:
                         assert np.array_equal(dense(got), want[:size, :size])
 
 
-class TestCommutingCheck:
-    def test_accepts_product_law(self):
-        check_commuting(product_jump(0.7, 0.3, 4))
-
-    def test_rejects_order_dependent(self):
-        a = Alphabet(("a1",), ("a2",))
-        phi = MomentFunctional.from_function(
-            a, 2, lambda w: 2.0 if w == ("a1", "a2") else 1.0
-        )
-        with pytest.raises(ShapeMismatchError):
-            check_commuting(phi)
-
-
 class TestWOperators:
     def test_order_one_is_constant_plus_annihilator(self):
         basis = FockBasis(2, 2)
-        jump = product_jump(0.7, 0.3, 2)
+        jump = product_jump(0.7, 0.3)
         # moments to length 3 read W on every word of length <= 2
         w_l, w_r = build_w_operators(2.0, jump, 1, basis, 3)
         expect_l = creation_by_words(basis, LEFT, 1).T.toarray() + 2.0 * 0.7 * np.eye(
@@ -207,20 +190,22 @@ class TestWOperators:
         assert vacuum_moment([w_r]) == pytest.approx(2.0 * 0.3)
 
     def test_validation(self):
-        jump = product_jump(0.5, 0.5, 4)
+        jump = product_jump(0.5, 0.5)
         with pytest.raises(ValueError):
             build_w_operators(1.0, jump, 0, FockBasis(2, 3), 3)
         with pytest.raises(CapExceededError):
             build_w_operators(1.0, jump, 4, FockBasis(2, 2), 3)
-        with pytest.raises(CapExceededError):
-            build_w_operators(1.0, product_jump(0.5, 0.5, 1), 3, FockBasis(2, 8), 3)
         with pytest.raises(ValueError):
             build_w_operators(1.0, jump, 2, FockBasis(2, 3), -1)
         with pytest.raises(ShapeMismatchError):
             build_w_operators(1.0, jump, 2, FockBasis(3, 3), 3)
+        # W needs one left and one right jump variable
+        two_left = JumpLaw(Alphabet(("a1", "a2")), ((0.5, 0.5),), (1.0,))
+        with pytest.raises(ShapeMismatchError, match="one left and one right"):
+            build_w_operators(1.0, two_left, 2, FockBasis(2, 3), 3)
 
     def test_moments_need_the_whole_block(self):
-        jump = product_jump(0.7, 0.3, 2)
+        jump = product_jump(0.7, 0.3)
         basis = FockBasis(2, 6)
         w_l, w_r = build_w_operators(0.5, jump, 2, basis, 3)
         with pytest.raises(ShapeMismatchError):
@@ -234,14 +219,13 @@ class TestWOperators:
 class TestCumulantStructure:
     @pytest.mark.parametrize("N", [2, 3])
     def test_exact_truncation(self, N):
-        jump = product_jump(0.7, 0.3, N + 1)
+        jump = product_jump(0.7, 0.3)
         _, kappa, target = verify_fock_cumulants(0.5, jump, N, N + 1)
         assert np.abs(kappa.row - target).max() < 1e-10
 
     def test_shared_variable_law(self):
         # a1 = a2 fully correlated: moments depend on total count
-        a = Alphabet(("a1",), ("a2",))
-        jump = MomentFunctional.from_function(a, 4, lambda w: 0.5 ** len(w))
+        jump = JumpLaw(PAIR, ((0.5, 0.5),), (1.0,))
         _, kappa, target = verify_fock_cumulants(1.5, jump, 3, 4)
         assert np.abs(kappa.row - target).max() < 1e-10
 
@@ -250,11 +234,12 @@ class TestCumulantStructure:
         "N,max_m,depth", [(2, 4, 8), (3, 5, 9), (3, 5, 4), (2, 3, 2), (3, 2, 6)]
     )
     def test_block_moments_match_full_matvecs(self, N, max_m, depth, law):
-        jump = product_jump(0.7, -0.4, N) if law == "product" else shared_jump(N)
+        jump = product_jump(0.7, -0.4) if law == "product" else shared_jump()
         basis = FockBasis(2, depth)
         w_l, w_r = build_w_operators(1.3, jump, N, basis, max_m)
         phi = fock_moments(w_l, w_r, basis, max_m)
-        ops = dict(zip(("wl", "wr"), w_operators_by_words(1.3, jump, N, basis)))
+        by_words = w_operators_by_words(1.3, jump.moments(N), N, basis)
+        ops = dict(zip(("wl", "wr"), by_words))
         # W on the block is the top-left corner of the whole-space operators
         size = basis.offset(min(max_m - 1, depth) + 1)
         for got, want in ((w_l, ops["wl"]), (w_r, ops["wr"])):
@@ -269,7 +254,7 @@ class TestCumulantStructure:
             assert value == v[0], word
 
     def test_depth_doubling_leaves_moments_unchanged(self):
-        jump = product_jump(0.6, 0.4, 3)
+        jump = product_jump(0.6, 0.4)
         vals = []
         for depth in (6, 12):
             basis = FockBasis(2, depth)

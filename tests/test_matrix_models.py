@@ -1,4 +1,4 @@
-"""Random-matrix models: jump laws and ensemble specs, bimodule word
+"""Random-matrix models: joint jump laws and ensemble specs, bimodule word
 evaluation, commutation of left and right actions, and small Monte Carlo
 convergence checks (heavier configurations live in the acceptance tests)."""
 
@@ -11,21 +11,18 @@ import numpy as np
 import pytest
 
 from bipoisson.errors import CapExceededError, ShapeMismatchError
-from bipoisson.cumulants import all_words
+from bipoisson.cumulants import Alphabet, all_words
 from bipoisson.matrix_models import (
     IMAG_RESIDUE_TOLERANCE,
     TRIAL_VALUE_BUDGET,
-    AtomLaw,
     EnsembleSpec,
-    VariableSpec,
     build_wishart_model,
     estimate_empirical_cumulants,
     evaluate_bimatrix_word,
-    jump_moments,
     key_values,
 )
 from bipoisson.partitions import LEFT, RIGHT
-from bipoisson.poisson import cbp_cumulants
+from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw, cbp_cumulants
 from oracles import (
     bimodule_operators,
     bimodule_residue,
@@ -34,16 +31,36 @@ from oracles import (
     operator_word_value,
 )
 
-TWO_ATOM = AtomLaw((1.0, 2.0), (0.5, 0.5))
+# (atoms, weights) marginals
+TWO_ATOM = ((1.0, 2.0), (0.5, 0.5))
+OTHER_ATOM = ((0.5, 3.0), (0.5, 0.5))
+PAIR = Alphabet(("zl",), ("zr",))
+
+
+def pair_law(right=TWO_ATOM, shared=False):
+    """zl over the two-atom law and zr over `right`, the same variable
+    (the diagonal law) or an independent one."""
+    if shared:
+        return JumpLaw(PAIR, tuple((a, a) for a in TWO_ATOM[0]), TWO_ATOM[1])
+    return JumpLaw.independent(PAIR, (TWO_ATOM, right))
+
+
+def four_variable_law(shared_xu):
+    """Left x, y and right u, v, each over a law of its own and independent,
+    or with u and x one variable (equal columns)."""
+    y, u, v = ((0.0, 3.0), (0.25, 0.75)), ((-1.0, 0.5), (0.4, 0.6)), ((0.5,), (1.0,))
+    alphabet = Alphabet(("x", "y"), ("u", "v"))
+    if not shared_xu:
+        return JumpLaw.independent(alphabet, (TWO_ATOM, y, u, v))
+    xyv = JumpLaw.independent(Alphabet(("x", "y", "v")), (TWO_ATOM, y, v))
+    return JumpLaw(alphabet, tuple((x, y, x, v) for x, y, v in xyv.atoms),
+                   xyv.weights)
 
 
 def two_sided_spec(rate, sizes=(16,), trials=8, seed=11, max_word=3, shared=True):
     return EnsembleSpec(
         rate=rate,
-        variables=(
-            VariableSpec("zl", LEFT, TWO_ATOM, 0),
-            VariableSpec("zr", RIGHT, TWO_ATOM, 0 if shared else 1),
-        ),
+        jump=pair_law(shared=shared),
         sizes=sizes,
         trials=trials,
         seed=seed,
@@ -51,19 +68,70 @@ def two_sided_spec(rate, sizes=(16,), trials=8, seed=11, max_word=3, shared=True
     )
 
 
-class TestAtomLaw:
+class TestJumpLaw:
     def test_moments(self):
-        assert TWO_ATOM.moment(1) == 1.5
-        assert TWO_ATOM.moment(2) == 2.5
-        assert AtomLaw((3.0,), (1.0,)).moment(4) == 81.0
+        jump = JumpLaw.independent(Alphabet(("z",)), (TWO_ATOM,)).moments(4)
+        assert jump(("z",)) == 1.5
+        assert jump(("z", "z")) == 2.5
+        point = JumpLaw(PAIR, ((3.0, -1.0),), (1.0,)).moments(5)
+        assert point(("zl",) * 4) == 81.0
+        assert point(("zr", "zl", "zr")) == 3.0
+        # a word's moment is read from the joint law
+        correlated = JumpLaw(PAIR, ((1.0, 0.5), (2.0, 3.0)), (0.5, 0.5)).moments(2)
+        assert correlated(("zl", "zr")) == 0.5 * 0.5 + 0.5 * 6.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AtomLaw((1.0,), (0.5,))
+        with pytest.raises(ValueError, match="probability vector"):
+            JumpLaw(PAIR, ((1.0, 1.0),), (0.5,))
         with pytest.raises(ShapeMismatchError):
-            AtomLaw((1.0, 2.0), (1.0,))
-        with pytest.raises(ValueError):
-            AtomLaw((math.nan,), (1.0,))
+            JumpLaw(PAIR, ((1.0, 1.0), (2.0, 2.0)), (1.0,))
+        with pytest.raises(ValueError, match="must be finite"):
+            JumpLaw(PAIR, ((math.nan, 1.0),), (1.0,))
+        # an atom needs one coordinate per name
+        with pytest.raises(ShapeMismatchError, match="one coordinate per name"):
+            JumpLaw(PAIR, ((1.0, 2.0), (3.0,)), (0.5, 0.5))
+        with pytest.raises(ValueError, match="overflows"):
+            JumpLaw(PAIR, ((1e300, 1.0),), (1.0,)).moments(2)
+        # each marginal is checked, not only their product
+        with pytest.raises(ValueError, match="probability vector"):
+            JumpLaw.independent(PAIR, (((1.0,), (0.5,)), ((2.0,), (2.0,))))
+
+    def test_independent_is_product_of_marginals(self):
+        marginals = (TWO_ATOM, ((0.0, 3.0), (0.25, 0.75)), ((-1.0, 0.5), (0.4, 0.6)))
+        alphabet = Alphabet(("x", "y"), ("u",))
+        law = JumpLaw.independent(alphabet, marginals)
+        assert len(law.atoms) == 8 and law.variables == (0, 1, 2)
+        single = [JumpLaw.independent(Alphabet(("z",)), (m,)).moments(4)
+                  for m in marginals]
+        jump = law.moments(4)
+        for w in all_words(alphabet, 4):
+            want = math.prod(m(("z",) * w.count(x)) for m, x in zip(single, "xyu"))
+            assert abs(jump(w) - want) <= 1e-12 * abs(want), w
+
+    def test_equal_columns_are_one_variable(self):
+        shared = pair_law(shared=True)
+        assert shared.variables == (0, 0)
+        jump = shared.moments(3)
+        assert jump(("zl", "zr")) == jump(("zl", "zl")) == 2.5
+        assert jump(("zr", "zl", "zr")) == 4.5
+        assert four_variable_law(shared_xu=True).variables == (0, 1, 0, 2)
+        assert four_variable_law(shared_xu=False).variables == (0, 1, 2, 3)
+        # one matrix for both names
+        mats = build_wishart_model(two_sided_spec(1.0), 8, np.random.default_rng(0))
+        assert mats["zl"] is mats["zr"]
+
+    def test_product_budget(self):
+        side = math.isqrt(JOINT_ATOM_BUDGET) + 1
+        big = (tuple(map(float, range(side))), (1 / side,) * side)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="joint atom budget"):
+                JumpLaw.independent(PAIR, (big, big))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rejected before any atom of the product is listed
+        assert peak < 1_000_000
 
 
 class TestWordEvaluation:
@@ -111,7 +179,7 @@ class TestKeyValues:
     @pytest.mark.parametrize("shared, products", [(True, 1), (False, 3)])
     def test_products_formed_once(self, shared, products):
         # 1L1R words up to length 4 split into halves of at most two
-        # factors: over a shared slot every half is T or T², one matmul;
+        # factors: over one shared variable every half is T or T², one matmul;
         # with independent matrices A and B the halves of two factors are
         # AA, AB and BB
         spec = two_sided_spec(2.5, sizes=(8,), max_word=4, shared=shared)
@@ -142,12 +210,7 @@ class TestKeyValues:
         # side's product changes the real part of mixed keys
         spec = EnsembleSpec(
             rate=1.5,
-            variables=(
-                VariableSpec("x", LEFT, TWO_ATOM, 0),
-                VariableSpec("y", LEFT, AtomLaw((0.0, 3.0), (0.25, 0.75)), 1),
-                VariableSpec("u", RIGHT, AtomLaw((-1.0, 0.5), (0.4, 0.6)), 2),
-                VariableSpec("v", RIGHT, AtomLaw((0.5,), (1.0,)), 3),
-            ),
+            jump=four_variable_law(shared_xu=False),
             sizes=(8,),
             trials=2,
             seed=0,
@@ -160,8 +223,8 @@ class TestKeyValues:
         ))
         assert any(not lefts or not rights for lefts, rights in keys)
         mats = build_wishart_model(spec, 8, np.random.default_rng(19))
-        names = [v.name for v in spec.variables]
-        ops = bimodule_operators([(mats[v.name], v.side) for v in spec.variables])
+        names = spec.alphabet.names
+        ops = bimodule_operators([(mats[x], spec.alphabet.side_of(x)) for x in names])
         expected = np.array([
             operator_word_value(ops, [names.index(x) for x in lefts + rights])
             for lefts, rights in keys
@@ -186,16 +249,11 @@ class TestKeyValues:
         assert not any(alive)
 
 
-def law_spec(shared, rate, n):
-    """zl over the two-atom law and zr over it (shared) or over a second
-    law of its own slot, at one size."""
-    right = TWO_ATOM if shared else AtomLaw((0.5, 3.0), (0.5, 0.5))
+def law_spec(law, rate, n):
+    """zl and zr over one of JOINT_LAWS, at one size."""
     return EnsembleSpec(
         rate=rate,
-        variables=(
-            VariableSpec("zl", LEFT, TWO_ATOM, 0),
-            VariableSpec("zr", RIGHT, right, 0 if shared else 1),
-        ),
+        jump=JOINT_LAWS[law],
         sizes=(n,),
         trials=2,
         seed=0,
@@ -222,49 +280,53 @@ def mean_and_se(rows):
     return rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(len(rows))
 
 
-# (shared, rate, n): at p = 10, n = 4 a shared slot's two classes mostly
-# hold k >= n rows and the four joint classes of independent slots mostly
-# k < n, with the other kind in a share of trials; at p = 4, n = 8 every
-# class has k < n rows
-LAW_CASES = [(True, 2.5, 4), (True, 0.5, 8), (False, 2.5, 4), (False, 0.5, 8)]
+# zr the same variable as zl (True), independent of it (False), or
+# correlated with it, E[ab] = 3.25 against E[a]E[b] = 2.625
+JOINT_LAWS = {
+    True: pair_law(shared=True),
+    False: pair_law(OTHER_ATOM),
+    "correlated": JumpLaw(PAIR, ((1.0, 0.5), (2.0, 3.0)), (0.5, 0.5)),
+}
+# (law, rate, n): at p = 10, n = 4 the two classes of a two-atom law mostly
+# hold k >= n rows and the four classes of the product law mostly k < n,
+# with the other kind in a share of trials; at p = 4, n = 8 every class has
+# k < n rows
+LAW_CASES = [(True, 2.5, 4), (True, 0.5, 8), (False, 2.5, 4), (False, 0.5, 8),
+             ("correlated", 2.5, 4)]
 
 
 class TestModelLaw:
     """The Bartlett-factor sampler draws the law of T_s = G*·diag(b_s)·G."""
 
-    @pytest.mark.parametrize("shared, rate, n", LAW_CASES)
-    def test_exact_finite_n_moments(self, shared, rate, n):
+    @pytest.mark.parametrize("law, rate, n", LAW_CASES)
+    def test_exact_finite_n_moments(self, law, rate, n):
         # rows r of G are i.i.d. with E|g_r|^4 = 1 + 1/n and
         # E|<g_r, g_r'>|^2 = 1/n for r != r', so at every n
         # E tr T/n = (p/n) m1, E tr T^2/n = (p/n) m2 (1 + 1/n) + p(p-1) m1^2/n^2
-        # and E tr(T_l T_r)/n is the second with E[ab] and E[a]E[b]
-        spec = law_spec(shared, rate, n)
+        # and E tr(T_l T_r)/n is the second with E[ab] and E[a]E[b], each
+        # read from the joint law
+        spec = law_spec(law, rate, n)
         p = math.floor(rate * n + 0.5)
-        a, b = (v.law for v in spec.variables)
-        ab = a.moment(2) if shared else a.moment(1) * b.moment(1)
+        jump = spec.jump.moments(2)
+        a, b = jump(("zl",)), jump(("zr",))
 
-        def second(m2, m1m1):
-            return p / n * m2 * (1 + 1 / n) + p * (p - 1) * m1m1 / n**2
+        def second(word):
+            return p / n * jump(word) * (1 + 1 / n) + p * (p - 1) * math.prod(
+                map(jump, zip(word))) / n**2
 
         words = [("zl",), ("zr",), ("zl", "zl"), ("zr", "zr"), ("zl", "zr")]
-        expected = [
-            p / n * a.moment(1),
-            p / n * b.moment(1),
-            second(a.moment(2), a.moment(1) ** 2),
-            second(b.moment(2), b.moment(1) ** 2),
-            second(ab, a.moment(1) * b.moment(1)),
-        ]
+        expected = [p / n * a, p / n * b, *map(second, words[2:])]
         mean, se = mean_and_se(
             trial_traces(build_wishart_model, spec, n, 1500, 5, words)
         )
         assert (np.abs(mean - expected) <= 4 * se).all(), (mean, expected, se)
 
-    @pytest.mark.parametrize("shared, rate, n", LAW_CASES)
-    def test_higher_traces_match_direct_sampler(self, shared, rate, n):
+    @pytest.mark.parametrize("law, rate, n", LAW_CASES)
+    def test_higher_traces_match_direct_sampler(self, law, rate, n):
         # two independent samples, the library's and the oracle's direct
         # Gaussian G: their means of third and fourth traces agree within
         # four standard errors of the difference
-        spec = law_spec(shared, rate, n)
+        spec = law_spec(law, rate, n)
         words = [("zl",) * 3, ("zl",) * 4, ("zr",) * 3, ("zr",) * 4,
                  ("zl", "zr", "zl", "zr")]
         got, got_se = mean_and_se(
@@ -284,18 +346,6 @@ class TestEnsembleSpec:
         # a p x n Gaussian factor past the budget, before any trial is drawn
         with pytest.raises(CapExceededError, match="exceeds budget"):
             two_sided_spec(1e7, sizes=(8,))
-        with pytest.raises(ShapeMismatchError):
-            EnsembleSpec(
-                1.0,
-                (
-                    VariableSpec("a", LEFT, TWO_ATOM, 0),
-                    VariableSpec("b", RIGHT, AtomLaw((1.0,), (1.0,)), 0),
-                ),
-                (8,),
-                1,
-                0,
-                2,
-            )
 
     def test_trial_budget(self):
         # max_word 3 over two letters: 14 words, so 15 values a trial
@@ -312,11 +362,12 @@ class TestEnsembleSpec:
         assert peak < 1_000_000
 
     def test_jump_moment_factors_over_slots(self):
-        spec = two_sided_spec(1.0, shared=False)
-        jump = jump_moments(spec.variables, 2)
-        assert jump(("zl", "zr")) == pytest.approx(1.5 * 1.5)
-        shared = two_sided_spec(1.0, shared=True)
-        assert jump_moments(shared.variables, 2)(("zl", "zr")) == pytest.approx(2.5)
+        # the spec's jump table: independent variables factor, one shared
+        # variable does not
+        spec = two_sided_spec(1.0, shared=False, max_word=2)
+        assert spec.law.jump_law(("zl", "zr")) == pytest.approx(1.5 * 1.5)
+        shared = two_sided_spec(1.0, shared=True, max_word=2)
+        assert shared.law.jump_law(("zl", "zr")) == pytest.approx(2.5)
 
     def test_targets(self):
         spec = two_sided_spec(0.5)
@@ -336,12 +387,7 @@ class TestModelConvergence:
         # part of a trace; words sharing a key outnumber the keys
         spec = EnsembleSpec(
             rate=1.5,
-            variables=(
-                VariableSpec("x", LEFT, TWO_ATOM, 0),
-                VariableSpec("y", LEFT, AtomLaw((0.0, 3.0), (0.25, 0.75)), 1),
-                VariableSpec("u", RIGHT, TWO_ATOM, 0),
-                VariableSpec("v", RIGHT, AtomLaw((0.5,), (1.0,)), 2),
-            ),
+            jump=four_variable_law(shared_xu=True),
             sizes=(6, 10),
             trials=3,
             seed=17,
@@ -375,15 +421,12 @@ class TestModelConvergence:
         assert abs(rep.cumulants[0] - target[0]) < 4 * max(rep.moment_se[0], 1e-3)
 
     def test_independent_slots_reach_targets(self):
-        # both slots share one G, so the mixed cumulant is
-        # rate * E[a] * E[b] = 1 * 1.5 * 1.75; a G per slot would make the
-        # two matrices asymptotically free and that cumulant 0
+        # both variables share one G, so the mixed cumulant is
+        # rate * E[a] * E[b] = 1 * 1.5 * 1.75; a G per variable would make
+        # the two matrices asymptotically free and that cumulant 0
         spec = EnsembleSpec(
             rate=1.0,
-            variables=(
-                VariableSpec("zl", LEFT, TWO_ATOM, 0),
-                VariableSpec("zr", RIGHT, AtomLaw((0.5, 3.0), (0.5, 0.5)), 1),
-            ),
+            jump=pair_law(OTHER_ATOM),
             sizes=(32,),
             trials=40,
             seed=0,
