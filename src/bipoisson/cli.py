@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 # The numerical modules (and numpy) are imported inside the commands that
 # use them, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import ChiShape, enumerate_nc, mobius_nc_values
+from .partitions import ChiShape, enumerate_nc, mobius_nc_values, nc_blocks
 
 DEFAULT_SEED = 20240101
 
@@ -55,10 +55,18 @@ def _fmt(x: float) -> str:
 def write_output(text: str | Iterable[str], out_path: str | None) -> None:
     """Write a text, or a text's chunks in order, to stdout, or atomically
     (temp file + rename) to out_path; the temp file is removed on any
-    error, including one raised by the chunks."""
+    error, including one raised by the chunks. A reader that closes
+    standard output early gives CliError("IO")."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # What is still buffered goes to devnull, so that the flush at
+            # exit does not raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CliError("IO", "standard output closed") from None
         return
     d = os.path.dirname(os.path.abspath(out_path)) or "."
     tmp = None
@@ -324,12 +332,11 @@ def partition_stream(partitions: Iterable, mobius: Iterable[int] | None = None
 
 
 def cmd_nc_list(args) -> Iterator[str]:
-    return partition_stream(p.blocks for p in enumerate_nc(args.n))
+    return partition_stream(nc_blocks(args.n))
 
 
 def cmd_nc_mobius(args) -> Iterator[str]:
-    return partition_stream((p.blocks for p in enumerate_nc(args.n)),
-                            mobius_nc_values(args.n))
+    return partition_stream(nc_blocks(args.n), mobius_nc_values(args.n))
 
 
 def cmd_bnc_list(args) -> Iterator[str]:

@@ -102,6 +102,11 @@ class EnsembleSpec:
     def alphabet(self) -> Alphabet:
         return self.jump.alphabet
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The jump law's weights, converted once for every trial's draw."""
+        return np.array(self.jump.weights)
+
 
 def build_wishart_model(
     spec: EnsembleSpec, n: int, rng: np.random.Generator
@@ -119,7 +124,7 @@ def build_wishart_model(
     """
     p = math.floor(spec.rate * n + 0.5)
     jump = spec.jump
-    picks = rng.choice(len(jump.atoms), size=p, p=jump.weights)
+    picks = rng.choice(len(jump.atoms), size=p, p=spec.weights)
     classes, counts = np.unique(picks, return_counts=True)
     rows = np.minimum(counts, n)
     # each row's index i within its class's factor: its diagonal column

@@ -7,8 +7,8 @@ ordered by their minimum) so equality and hashing are structural.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from math import comb
 
 from .errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
@@ -21,12 +21,10 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(namedtuple("SetPartition", "n blocks")):
     """A partition of {1..n} into disjoint nonempty blocks, canonical form."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "SetPartition":
@@ -92,21 +90,19 @@ def _nc_range(lo: int, hi: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
             block = (lo,) + chosen
-            closed = []
+            # (blocks so far, their weight), folded in one gap at a time
+            acc = [((block,), 1)]
             for a, b in zip(block, chosen):
                 gaps, inners_j, outers_j = _nc_range(a + 1, b)
-                closed.append(zip(gaps, [i * _mobius_zero_one(o + 1)
-                                         for i, o in zip(inners_j, outers_j)]))
-            last = zip(*_nc_range(block[-1] + 1, hi))
-            for *pick, (tail, inner, outer) in itertools.product(*closed, last):
-                blocks = [block]
-                for gap, weight in pick:
-                    blocks += gap
-                    inner *= weight
-                blocks += tail
-                parts.append(tuple(blocks))
-                inners.append(inner)
-                outers.append(outer + 1)
+                gap = [(g, i * _mobius_zero_one(o + 1))
+                       for g, i, o in zip(gaps, inners_j, outers_j)]
+                acc = [(p + g, w * v) for p, w in acc for g, v in gap]
+            tails, tail_inners, tail_outers = _nc_range(block[-1] + 1, hi)
+            tail_outers = [o + 1 for o in tail_outers]
+            for p, w in acc:
+                parts.extend([p + t for t in tails])
+                inners.extend([w * i for i in tail_inners])
+                outers.extend(tail_outers)
     return tuple(parts), tuple(inners), tuple(outers)
 
 
@@ -117,10 +113,16 @@ def _nc_entries(n: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
     return _nc_range(1, n + 1)
 
 
+def nc_blocks(n: int) -> tuple:
+    """The blocks of each pi of `enumerate_nc(n)`, in the same order, with
+    no partition object per pi."""
+    return _nc_entries(n)[0]
+
+
 @lru_cache(maxsize=None)
 def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
-    return tuple(SetPartition(n, blocks) for blocks in _nc_entries(n)[0])
+    return tuple(SetPartition(n, blocks) for blocks in nc_blocks(n))
 
 
 def mobius_nc_values(n: int) -> tuple[int, ...]:
@@ -175,32 +177,23 @@ def mobius_nc_one(pi: SetPartition) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class ChiShape:
-    """A side map chi: {1..n} -> {l, r} and its induced permutation s_chi."""
+    """A side map chi: {1..n} -> {l, r} and its induced permutation s_chi,
+    listed as s_chi(k) for k = 1..n: left positions ascending, then right
+    positions descending."""
 
-    sides: tuple[str, ...]
-    # block of positions -> its sorted image under s_chi; at most 2^n entries
-    _block_images: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
-
-    def __post_init__(self):
-        bad = set(self.sides) - {LEFT, RIGHT}
+    def __init__(self, sides: tuple[str, ...]):
+        bad = set(sides) - {LEFT, RIGHT}
         if bad:  # sorted, so that the message does not depend on the hash seed
             tags = ", ".join(sorted(map(repr, bad)))
             raise ShapeMismatchError(f"unknown side tags {{{tags}}}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sides)
-
-    @cached_property
-    def s_chi(self) -> tuple[int, ...]:
-        """s_chi(k) listed for k = 1..n: left positions ascending, then
-        right positions descending."""
-        lefts = [i for i, s in enumerate(self.sides, 1) if s == LEFT]
-        rights = [i for i, s in enumerate(self.sides, 1) if s == RIGHT]
-        return tuple(lefts + rights[::-1])
+        self.sides = sides
+        self.n = len(sides)
+        lefts = [i for i, s in enumerate(sides, 1) if s == LEFT]
+        rights = [i for i, s in enumerate(sides, 1) if s == RIGHT]
+        self.s_chi = tuple(lefts + rights[::-1])
+        # block of positions -> its sorted image under s_chi; at most 2^n entries
+        self._block_images = {}
 
     def apply(self, pi: SetPartition) -> SetPartition:
         """s_chi o pi: push a partition of positions through s_chi. s_chi is

@@ -588,6 +588,26 @@ class TestNumericValidation:
         assert err.startswith(f"ERROR IO: cannot write {out_path}: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args,read", [
+        (["nc", "mobius", "--n", "10"], 20),  # 4 MB: the pipe fills and breaks
+        (["nc", "list", "--n", "2"], 0),  # closed before the flush at exit
+    ])
+    def test_closed_stdout_is_io_error(self, args, read):
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        # buffered, so that a small output meets the closed pipe only on flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bipoisson.cli", *args],
+            env=dict(env, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        # one named line: no traceback, no "Exception ignored" at shutdown
+        assert err.decode() == "ERROR IO: standard output closed\n"
+
 
 # One small run of each subcommand; "{table}" stands for a sample table file
 COMMANDS = {
@@ -675,12 +695,22 @@ class TestStartup:
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
         assert "bipoisson.matrix_models" not in self.modules_after(code, "bipoisson")
 
-    @pytest.mark.parametrize("args", [["nc", "list", "--n", "4"],
-                                      ["nc", "mobius", "--n", "4"],
-                                      ["bnc", "list", "--chi", "lrl"]])
+    PARTITION_COMMANDS = [["nc", "list", "--n", "4"], ["nc", "mobius", "--n", "4"],
+                          ["bnc", "list", "--chi", "lrl"]]
+
+    @pytest.mark.parametrize("args", PARTITION_COMMANDS)
     def test_partition_commands_leave_numpy_unloaded(self, args):
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
         assert self.modules_after(code, "numpy") == "[]"
+
+    @pytest.mark.parametrize("args", PARTITION_COMMANDS)
+    def test_partition_commands_leave_dataclasses_unloaded(self, args):
+        # `dataclasses` imports `inspect`: ~15 ms of start-up that the
+        # partition commands do not need
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert self.last_line(
+            code + "; print([m for m in ('inspect', 'dataclasses') if m in sys.modules])"
+        ) == "[]"
 
     def test_package_names_resolve_to_their_modules(self):
         # A fresh process, so that each name is resolved on first use. The
