@@ -17,11 +17,12 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 # The numerical modules (and numpy) are imported inside the commands that
 # use them, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
-from .partitions import ChiShape, enumerate_nc, mobius_nc_values, nc_blocks
+from .partitions import ChiShape, SetPartition, _block, _mobius_zero_one, nc_rows
 
 DEFAULT_SEED = 20240101
 
@@ -159,14 +160,9 @@ def rows_as(fmt: str, header: list[str], rows: list[list]) -> str:
 def table_to_json(table) -> dict:
     """Serialize a word table with side tags made explicit."""
     alphabet = table.alphabet
-    entries = []
-    for word, value in sorted(table.values.items(), key=lambda e: (len(e[0]), e[0])):
-        entries.append(
-            {
-                "word": [[name, alphabet.side_of(name)] for name in word],
-                "value": value,
-            }
-        )
+    words = sorted(table.values.items(), key=lambda e: (len(e[0]), e[0]))
+    entries = [{"word": [[name, alphabet.side_of(name)] for name in word], "value": value}
+               for word, value in words]
     return {
         "schema": 1,
         "alphabet": {"left": list(alphabet.left), "right": list(alphabet.right)},
@@ -286,39 +282,42 @@ def _word_str(word) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-# Partitions rendered into one chunk of `partition_stream`
+# Rows rendered into one chunk of `partition_stream`
 JSON_BATCH = 1024
 
 
-def partition_stream(partitions: Iterable, mobius: Iterable[int] | None = None
-                     ) -> Iterator[str]:
-    """The text of `json_text(list(partitions))`, or with Mobius values that
-    of `json_text([{"blocks": p, "mobius": mu} for p, mu in zip(partitions,
-    mobius)])`, in chunks of JSON_BATCH partitions. Both iterables are read
-    lazily, so the full text never exists at once.
+class _Pieces(dict):
+    """Block -> `"," + nl + its JSON text` at the block indent `nl`, kept;
+    `first(block)` puts a row's separator and opening in place of the ",".
+    One instance per row form keys the recursion's memo alike in every call."""
 
-    A partition is a non-empty tuple of non-empty int tuples. Each block's
-    text is rendered once and kept, and a partition is its blocks' texts and
-    separators between a fixed head and a tail.
-    """
-    if mobius is None:
-        head, nl = "[", "\n    "  # nl: a newline and a block's indent
-        rows = ((p, "\n  ]") for p in partitions)
-    else:
-        head, nl = '{\n    "blocks": [', "\n      "
-        rows = ((p, f'\n    ],\n    "mobius": {mu}\n  }}')
-                for p, mu in zip(partitions, mobius))
-    sep, inner = "," + nl, nl + "  "
-    first, rest = "[\n  " + head + nl, ",\n  " + head + nl
-    texts, out, i = {}, [], 0
-    for i, (blocks, tail) in enumerate(rows, 1):
-        out.append(rest if i > 1 else first)
-        for b in blocks:
-            text = texts.get(b)
-            if text is None:
-                text = texts[b] = "[" + inner + ("," + inner).join(map(str, b)) + nl + "]"
-            out += (text, sep)
-        out[-1] = tail  # in place of the last block's separator
+    def __init__(self, opening: str, nl: str):
+        self.nl, self.head = nl, ",\n  " + opening
+
+    def __missing__(self, b):
+        nl = self.nl
+        text = self[b] = f",{nl}[{nl}  " + f",{nl}  ".join(map(str, b)) + f"{nl}]"
+        return text
+
+    def first(self, b) -> str:
+        return self.head + self[b][1:]
+
+
+_LIST = _Pieces("[", "\n    ")
+_MOBIUS = _Pieces('{\n    "blocks": [', "\n      ")
+# mu -> the tail of its `nc mobius` row, kept
+_mobius_tail = lru_cache(maxsize=None)('\n    ],\n    "mobius": {}\n  }}'.format)
+
+
+def partition_stream(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
+    """The JSON array of `head + tail + row_tail` over rows (head, tail,
+    row_tail), read lazily in chunks of JSON_BATCH rows, so the full text
+    never exists at once. Heads start with "," and the first row's with "["."""
+    out, i = [], 0
+    for i, row in enumerate(rows, 1):
+        out += row
+        if i == 1:
+            out[0] = "[" + out[0][1:]
         if i % JSON_BATCH == 0:
             yield "".join(out)
             out.clear()
@@ -326,22 +325,27 @@ def partition_stream(partitions: Iterable, mobius: Iterable[int] | None = None
     yield "".join(out)
 
 
-# The partition commands return their rows as chunks rendered while they
-# are written. `partition_stream`'s arguments are evaluated at once, so the
-# enumeration, and every error it raises, comes before the first byte.
+# The partition commands return chunks rendered while they are written; their
+# input is checked when the rows are made, so any error comes before a byte.
 
 
 def cmd_nc_list(args) -> Iterator[str]:
-    return partition_stream(nc_blocks(args.n))
+    rows = nc_rows(args.n, _LIST.__getitem__, _LIST.first)
+    return partition_stream((head, tail, "\n  ]") for head, tail, _, _ in rows)
 
 
 def cmd_nc_mobius(args) -> Iterator[str]:
-    return partition_stream(nc_blocks(args.n), mobius_nc_values(args.n))
+    rows = nc_rows(args.n, _MOBIUS.__getitem__, _MOBIUS.first)
+    return partition_stream((head, tail, _mobius_tail(i * _mobius_zero_one(o)))
+                            for head, tail, i, o in rows)
 
 
 def cmd_bnc_list(args) -> Iterator[str]:
     shape = ChiShape(tuple(args.chi))
-    return partition_stream(shape.apply(pi).blocks for pi in enumerate_nc(shape.n))
+    blocks = (shape.apply(SetPartition(shape.n, h + t)).blocks
+              for h, t, _, _ in nc_rows(shape.n, _block, _block))
+    return partition_stream((_LIST.first(b[0]), "".join(map(_LIST.__getitem__, b[1:])),
+                             "\n  ]") for b in blocks)
 
 
 def cmd_cumulants_from_moments(args) -> str:
@@ -524,12 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(
         dest="action", required=True)
-    q = nc.add_parser("list")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_nc_list, numeric=False)
-    q = nc.add_parser("mobius")
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(fn=cmd_nc_mobius, numeric=False)
+    for name, fn in (("list", cmd_nc_list), ("mobius", cmd_nc_mobius)):
+        q = nc.add_parser(name)
+        q.add_argument("--n", type=int, required=True)
+        q.set_defaults(fn=fn, numeric=False)
 
     bnc = sub.add_parser("bnc", help="bi-non-crossing partitions").add_subparsers(
         dest="action", required=True)

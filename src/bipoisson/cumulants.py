@@ -161,7 +161,7 @@ def _length_plan(n_left: int, size: int, n: int):
             gap = [runs.setdefault(tuple(range(a + 1, b)), len(runs))
                    for a, b in zip(cuts, cuts[1:]) if b > a + 1]
             gaps.append(gap + [0] * (n // 2 - len(gap)))
-    members = np.array([np.isin(np.arange(n), s) for s in sets + list(runs)])
+    members = np.array([[x in s for x in range(n)] for s in sets + list(runs)])
     # Horner over each word's letters, taking those whose slot is in the set
     rank = np.zeros((len(members), len(digits)), dtype=np.intp)
     for i in range(n):

@@ -103,9 +103,12 @@ class EnsembleSpec:
         return self.jump.alphabet
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """The jump law's weights, converted once for every trial's draw."""
-        return np.array(self.jump.weights)
+    def cdf(self) -> np.ndarray:
+        """The jump law's cumulative weights, scaled to end at 1 as
+        `Generator.choice` scales them, built once for every trial's draw."""
+        cdf = np.cumsum(self.jump.weights)
+        cdf /= cdf[-1]
+        return cdf
 
 
 def build_wishart_model(
@@ -124,7 +127,9 @@ def build_wishart_model(
     """
     p = math.floor(spec.rate * n + 0.5)
     jump = spec.jump
-    picks = rng.choice(len(jump.atoms), size=p, p=spec.weights)
+    # `rng.choice(len(jump.atoms), size=p, p=weights)`'s draw, without
+    # checking and summing the weights again in every trial
+    picks = spec.cdf.searchsorted(rng.random(p), side="right")
     classes, counts = np.unique(picks, return_counts=True)
     rows = np.minimum(counts, n)
     # each row's index i within its class's factor: its diagonal column

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 
@@ -66,70 +67,69 @@ def _mobius_zero_one(m: int) -> int:
     return (-1) ** (m - 1) * catalan(m - 1)
 
 
-@lru_cache(maxsize=None)
-def _nc_range(lo: int, hi: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """Non-crossing partitions pi of lo..hi-1 as canonical block tuples,
-    with inner(pi) and outer(pi) in two aligned tuples.
+def _rows(lo: int, hi: int, piece, first) -> Iterator[tuple]:
+    """Each non-crossing partition pi of lo..hi-1 (lo < hi) as (head, tail,
+    inner(pi), outer(pi)): head + tail is `first(b_0)` and then `piece(b)`
+    for pi's other blocks b, in canonical order.
 
-    First-block recursion: the block {b_0 < ... < b_k} of lo, taken in order
-    of size and then lexicographically, followed by a partition sigma_j of
-    each gap b_j < x < b_{j+1} (b_{k+1} = hi). The gaps are ascending
-    ranges, so the concatenation is already ordered by block minimum.
-
-    The Kreweras complement K(pi) has the blocks of each K(sigma_j) off
-    sigma_j's outer face, one block of size outer(sigma_j) + 1 per gap j < k
-    closed off by the first block, and the outer-face block, of size
+    First-block recursion: the block b_0 = lo < ... < b_k, in order of size
+    and then lexicographically, then a partition sigma_j of each gap
+    b_j < x < b_{j+1} (b_{k+1} = hi); the head ends with the gaps j < k,
+    and the tail is sigma_k. K(pi), the Kreweras complement, has the blocks
+    of each K(sigma_j) off sigma_j's outer face, one block of size
+    outer(sigma_j) + 1 per gap j < k, and the outer-face block, of size
     outer(pi) = outer(sigma_k) + 1. inner(pi) is the product of
-    mu(0_|b|, 1_|b|) over the blocks b of K(pi) other than the outer one, so
+    mu(0_|b|, 1_|b|) over the other blocks b of K(pi), so
     mu(pi, 1) = inner(pi) * mu(0_outer, 1_outer).
     """
-    if lo >= hi:
-        return ((),), (1,), (0,)
-    parts, inners, outers = [], [], []
     rest = range(lo + 1, hi)
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
             block = (lo,) + chosen
-            # (blocks so far, their weight), folded in one gap at a time
-            acc = [((block,), 1)]
+            heads = [(first(block), 1)]  # (head, the gaps' share of inner)
             for a, b in zip(block, chosen):
-                gaps, inners_j, outers_j = _nc_range(a + 1, b)
-                gap = [(g, i * _mobius_zero_one(o + 1))
-                       for g, i, o in zip(gaps, inners_j, outers_j)]
-                acc = [(p + g, w * v) for p, w in acc for g, v in gap]
-            tails, tail_inners, tail_outers = _nc_range(block[-1] + 1, hi)
-            tail_outers = [o + 1 for o in tail_outers]
-            for p, w in acc:
-                parts.extend([p + t for t in tails])
-                inners.extend([w * i for i in tail_inners])
-                outers.extend(tail_outers)
-    return tuple(parts), tuple(inners), tuple(outers)
+                if b > a + 1:  # an empty gap adds nothing and weighs 1
+                    gaps, inners, outers = _nc_range(a + 1, b, piece)
+                    gap = [(g, i * _mobius_zero_one(o + 1))
+                           for g, i, o in zip(gaps, inners, outers)]
+                    heads = [(p + g, w * v) for p, w in heads for g, v in gap]
+            tails, inners, outers = _nc_range(block[-1] + 1, hi, piece)
+            for p, w in heads:
+                for t, i, o in zip(tails, inners, outers):
+                    yield p, t, w * i, o + 1
 
 
-def _nc_entries(n: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """`_nc_range` of {1..n}, for n within the enumeration cap."""
+@lru_cache(maxsize=None)
+def _nc_range(lo: int, hi: int, piece) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """`_rows(lo, hi, piece, piece)` joined, as three aligned tuples. A piece
+    is anything `+` joins and `[:0]` empties: `(block,)` gives block tuples."""
+    if lo >= hi:  # one partition, with no blocks
+        return (piece((lo,))[:0],), (1,), (0,)
+    return tuple(zip(*[(p + t, i, o) for p, t, i, o in _rows(lo, hi, piece, piece)]))
+
+
+def nc_rows(n: int, piece, first) -> Iterator[tuple]:
+    """`_rows` of {1..n}, which is streamed and not memoized. The cap is
+    checked at the call, before the first row."""
     if not 1 <= n <= DEFAULT_CAP:
         raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
-    return _nc_range(1, n + 1)
+    return _rows(1, n + 1, piece, first)
 
 
-def nc_blocks(n: int) -> tuple:
-    """The blocks of each pi of `enumerate_nc(n)`, in the same order, with
-    no partition object per pi."""
-    return _nc_entries(n)[0]
+def _block(b: tuple[int, ...]) -> tuple[tuple[int, ...]]:
+    return (b,)
 
 
 @lru_cache(maxsize=None)
 def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
-    return tuple(SetPartition(n, blocks) for blocks in nc_blocks(n))
+    return tuple(SetPartition(n, p + t) for p, t, _, _ in nc_rows(n, _block, _block))
 
 
 def mobius_nc_values(n: int) -> tuple[int, ...]:
     """mu(pi, 1_n) for each pi of `enumerate_nc(n)`, in the same order,
     read off the enumeration's own recursion."""
-    _, inners, outers = _nc_entries(n)
-    return tuple(i * _mobius_zero_one(o) for i, o in zip(inners, outers))
+    return tuple(i * _mobius_zero_one(o) for _, _, i, o in nc_rows(n, _block, _block))
 
 
 def _kreweras_cycles(p: SetPartition) -> list[list[int]]:
@@ -191,20 +191,17 @@ class ChiShape:
         self.n = len(sides)
         lefts = [i for i, s in enumerate(sides, 1) if s == LEFT]
         rights = [i for i, s in enumerate(sides, 1) if s == RIGHT]
-        self.s_chi = tuple(lefts + rights[::-1])
+        self.s_chi = s_chi = tuple(lefts + rights[::-1])
         # block of positions -> its sorted image under s_chi; at most 2^n entries
-        self._block_images = {}
+        self._image = lru_cache(maxsize=None)(
+            lambda b: tuple(sorted(s_chi[x - 1] for x in b)))
 
     def apply(self, pi: SetPartition) -> SetPartition:
         """s_chi o pi: push a partition of positions through s_chi. s_chi is
         a bijection, so the mapped blocks are disjoint and sorting them as
         tuples orders them by their minimum: the result is canonical. Each
         block's sorted image is kept in this shape's own memo."""
-        images = self._block_images
-        for b in pi.blocks:
-            if b not in images:
-                images[b] = tuple(sorted(self.s_chi[x - 1] for x in b))
-        return SetPartition(self.n, tuple(sorted(map(images.__getitem__, pi.blocks))))
+        return SetPartition(self.n, tuple(sorted(map(self._image, pi.blocks))))
 
 
 def enumerate_bnc(shape: ChiShape) -> list[SetPartition]:

@@ -18,8 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 import bipoisson
 from bipoisson.cli import (
+    _LIST,
+    _MOBIUS,
     JSON_BATCH,
     CliError,
+    _mobius_tail,
     emit_convergence_series,
     json_text,
     main,
@@ -30,7 +33,7 @@ from bipoisson.cli import (
 )
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
-from bipoisson.partitions import ChiShape, enumerate_nc, mobius_nc_one
+from bipoisson.partitions import ChiShape, _nc_range, enumerate_nc, mobius_nc_one
 from bipoisson.poisson import JOINT_ATOM_BUDGET
 
 
@@ -156,22 +159,28 @@ class TestJsonText:
 
     @pytest.mark.parametrize("size", [0, 1, JSON_BATCH, JSON_BATCH + 1])
     def test_iterator_streams_in_batches(self, size):
-        # the partition renderer, in both of its forms
+        # the partition renderer, in both of its row forms
         blocks = ([((1, 2), (3,)), ((1,), (2, 3))] * (size // 2)
                   + [((1, 2, 3),)] * (size % 2))
         mobius = [-1, 1] * (size // 2) + [2] * (size % 2)
         items = [{"blocks": b, "mobius": mu} for b, mu in zip(blocks, mobius)]
-        for chunks, rows in ((partition_stream(iter(blocks)), blocks),
-                             (partition_stream(iter(blocks), iter(mobius)), items)):
+
+        def rows(pieces, row_tails):
+            return ((pieces.first(p[0]), "".join(map(pieces.__getitem__, p[1:])), t)
+                    for p, t in zip(blocks, row_tails))
+
+        for chunks, expected in (
+                (partition_stream(rows(_LIST, ["\n  ]"] * size)), blocks),
+                (partition_stream(rows(_MOBIUS, map(_mobius_tail, mobius))), items)):
             chunks = list(chunks)
             assert len(chunks) == size // JSON_BATCH + 1
-            assert "".join(chunks) == json.dumps(rows, indent=2) + "\n"
+            assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
 
     def test_non_str_key_rejected(self):
         with pytest.raises(TypeError):
             json_text({1: 2})
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_nc_commands_match_json_dumps(self, n, capsys):
         pis = enumerate_nc(n)
         _, out, _ = run(["nc", "list", "--n", str(n)], capsys)
@@ -180,6 +189,25 @@ class TestJsonText:
         _, out, _ = run(["nc", "mobius", "--n", str(n)], capsys)
         rows = [{"blocks": b, "mobius": mobius_nc_one(p)} for b, p in zip(blocks, pis)]
         assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("action", ["list", "mobius"])
+    def test_repeat_nc_command_adds_no_memo_entries(self, action, capsys):
+        # the sub-range memo is keyed on one set of pieces per row form
+        run(["nc", "list", "--n", "7"], capsys)
+        run(["nc", "mobius", "--n", "7"], capsys)
+        size = _nc_range.cache_info().currsize
+        run(["nc", action, "--n", "7"], capsys)
+        assert _nc_range.cache_info().currsize == size
+
+    @pytest.mark.parametrize("action, pieces", [("list", _LIST), ("mobius", _MOBIUS)])
+    def test_nc_ground_set_is_streamed_not_memoized(self, action, pieces, capsys):
+        n = 8
+        run(["nc", action, "--n", str(n)], capsys)
+        misses = _nc_range.cache_info().misses
+        _nc_range(2, n + 1, pieces.__getitem__)  # the tail of the first block {1}
+        assert _nc_range.cache_info().misses == misses
+        _nc_range(1, n + 1, pieces.__getitem__)
+        assert _nc_range.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr",
                                      "lrlrlrlrlr", "rlrrllrlrl"])

@@ -3,6 +3,7 @@ single-face and BNC Mobius-sum oracles, additivity, the side-sorted
 reordering identity on commuting bipartite families, and the compiled plan
 against the per-word first-block recursion, bit for bit."""
 
+import itertools
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from bipoisson.cumulants import (
     kappa_from_moments,
     moments_from_kappa,
     transform_rows,
+    word_offset,
 )
 from bipoisson.partitions import (
     LEFT,
@@ -432,3 +434,37 @@ class TestPlanGuards:
     def test_unknown_side_tag_rejected(self):
         with pytest.raises(ShapeMismatchError):
             moment_of_word(lambda w: 1.0, lambda w: 1.0, (LEFT, "x"), ("a", "b"))
+
+
+def _isin_plan(n_left, size, n):
+    """`_length_plan` with each cut set's and run's members found by
+    `np.isin`, as the plan found them before it tested membership in
+    Python."""
+    digits = np.arange(size**n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
+    right = digits >= n_left
+    slot = np.where(right, n - right.cumsum(1), (~right).cumsum(1) - 1)
+    sets, runs, gaps = [], {(): 0}, []
+    for k in range(n):
+        for chosen in itertools.combinations(range(1, n), k):
+            cuts = (0,) + chosen + (n,)
+            sets.append(cuts[:-1])
+            gap = [runs.setdefault(tuple(range(a + 1, b)), len(runs))
+                   for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+            gaps.append(gap + [0] * (n // 2 - len(gap)))
+    members = np.array([np.isin(np.arange(n), s) for s in sets + list(runs)])
+    rank = np.zeros((len(members), len(digits)), dtype=np.intp)
+    for i in range(n):
+        rank = np.where(members[:, slot[:, i]], rank * size + digits[:, i], rank)
+    index = word_offset(size, members.sum(1))[:, None] + rank
+    return index[: len(sets)], index[len(sets):], np.array(gaps, dtype=np.intp).T
+
+
+
+class TestPlanMembers:
+    @pytest.mark.parametrize("n_left, size", [(1, 1), (1, 2), (0, 2), (2, 3)])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_plan_matches_isin_construction(self, n_left, size, n):
+        got = cumulants._length_plan.__wrapped__(n_left, size, n)
+        for a, b in zip(got, _isin_plan(n_left, size, n)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
