@@ -43,14 +43,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------- io helpers
 
 
-def _finite(x: float) -> float:
+def _fmt(x: float) -> str:
+    x = float(x)
     if not math.isfinite(x):
         raise CliError("NUMERIC", f"non-finite value {x} in the output")
-    return x
-
-
-def _fmt(x: float) -> str:
-    return f"{_finite(float(x)):.17g}"
+    return f"{x:.17g}"
 
 
 def write_output(text: str | Iterable[str], out_path: str | None) -> None:
@@ -93,59 +90,12 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def json_text(obj) -> str:
-    """`json.dumps(obj, indent=2) + "\\n"`, byte for byte, for nested lists,
-    tuples and str-keyed dicts of JSON scalars; a non-finite float raises
-    CliError("NUMERIC") where `json.dumps` would write NaN or Infinity.
-
-    The standard encoder falls back to pure Python when given an indent.
-    This writer renders a plain int as `str(x)` without calling the encoder
-    and each dict key once. Subclasses of int, tuple and list take the
-    general path, so they render as `json.dumps` renders them.
-    """
-    out: list[str] = []
-    _json_chunks(obj, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
-
-
-def _json_chunks(obj, nl: str, out: list[str], names: dict) -> None:
-    """Append the text of `obj` to `out`; `nl` is a newline followed by the
-    indent of the line `obj` starts on. `names` maps each dict key already
-    seen to its quoted text."""
-    if type(obj) is int:
-        out.append(str(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            out.append(sep)
-            _json_chunks(item, inner, out, names)
-            sep = comma
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep, comma = "{" + inner, "," + inner
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            name = names.get(k)
-            if name is None:
-                name = names[k] = json.dumps(k) + ": "
-            out.append(sep)
-            out.append(name)
-            _json_chunks(v, inner, out, names)
-            sep = comma
-        out.append(nl + "}")
-    else:
-        if isinstance(obj, float):
-            _finite(obj)
-        out.append(json.dumps(obj))
+    """`json.dumps(obj, indent=2) + "\\n"`; a non-finite float raises
+    CliError("NUMERIC") where `json.dumps` would write NaN or Infinity."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise CliError("NUMERIC", str(exc)) from exc
 
 
 def rows_as(fmt: str, header: list[str], rows: list[list]) -> str:
@@ -175,11 +125,13 @@ def table_from_json(obj, cls):
     from .cumulants import Alphabet
 
     try:
-        if obj.get("schema") != 1:
-            raise CliError("TABLE_PARSE", f"unsupported schema {obj.get('schema')!r}")
-        alphabet = Alphabet(
-            tuple(obj["alphabet"]["left"]), tuple(obj["alphabet"].get("right", []))
-        )
+        schema = obj.get("schema")
+        if type(schema) is not int or schema != 1:
+            raise CliError("TABLE_PARSE", f"unsupported schema {json.dumps(schema)}")
+        sides = obj["alphabet"]["left"], obj["alphabet"].get("right", [])
+        if not all(type(s) is list and all(type(x) is str for x in s) for s in sides):
+            raise CliError("TABLE_PARSE", "each alphabet side must be a list of names")
+        alphabet = Alphabet(*map(tuple, sides))
         cap = obj["degree_cap"]
         if type(cap) is not int or cap < 0:
             raise CliError(
@@ -188,21 +140,26 @@ def table_from_json(obj, cls):
         values = {}
         for entry in obj["entries"]:
             word = []
-            for name, side in entry["word"]:
+            for letter in entry["word"]:
+                if type(letter) is not list:
+                    raise CliError("TABLE_PARSE", f"letter {json.dumps(letter)} is not a list")
+                name, side = letter
                 if alphabet.side_of(name) != side:
                     raise CliError(
                         "TABLE_PARSE", f"side tag {side!r} wrong for variable {name!r}"
                     )
                 word.append(name)
             word = tuple(word)
-            value = float(entry["value"])
+            value = entry["value"]
+            if type(value) not in (int, float):
+                raise CliError("TABLE_PARSE", f"value {json.dumps(value)} is not a number")
             if word in values:
                 raise CliError("TABLE_PARSE", f"duplicate entry for word {word!r}")
             if len(word) > cap:
                 raise CliError(
                     "TABLE_PARSE", f"entry {word!r} longer than degree_cap {cap}"
                 )
-            values[word] = value
+            values[word] = float(value)
 
         def entry(w):
             if w not in values:
@@ -212,7 +169,7 @@ def table_from_json(obj, cls):
         return cls.from_function(alphabet, cap, entry)
     except (CliError, CapExceededError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError,
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             MissingEntryError, ShapeMismatchError) as exc:
         raise CliError("TABLE_PARSE", f"malformed table: {exc}") from exc
 

@@ -123,9 +123,9 @@ def build_w_operators(
         raise ValueError("series order N must be >= 1")
     if basis.depth < N:
         raise CapExceededError(f"depth {basis.depth} < N = {N}")
-    if max_m < 0:
-        raise ValueError(f"moment length {max_m} is negative")
-    max_len = max(min(max_m - 1, basis.depth), 0)
+    if max_m < 1:
+        raise ValueError(f"moment length {max_m} must be >= 1")
+    max_len = min(max_m - 1, basis.depth)
     phi = jump.moments(N)
     (a1,), (a2,) = jump.alphabet.left, jump.alphabet.right
     out = []

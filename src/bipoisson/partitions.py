@@ -126,12 +126,6 @@ def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     return tuple(SetPartition(n, p + t) for p, t, _, _ in nc_rows(n, _block, _block))
 
 
-def mobius_nc_values(n: int) -> tuple[int, ...]:
-    """mu(pi, 1_n) for each pi of `enumerate_nc(n)`, in the same order,
-    read off the enumeration's own recursion."""
-    return tuple(i * _mobius_zero_one(o) for _, _, i, o in nc_rows(n, _block, _block))
-
-
 def _kreweras_cycles(p: SetPartition) -> list[list[int]]:
     """Cycles of s -> P^{-1}(c(s)), where P has a cycle per block (traversed
     in increasing order) and c is the long cycle (1 2 ... n). Each cycle
@@ -167,7 +161,6 @@ def mobius_nc_one(pi: SetPartition) -> int:
     """Mobius value of the interval [pi, 1_n] in NC(n), for any one pi.
 
     Uses [pi, 1_n] ~ prod over Kreweras-complement blocks of full NC lattices.
-    `mobius_nc_values` gives the same values for all of NC(n) at once.
     """
     if not is_noncrossing(pi):
         raise ShapeMismatchError(f"{pi} is not non-crossing")

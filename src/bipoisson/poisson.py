@@ -200,6 +200,8 @@ def psd_check(nu: Distribution, deg: int) -> tuple[bool, float]:
     Letters are self-adjoint, so the involution just reverses words.
     """
     phi = nu.moments
+    if deg < 0:
+        raise ValueError(f"degree {deg} must be >= 0")
     if 2 * deg > phi.degree_cap:
         raise CapExceededError(
             f"need moments to degree {2 * deg}, cap is {phi.degree_cap}"

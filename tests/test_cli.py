@@ -2,6 +2,7 @@
 error paths with machine-parsable codes, determinism of seeded reports,
 and the convergence-series emitter."""
 
+import ast
 import errno
 import io
 import json
@@ -130,13 +131,6 @@ json_values = st.recursive(
     ),
     max_leaves=20,
 )
-# tuples of ints mixed with values equal to an int (True == 1 == 1.0), so
-# that a cached rendering keyed by value alone shows up
-int_like_tuples = st.lists(
-    st.lists(st.integers(-2, 2) | st.sampled_from([True, False, 1.0, 0.0]),
-             min_size=1, max_size=3).map(tuple),
-    max_size=6,
-)
 
 
 class TestJsonText:
@@ -151,11 +145,6 @@ class TestJsonText:
             assert exc.value.code == "NUMERIC"
         else:
             assert json_text(obj) == expected
-
-    @given(int_like_tuples)
-    def test_mixed_tuples_match_json_dumps(self, obj):
-        for value in (obj, [obj, {"a": obj}]):
-            assert json_text(value) == json.dumps(value, indent=2) + "\n"
 
     @pytest.mark.parametrize("size", [0, 1, JSON_BATCH, JSON_BATCH + 1])
     def test_iterator_streams_in_batches(self, size):
@@ -175,10 +164,6 @@ class TestJsonText:
             chunks = list(chunks)
             assert len(chunks) == size // JSON_BATCH + 1
             assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
-
-    def test_non_str_key_rejected(self):
-        with pytest.raises(TypeError):
-            json_text({1: 2})
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_nc_commands_match_json_dumps(self, n, capsys):
@@ -276,8 +261,13 @@ class TestTables:
             ([{"word": [["z", "l"]], "value": math.nan}], "non-finite"),
             ([{"word": [["z", "l"]], "value": 0.5},
               {"word": [["z", "l"], ["z", "l"]], "value": 0.9}], "degree_cap"),
+            ([{"word": [["z", "l"]], "value": True}], "value true is not a number"),
+            ([{"word": [["z", "l"]], "value": "1e3"}], 'value "1e3" is not a number'),
+            ([{"word": [["z", "l"]], "value": 10 ** 400}], "too large"),
+            ([{"word": ["zl"], "value": 0.5}], 'letter "zl" is not a list'),
         ],
-        ids=["duplicate", "nan", "over_cap"],
+        ids=["duplicate", "nan", "over_cap", "bool_value", "string_value",
+             "huge_int_value", "string_letter"],
     )
     def test_bad_entries_rejected(self, tmp_path, capsys, entries, message):
         obj = {
@@ -295,6 +285,22 @@ class TestTables:
         assert out == ""
         assert err.startswith("ERROR TABLE_PARSE")
         assert message in err
+
+    @pytest.mark.parametrize("schema, alphabet, message", [
+        (True, {"left": ["z"]}, "unsupported schema true"),
+        (1.0, {"left": ["z"]}, "unsupported schema 1.0"),
+        (1, {"left": "ab"}, "each alphabet side must be a list of names"),
+        (1, {"left": ["z"], "right": "u"}, "each alphabet side must be a list of names"),
+        (1, {"left": ["z", 2]}, "each alphabet side must be a list of names"),
+    ], ids=["bool_schema", "float_schema", "string_left", "string_right", "int_name"])
+    def test_bad_schema_or_alphabet_rejected(self, tmp_path, capsys, schema, alphabet,
+                                             message):
+        path = tmp_path / "head.json"
+        path.write_text(json.dumps({"schema": schema, "alphabet": alphabet,
+                                    "degree_cap": 0, "entries": []}))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR TABLE_PARSE: {message}\n"
 
     @pytest.mark.parametrize("cap", [-3, 2.9, 2.0, True, "2", None],
                              ids=["negative", "fraction", "float", "bool", "string", "null"])
@@ -502,6 +508,7 @@ class TestNumericValidation:
             (["cbp", "limit", "--sizes", "2,2"], "must not repeat"),
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
             (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
+            (FOCK[:-1] + ["0"], "moment length 0 must be >= 1"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -514,7 +521,7 @@ class TestNumericValidation:
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
              "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
-             "approx_repeated_size", "product_law_past_budget"],
+             "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -545,6 +552,14 @@ class TestNumericValidation:
         assert code == 2
         assert out == ""
         assert err == "ERROR VALIDATION: need moments to degree 6, cap is 4\n"
+
+    def test_psd_negative_degree(self, tmp_path, capsys):
+        _, path = sample_table(tmp_path)
+        code, out, err = run(
+            ["cbp", "psd", "--lambda", "1", "--jump", path, "--deg", "-3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "ERROR VALIDATION: degree -3 must be >= 0\n"
 
     def test_build_negative_degree(self, tmp_path, capsys):
         _, path = sample_table(tmp_path)
@@ -759,7 +774,59 @@ class TestStartup:
             wrong += [n for n in bipoisson.__all__ if star[n] is not getattr(bipoisson, n)]
             print(len(set(bipoisson.__all__)), wrong)
         """)
-        assert self.last_line(code) == "41 []"
+        assert self.last_line(code) == "40 []"
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """The names read in `tree`, as a Name or as an Attribute, except inside
+    a def or class of the same name: a definition does not call itself."""
+    found = set()
+
+    def walk(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name not in owners:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owners)
+
+    walk(tree, frozenset())
+    return found
+
+
+class TestPublicNames:
+    # Public names that no code in src/ reads, each with the reason it stays
+    UNCALLED = {
+        "mobius_nc_one": "wrapped by perfbench/tracer.py; the tests' Mobius oracle",
+        "kreweras_complement": "a test oracle, until ROADMAP item 2 moves it",
+        "enumerate_bnc": "a test oracle, until ROADMAP item 2 moves it",
+        "convolve": "acceptance criterion 4 gates it (ROADMAP Watch)",
+        "compress": "acceptance criterion 4 gates it (ROADMAP Watch)",
+    }
+
+    def test_every_public_name_is_read_in_src(self):
+        src = Path(bipoisson.__file__).resolve().parent
+        read = set()
+        for path in sorted(src.glob("*.py")):
+            if path.name != "__init__.py":
+                read |= loaded_names(ast.parse(path.read_text(), str(path)))
+        names = set(bipoisson.__all__)
+        assert sorted(set(self.UNCALLED) - names) == []
+        assert sorted(set(self.UNCALLED) & read) == []  # a caller ends the exemption
+        assert sorted(names - read - set(self.UNCALLED)) == []
+
+    def test_loaded_names_skip_own_definition(self):
+        tree = ast.parse(textwrap.dedent("""
+            LEFT = "l"
+            def f(n):
+                return f(n - 1) + g.h
+            class C:
+                def m(self):
+                    return C, self.x
+        """))
+        assert loaded_names(tree) == {"n", "g", "h", "self", "x"}
 
 
 class TestFock:

@@ -197,6 +197,8 @@ class TestWOperators:
             build_w_operators(1.0, jump, 4, FockBasis(2, 2), 3)
         with pytest.raises(ValueError):
             build_w_operators(1.0, jump, 2, FockBasis(2, 3), -1)
+        with pytest.raises(ValueError, match="moment length 0"):
+            build_w_operators(1.0, jump, 2, FockBasis(2, 3), 0)
         with pytest.raises(ShapeMismatchError):
             build_w_operators(1.0, jump, 2, FockBasis(3, 3), 3)
         # W needs one left and one right jump variable

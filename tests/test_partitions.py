@@ -12,13 +12,15 @@ from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.partitions import (
     ChiShape,
     SetPartition,
+    _block,
+    _mobius_zero_one,
     catalan,
     enumerate_bnc,
     enumerate_nc,
     is_noncrossing,
     kreweras_complement,
     mobius_nc_one,
-    mobius_nc_values,
+    nc_rows,
 )
 from oracles import (
     apply_by_relabel,
@@ -171,18 +173,21 @@ class TestMobius:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_values_match_per_partition(self, n):
-        values = mobius_nc_values(n)
-        assert values == tuple(mobius_nc_one(p) for p in enumerate_nc(n))
+        # mu(pi, 1_n) = inner(pi) * mu(0_outer, 1_outer), read off the
+        # recursion's rows as `nc mobius` reads it, in enumeration order
+        values = [i * _mobius_zero_one(o) for _, _, i, o in nc_rows(n, _block, _block)]
+        assert values == [mobius_nc_one(p) for p in enumerate_nc(n)]
         # sum over pi in [0_n, 1_n] of mu(pi, 1_n) = [0_n == 1_n]
         assert sum(values) == (1 if n == 1 else 0)
 
     @pytest.mark.parametrize("n", [0, 13])
     def test_values_share_enumeration_cap(self, n):
-        with pytest.raises(CapExceededError) as values_err:
-            mobius_nc_values(n)
+        # the rows' cap is checked at the call, before a row is read
+        with pytest.raises(CapExceededError) as rows_err:
+            nc_rows(n, _block, _block)
         with pytest.raises(CapExceededError) as enum_err:
             enumerate_nc(n)
-        assert str(values_err.value) == str(enum_err.value)
+        assert str(rows_err.value) == str(enum_err.value)
 
 
 class TestChiShape:
