@@ -16,8 +16,7 @@ _MODULE_OF = {
     for module, names in {
         "errors": ("CapExceededError", "MissingEntryError", "ShapeMismatchError"),
         "partitions": ("LEFT", "RIGHT", "ChiShape", "SetPartition", "catalan",
-                       "enumerate_bnc", "enumerate_nc", "is_noncrossing",
-                       "kreweras_complement", "mobius_nc_one"),
+                       "enumerate_nc", "is_noncrossing", "mobius_nc_one"),
         "cumulants": ("Alphabet", "CumulantTable", "MomentFunctional", "Word",
                       "all_words", "kappa_from_moments", "moments_from_kappa"),
         "poisson": ("CbpSpec", "Distribution", "JumpLaw", "cbp_cumulants",

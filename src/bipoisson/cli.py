@@ -21,7 +21,7 @@ from functools import lru_cache
 
 # The numerical modules (and numpy) are imported inside the commands that
 # use them, so that the partition commands start without them.
-from .errors import CapExceededError, MissingEntryError, ShapeMismatchError
+from .errors import CapExceededError, MissingEntryError
 from .partitions import ChiShape, SetPartition, _block, _mobius_zero_one, nc_rows
 
 DEFAULT_SEED = 20240101
@@ -125,6 +125,8 @@ def table_from_json(obj, cls):
     from .cumulants import Alphabet
 
     try:
+        if not isinstance(obj, dict):
+            raise CliError("TABLE_PARSE", "a table must be a JSON object")
         schema = obj.get("schema")
         if type(schema) is not int or schema != 1:
             raise CliError("TABLE_PARSE", f"unsupported schema {json.dumps(schema)}")
@@ -138,11 +140,15 @@ def table_from_json(obj, cls):
                 "TABLE_PARSE", f"degree_cap must be an integer >= 0, got {json.dumps(cap)}"
             )
         values = {}
-        for entry in obj["entries"]:
+        entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise CliError("TABLE_PARSE", "entries must be a list of objects")
+        for entry in entries:
             word = []
             for letter in entry["word"]:
-                if type(letter) is not list:
-                    raise CliError("TABLE_PARSE", f"letter {json.dumps(letter)} is not a list")
+                if type(letter) is not list or len(letter) != 2:
+                    raise CliError("TABLE_PARSE",
+                                   f"letter {json.dumps(letter)} is not a [name, side] pair")
                 name, side = letter
                 if alphabet.side_of(name) != side:
                     raise CliError(
@@ -169,8 +175,7 @@ def table_from_json(obj, cls):
         return cls.from_function(alphabet, cap, entry)
     except (CliError, CapExceededError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
-            MissingEntryError, ShapeMismatchError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError("TABLE_PARSE", f"malformed table: {exc}") from exc
 
 
@@ -578,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 2
-    except (CapExceededError, MissingEntryError, ShapeMismatchError, ValueError) as exc:
+    except (MissingEntryError, ValueError) as exc:
         print(f"ERROR VALIDATION: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -44,7 +44,6 @@ from .cumulants import Alphabet, all_words, transform_rows
 from .partitions import LEFT, RIGHT
 from .poisson import CbpSpec, JumpLaw
 
-IMAG_RESIDUE_TOLERANCE = 1e-9
 # Largest p x n Gaussian factor G a trial stands for; its stacked Bartlett
 # factors X have at most as many entries (complex, 16 bytes an entry)
 GAUSSIAN_ENTRY_BUDGET = 4_000_000
@@ -74,6 +73,8 @@ class EnsembleSpec:
             raise ValueError("max_word_len must be >= 1")
         if self.trials < 2:
             raise ValueError("trials must be >= 2 for standard errors")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rate * self.sizes[0] < 0.5:
             raise ValueError(
                 f"rate * n must be >= 1/2 so that p = round(rate * n) >= 1, "

@@ -22,20 +22,8 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-class SetPartition(namedtuple("SetPartition", "n blocks")):
-    """A partition of {1..n} into disjoint nonempty blocks, canonical form."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def from_blocks(n: int, blocks) -> "SetPartition":
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        seen = [x for b in canon for x in b]
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ShapeMismatchError(
-                f"blocks {blocks!r} do not partition {{1..{n}}}"
-            )
-        return SetPartition(n, canon)
+# A partition of {1..n} into disjoint nonempty blocks, in canonical form
+SetPartition = namedtuple("SetPartition", "n blocks")
 
 
 def is_noncrossing(p: SetPartition) -> bool:
@@ -151,12 +139,6 @@ def _kreweras_cycles(p: SetPartition) -> list[list[int]]:
     return cycles
 
 
-def kreweras_complement(p: SetPartition) -> SetPartition:
-    """Kreweras complement of a non-crossing partition: its blocks are the
-    cycles of s -> P^{-1}(c(s))."""
-    return SetPartition(p.n, tuple(tuple(sorted(c)) for c in _kreweras_cycles(p)))
-
-
 def mobius_nc_one(pi: SetPartition) -> int:
     """Mobius value of the interval [pi, 1_n] in NC(n), for any one pi.
 
@@ -196,7 +178,3 @@ class ChiShape:
         block's sorted image is kept in this shape's own memo."""
         return SetPartition(self.n, tuple(sorted(map(self._image, pi.blocks))))
 
-
-def enumerate_bnc(shape: ChiShape) -> list[SetPartition]:
-    """BNC(n, chi): the image of NC(n) under pi -> s_chi o pi."""
-    return [shape.apply(pi) for pi in enumerate_nc(shape.n)]

@@ -1,7 +1,9 @@
-"""Test-only oracles: brute-force partition helpers, the NC(n) generator
-that sorts and validates every partition it builds, the literal Mobius sums
-over NC(n) and BNC(n, chi), kept independent of the first-block recursion
-that the library's transforms use, that recursion word by word (the
+"""Test-only oracles: brute-force partition helpers, the validating
+constructor `from_blocks`, the Kreweras complement as a partition, the NC(n)
+generator that sorts and validates every partition it builds, the literal
+Mobius sums over NC(n) and BNC(n, chi) on that generator, kept independent
+of the first-block recursion that the library's commands and transforms
+use, that recursion word by word (the
 reference the compiled plan must match bit for bit, and the inner transform
 of the compression oracle), the brute-force compression oracle, the
 explicit bimodule operators that check the bi-matrix word evaluation, the
@@ -31,10 +33,25 @@ from bipoisson.partitions import (
     RIGHT,
     ChiShape,
     SetPartition,
-    enumerate_bnc,
-    enumerate_nc,
+    _kreweras_cycles,
     mobius_nc_one,
 )
+
+
+def from_blocks(n: int, blocks) -> SetPartition:
+    """The canonical SetPartition of `blocks` (each sorted, ordered by their
+    minimum); ShapeMismatchError unless they partition {1..n}."""
+    canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    seen = [x for b in canon for x in b]
+    if sorted(seen) != list(range(1, n + 1)):
+        raise ShapeMismatchError(f"blocks {blocks!r} do not partition {{1..{n}}}")
+    return SetPartition(n, canon)
+
+
+def kreweras(p: SetPartition) -> SetPartition:
+    """The Kreweras complement K(p), whose blocks are the cycles that
+    `mobius_nc_one` reads, validated by `from_blocks`."""
+    return from_blocks(p.n, _kreweras_cycles(p))
 
 
 def zero_partition(n: int) -> SetPartition:
@@ -64,8 +81,8 @@ def refines(p: SetPartition, other: SetPartition) -> bool:
 
 def relabel(p: SetPartition, mapping) -> SetPartition:
     """Apply a bijection {1..n} -> {1..n} elementwise; the result is sorted
-    and validated by `SetPartition.from_blocks`."""
-    return SetPartition.from_blocks(p.n, [[mapping[x] for x in b] for b in p.blocks])
+    and validated by `from_blocks`."""
+    return from_blocks(p.n, [[mapping[x] for x in b] for b in p.blocks])
 
 
 def apply_by_relabel(shape: ChiShape, pi: SetPartition) -> SetPartition:
@@ -105,11 +122,12 @@ def _nc_blocks(elems: tuple[int, ...]):
                 yield [block] + [b for part in pick for b in part]
 
 
+@lru_cache(maxsize=None)
 def enumerate_nc_from_blocks(n: int) -> tuple[SetPartition, ...]:
     """NC(n) by the first-block recursion over block lists, each partition
-    sorted and validated by `SetPartition.from_blocks`."""
+    sorted and validated by `from_blocks`; kept per n."""
     return tuple(
-        SetPartition.from_blocks(n, blocks)
+        from_blocks(n, blocks)
         for blocks in _nc_blocks(tuple(range(1, n + 1)))
     )
 
@@ -120,7 +138,7 @@ def enumerate_partitions(n: int) -> list[SetPartition]:
 
     def rec(x, blocks):
         if x > n:
-            out.append(SetPartition.from_blocks(n, blocks))
+            out.append(from_blocks(n, blocks))
             return
         for b in blocks:
             b.append(x)
@@ -146,7 +164,7 @@ def mobius_nc(pi: SetPartition, sigma: SetPartition) -> int:
         inner = [
             [relabel[x] for x in blk] for blk in pi.blocks if blk[0] in relabel
         ]
-        out *= mobius_nc_one(SetPartition.from_blocks(len(b), inner))
+        out *= mobius_nc_one(from_blocks(len(b), inner))
     return out
 
 
@@ -156,7 +174,7 @@ def ker_map(alpha) -> SetPartition:
     levels = {}
     for pos, val in enumerate(alpha, 1):
         levels.setdefault(val, []).append(pos)
-    return SetPartition.from_blocks(len(alpha), levels.values())
+    return from_blocks(len(alpha), levels.values())
 
 
 def phi_pi(phi, word, pi) -> float:
@@ -186,8 +204,13 @@ def reorder_by_s_chi(phi, word) -> float:
     reordered = tuple(word[k - 1] for k in s)
     return sum(
         mobius_nc_one(pi) * phi_pi(phi, reordered, pi)
-        for pi in enumerate_nc(len(word))
+        for pi in enumerate_nc_from_blocks(len(word))
     )
+
+
+def enumerate_bnc_by_relabel(shape: ChiShape) -> list[SetPartition]:
+    """BNC(n, chi): `apply_by_relabel` over `enumerate_nc_from_blocks`."""
+    return [apply_by_relabel(shape, pi) for pi in enumerate_nc_from_blocks(shape.n)]
 
 
 def bnc_cumulant(phi, word) -> float:
@@ -196,14 +219,14 @@ def bnc_cumulant(phi, word) -> float:
     shape = ChiShape(phi.alphabet.sides_of(word))
     return sum(
         mobius_nc_one(unapply(shape, sigma)) * phi_pi(phi, word, sigma)
-        for sigma in enumerate_bnc(shape)
+        for sigma in enumerate_bnc_by_relabel(shape)
     )
 
 
 def bnc_moment(kappa, word) -> float:
     """phi(word) as the sum over BNC(n, chi) of kappa block products."""
     shape = ChiShape(kappa.alphabet.sides_of(word))
-    return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc(shape))
+    return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc_by_relabel(shape))
 
 
 @lru_cache(maxsize=None)

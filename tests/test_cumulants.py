@@ -25,7 +25,6 @@ from bipoisson.cumulants import (
 from bipoisson.partitions import (
     LEFT,
     RIGHT,
-    SetPartition,
     catalan,
     enumerate_nc,
     mobius_nc_one,
@@ -34,6 +33,7 @@ from oracles import (
     bnc_cumulant,
     bnc_moment,
     cumulants_by_words,
+    from_blocks,
     moment_of_word,
     moments_by_words,
     num_blocks,
@@ -133,7 +133,7 @@ class TestPhiPi:
         word = ("z1", "z2", "z3")
         assert phi_pi(phi, word, one_partition(3)) == 3.0
         assert phi_pi(phi, word, zero_partition(3)) == 1.0
-        mixed = SetPartition.from_blocks(3, [[1, 3], [2]])
+        mixed = from_blocks(3, [[1, 3], [2]])
         assert phi_pi(phi, word, mixed) == 2.0 * 1.0
 
     def test_length_mismatch(self):

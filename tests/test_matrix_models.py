@@ -13,7 +13,6 @@ import pytest
 from bipoisson.errors import CapExceededError, ShapeMismatchError
 from bipoisson.cumulants import Alphabet, all_words
 from bipoisson.matrix_models import (
-    IMAG_RESIDUE_TOLERANCE,
     TRIAL_VALUE_BUDGET,
     EnsembleSpec,
     build_wishart_model,
@@ -35,6 +34,8 @@ from oracles import (
 TWO_ATOM = ((1.0, 2.0), (0.5, 0.5))
 OTHER_ATOM = ((0.5, 3.0), (0.5, 0.5))
 PAIR = Alphabet(("zl",), ("zr",))
+# Largest imaginary part any trial's word value may keep
+IMAG_RESIDUE_TOLERANCE = 1e-9
 
 
 def pair_law(right=TWO_ATOM, shared=False):
@@ -346,6 +347,9 @@ class TestEnsembleSpec:
         # a p x n Gaussian factor past the budget, before any trial is drawn
         with pytest.raises(CapExceededError, match="exceeds budget"):
             two_sided_spec(1e7, sizes=(8,))
+        # a negative seed is the spec's error, not SeedSequence's at the first trial
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            two_sided_spec(1.0, seed=-1)
 
     def test_trial_budget(self):
         # max_word 3 over two letters: 14 words, so 15 values a trial
