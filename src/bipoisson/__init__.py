@@ -19,9 +19,9 @@ _MODULE_OF = {
                        "enumerate_nc", "is_noncrossing", "mobius_nc_one"),
         "cumulants": ("Alphabet", "CumulantTable", "MomentFunctional", "Word",
                       "all_words", "kappa_from_moments", "moments_from_kappa"),
-        "poisson": ("CbpSpec", "Distribution", "JumpLaw", "cbp_cumulants",
-                    "cbp_moments", "compress", "convolve", "limit_theorem_moments",
-                    "poisson_approximation", "psd_check", "semigroup_element"),
+        "poisson": ("CbpSpec", "JumpLaw", "cbp_cumulants", "cbp_moments", "compress",
+                    "convolve", "limit_theorem_moments", "poisson_approximation",
+                    "psd_check", "semigroup_element"),
         "matrix_models": ("EnsembleSpec", "SizeReport", "build_wishart_model",
                           "estimate_empirical_cumulants"),
         "fock": ("FockBasis", "build_w_operators", "fock_moments", "vacuum_moment",

@@ -130,6 +130,8 @@ def table_from_json(obj, cls):
         schema = obj.get("schema")
         if type(schema) is not int or schema != 1:
             raise CliError("TABLE_PARSE", f"unsupported schema {json.dumps(schema)}")
+        if not isinstance(obj["alphabet"], dict):
+            raise CliError("TABLE_PARSE", "alphabet must be an object")
         sides = obj["alphabet"]["left"], obj["alphabet"].get("right", [])
         if not all(type(s) is list and all(type(x) is str for x in s) for s in sides):
             raise CliError("TABLE_PARSE", "each alphabet side must be a list of names")
@@ -144,8 +146,11 @@ def table_from_json(obj, cls):
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise CliError("TABLE_PARSE", "entries must be a list of objects")
         for entry in entries:
-            word = []
-            for letter in entry["word"]:
+            letters = entry["word"]
+            if type(letters) is not list:
+                raise CliError("TABLE_PARSE",
+                               f"word {json.dumps(letters)} is not a list of letters")
+            for letter in letters:
                 if type(letter) is not list or len(letter) != 2:
                     raise CliError("TABLE_PARSE",
                                    f"letter {json.dumps(letter)} is not a [name, side] pair")
@@ -154,8 +159,7 @@ def table_from_json(obj, cls):
                     raise CliError(
                         "TABLE_PARSE", f"side tag {side!r} wrong for variable {name!r}"
                     )
-                word.append(name)
-            word = tuple(word)
+            word = tuple(name for name, _ in letters)
             value = entry["value"]
             if type(value) not in (int, float):
                 raise CliError("TABLE_PARSE", f"value {json.dumps(value)} is not a number")
@@ -175,8 +179,10 @@ def table_from_json(obj, cls):
         return cls.from_function(alphabet, cap, entry)
     except (CliError, CapExceededError):
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (MissingEntryError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CliError("TABLE_PARSE", f"malformed table: {exc}") from exc
+    except KeyError as exc:  # a plain KeyError is a lookup of an absent key
+        raise CliError("TABLE_PARSE", f"missing key {json.dumps(exc.args[0])}") from exc
 
 
 def load_table(path: str, cls):
@@ -335,19 +341,19 @@ def _truncate(table, cls, deg: int):
 
 
 def cmd_cbp_build(args) -> str:
-    from .cumulants import MomentFunctional
-    from .poisson import CbpSpec, cbp_moments
+    from .cumulants import MomentFunctional, moments_from_kappa
+    from .poisson import CbpSpec, cbp_cumulants
 
     jump = load_table(args.jump, MomentFunctional)
     if args.deg is not None:
         jump = _truncate(jump, MomentFunctional, args.deg)
-    dist = cbp_moments(CbpSpec(args.rate, jump))
+    kappa = cbp_cumulants(CbpSpec(args.rate, jump))
     return json_text(
         {
             "schema": 1,
             "rate": args.rate,
-            "cumulants": table_to_json(dist.cumulants),
-            "moments": table_to_json(dist.moments),
+            "cumulants": table_to_json(kappa),
+            "moments": table_to_json(moments_from_kappa(kappa)),
         }
     )
 
@@ -357,8 +363,8 @@ def cmd_cbp_series(args) -> str:
     --beta), against the moments of the N-fold bi-free sum (`limit`) or the
     cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
     from .cumulants import Alphabet, all_words
-    from .poisson import (CbpSpec, JumpLaw, cbp_moments, limit_theorem_moments,
-                          poisson_approximation)
+    from .poisson import (CbpSpec, JumpLaw, cbp_cumulants, cbp_moments,
+                          limit_theorem_moments, poisson_approximation)
 
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
@@ -369,14 +375,13 @@ def cmd_cbp_series(args) -> str:
     jump = JumpLaw(Alphabet(("zl",), ("zr",)), ((args.alpha, args.beta),),
                    (1.0,)).moments(args.deg)
     spec = CbpSpec(args.rate, jump)
-    nu = cbp_moments(spec)
-    points = []
-    for n in sizes:
-        if args.action == "limit":
-            approx, ref = limit_theorem_moments(spec, n).moments, nu.moments
-        else:
-            approx, ref = poisson_approximation(nu, n).cumulants, nu.cumulants
-        points.append((n, approx.row, ref.row))
+    if args.action == "limit":
+        ref = cbp_moments(spec)
+        approx = [limit_theorem_moments(spec, n) for n in sizes]
+    else:
+        ref = cbp_cumulants(spec)
+        approx = [poisson_approximation(ref, n) for n in sizes]
+    points = [(n, table.row, ref.row) for n, table in zip(sizes, approx)]
     words = [_word_str(w) for w in all_words(jump.alphabet, args.deg)]
     return emit_convergence_series(words, points, args.format)
 
@@ -386,8 +391,7 @@ def cmd_cbp_psd(args) -> str:
     from .poisson import CbpSpec, cbp_moments, psd_check
 
     jump = load_table(args.jump, MomentFunctional)
-    dist = cbp_moments(CbpSpec(args.rate, jump))
-    ok, min_eig = psd_check(dist, args.deg)
+    ok, min_eig = psd_check(cbp_moments(CbpSpec(args.rate, jump)), args.deg)
     return json_text(
         {"schema": 1, "degree": args.deg, "psd": bool(ok), "min_eigenvalue": min_eig}
     )

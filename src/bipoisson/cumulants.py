@@ -118,14 +118,6 @@ class MomentFunctional(_WordTable):
 class CumulantTable(_WordTable):
     """kappa_chi: words -> reals (chi implicit in the word's side tags)."""
 
-    def add(self, other: "CumulantTable") -> "CumulantTable":
-        if other.alphabet != self.alphabet or other.degree_cap != self.degree_cap:
-            raise ShapeMismatchError("cumulant tables on different alphabets/caps")
-        return CumulantTable(self.alphabet, self.degree_cap, self.row + other.row)
-
-    def scale(self, t: float) -> "CumulantTable":
-        return CumulantTable(self.alphabet, self.degree_cap, t * self.row)
-
 
 def word_offset(size: int, n):
     """The number of words shorter than n over `size` letters, the empty

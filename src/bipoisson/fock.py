@@ -102,10 +102,11 @@ def vacuum_moment(ops) -> float:
 
 
 def build_w_operators(
-    rate: float, jump: JumpLaw, N: int, basis: FockBasis, max_m: int
+    rate: float, phi: MomentFunctional, basis: FockBasis, max_m: int
 ) -> tuple[IndexMap, IndexMap]:
-    """The series operators (W_l, W_r) of order N on the vacuum and the
-    words of length < max_m, <= depth: all that moments to length max_m read.
+    """The series operators (W_l, W_r) on the vacuum and the words of length
+    < max_m, <= depth: all that moments to length max_m read. The series
+    order N is the cap of phi, the jump law's moment table.
 
     W_l = l_1^* + sum over strings alpha in {1,2}^n, n < N, of
     rate * phi(a_{alpha(1)}..a_{alpha(n)} a_1) * l_{alpha(n)}..l_{alpha(1)},
@@ -115,7 +116,8 @@ def build_w_operators(
     No two terms share an entry, so each entry of W is one coefficient.
     The jump law has one left name a1 and one right name a2.
     """
-    if len(jump.alphabet.left) != 1 or len(jump.alphabet.right) != 1:
+    N = phi.degree_cap
+    if len(phi.alphabet.left) != 1 or len(phi.alphabet.right) != 1:
         raise ShapeMismatchError("need exactly one left and one right jump variable")
     if basis.dim != 2:
         raise ShapeMismatchError("W operators need a two-generator basis")
@@ -126,8 +128,7 @@ def build_w_operators(
     if max_m < 1:
         raise ValueError(f"moment length {max_m} must be >= 1")
     max_len = min(max_m - 1, basis.depth)
-    phi = jump.moments(N)
-    (a1,), (a2,) = jump.alphabet.left, jump.alphabet.right
+    (a1,), (a2,) = phi.alphabet.left, phi.alphabet.right
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
         a = creation_string(basis, side, (own,), max_len)
@@ -178,13 +179,14 @@ def verify_fock_cumulants(
     rate and the targets are checked first, so a bad one stops the run
     before W is built. A W-word's target is read at its own row position:
     the moments of a joint jump law depend on letter counts alone."""
-    targets = cbp_cumulants(CbpSpec(rate, jump.moments(N)))
+    jump_phi = jump.moments(N)
+    targets = cbp_cumulants(CbpSpec(rate, jump_phi))
     if depth is None:
         # W lowers the word length by at most one, so a vacuum-to-vacuum
         # path of length max_m never leaves depth max_m; W needs depth >= N
         depth = max(max_m, N)
     basis = FockBasis(2, depth)
-    w_l, w_r = build_w_operators(rate, jump, N, basis, max_m)
+    w_l, w_r = build_w_operators(rate, jump_phi, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
     target = np.zeros(len(phi.row))
     count = word_offset(2, min(N, max_m) + 1) - 1

@@ -2,9 +2,10 @@
 
 A compound Poisson law with rate lambda and jump law phi_a is the
 distribution whose every bi-free cumulant is lambda times the matching
-joint moment of the jump family. Convolution adds cumulant tables;
-semigroups scale them. A jump family given as a finitely supported joint
-law of commuting variables is a `JumpLaw`.
+joint moment of the jump family. A law is its cumulant table, with moments
+on demand: convolution adds cumulant tables; semigroups scale them. A jump
+family given as a finitely supported joint law of commuting variables is a
+`JumpLaw`.
 """
 
 from __future__ import annotations
@@ -119,38 +120,28 @@ class CbpSpec:
             raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A moment functional with its consistent cumulant table."""
-
-    moments: MomentFunctional
-    cumulants: CumulantTable
-
-    @staticmethod
-    def from_cumulants(kappa: CumulantTable) -> "Distribution":
-        return Distribution(moments_from_kappa(kappa), kappa)
-
-
 def cbp_cumulants(spec: CbpSpec) -> CumulantTable:
     """kappa_chi(word) = lambda * jump_law(word), every word up to cap."""
     jump = spec.jump_law
     return CumulantTable(jump.alphabet, jump.degree_cap, spec.rate * jump.row)
 
 
-def cbp_moments(spec: CbpSpec) -> Distribution:
-    return Distribution.from_cumulants(cbp_cumulants(spec))
+def cbp_moments(spec: CbpSpec) -> MomentFunctional:
+    return moments_from_kappa(cbp_cumulants(spec))
 
 
-def convolve(mu: Distribution, nu: Distribution) -> Distribution:
+def convolve(mu: CumulantTable, nu: CumulantTable) -> CumulantTable:
     """Bi-free additive convolution: cumulant tables add entrywise."""
-    return Distribution.from_cumulants(mu.cumulants.add(nu.cumulants))
+    if nu.alphabet != mu.alphabet or nu.degree_cap != mu.degree_cap:
+        raise ShapeMismatchError("cumulant tables on different alphabets/caps")
+    return CumulantTable(mu.alphabet, mu.degree_cap, mu.row + nu.row)
 
 
-def semigroup_element(nu: Distribution, t: float) -> Distribution:
-    """nu_t with kappa_{chi, nu_t} = t * kappa_{chi, nu}; t = 0 is delta_0."""
+def semigroup_element(kappa: CumulantTable, t: float) -> CumulantTable:
+    """nu_t for the nu with cumulants kappa: cumulants t * kappa; t = 0 is delta_0."""
     if t < 0:
         raise ValueError(f"semigroup parameter must be >= 0, got {t}")
-    return Distribution.from_cumulants(nu.cumulants.scale(t))
+    return CumulantTable(kappa.alphabet, kappa.degree_cap, t * kappa.row)
 
 
 def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
@@ -162,8 +153,8 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
     return CumulantTable(kappa.alphabet, kappa.degree_cap, scales * kappa.row)
 
 
-def limit_theorem_moments(spec: CbpSpec, N: int) -> Distribution:
-    """Distribution of the N-fold bi-free sum of the scaled summand whose
+def limit_theorem_moments(spec: CbpSpec, N: int) -> MomentFunctional:
+    """Moments of the N-fold bi-free sum of the scaled summand whose
     moments are (lambda/N) * jump_law; converges to cbp_moments(spec)."""
     if N < spec.rate:
         raise ValueError(f"N={N} below rate {spec.rate}")
@@ -171,19 +162,16 @@ def limit_theorem_moments(spec: CbpSpec, N: int) -> Distribution:
     phi_summand = MomentFunctional(
         jump.alphabet, jump.degree_cap, spec.rate / N * jump.row
     )
-    kappa_sum = kappa_from_moments(phi_summand).scale(N)
-    return Distribution.from_cumulants(kappa_sum)
+    return moments_from_kappa(semigroup_element(kappa_from_moments(phi_summand), N))
 
 
-def poisson_approximation(nu: Distribution, n: int) -> Distribution:
-    """The compound Poisson law P(n, nu_{1/n}); its cumulants converge to
-    those of nu as n grows."""
+def poisson_approximation(kappa: CumulantTable, n: int) -> CumulantTable:
+    """P(n, nu_{1/n}), rate n and jump law nu_{1/n}, for the nu with cumulants
+    kappa; its cumulants converge to kappa as n grows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    phi = semigroup_element(nu, 1.0 / n).moments
-    return Distribution.from_cumulants(
-        CumulantTable(phi.alphabet, phi.degree_cap, n * phi.row)
-    )
+    jump = moments_from_kappa(semigroup_element(kappa, 1.0 / n))
+    return cbp_cumulants(CbpSpec(n, jump))
 
 
 def gram_basis(alphabet: Alphabet, deg: int) -> list[Word]:
@@ -194,12 +182,11 @@ def gram_basis(alphabet: Alphabet, deg: int) -> list[Word]:
     return out
 
 
-def psd_check(nu: Distribution, deg: int) -> tuple[bool, float]:
+def psd_check(phi: MomentFunctional, deg: int) -> tuple[bool, float]:
     """Min eigenvalue of the Gram matrix M[w1, w2] = phi(reverse(w1) w2).
 
     Letters are self-adjoint, so the involution just reverses words.
     """
-    phi = nu.moments
     if deg < 0:
         raise ValueError(f"degree {deg} must be >= 0")
     if 2 * deg > phi.degree_cap:

@@ -126,13 +126,10 @@ def test_criterion_3_limit_theorem_rate():
     t0 = time.time()
     spec = CbpSpec(1.0, point_mass_jump(1.0, 1.0, 4))
     target = cbp_moments(spec)
-    words = list(all_words(target.moments.alphabet, 4))
+    words = list(all_words(target.alphabet, 4))
     sizes = [8, 16, 32, 64]
     errs = [
-        max(
-            abs(limit_theorem_moments(spec, n).moments(w) - target.moments(w))
-            for w in words
-        )
+        max(abs(limit_theorem_moments(spec, n)(w) - target(w)) for w in words)
         for n in sizes
     ]
     slope = float(np.polyfit(np.log(sizes), np.log(errs), 1)[0])
@@ -149,13 +146,13 @@ def test_criterion_4_divisibility_and_compression():
     target = cbp_cumulants(CbpSpec(lam, jump))
     worst_div = 0.0
     for n in (2, 3, 5):
-        piece = cbp_moments(CbpSpec(lam / n, jump))
+        piece = cbp_cumulants(CbpSpec(lam / n, jump))
         acc = semigroup_element(piece, 0.0)
         for _ in range(n):
             acc = convolve(acc, piece)
         worst_div = max(
             worst_div,
-            max(abs(acc.cumulants(w) - target(w)) for w in all_words(jump.alphabet, 5)),
+            max(abs(acc(w) - target(w)) for w in all_words(jump.alphabet, 5)),
         )
     # compression scaling against the brute-force single-face oracle
     rng = random.Random(404)
@@ -223,7 +220,7 @@ def test_criterion_6_fock_model():
     from bipoisson.fock import FockBasis, build_w_operators, fock_moments
 
     basis = FockBasis(2, 6)
-    phi = fock_moments(*build_w_operators(0.5, jump, 2, basis, 3), basis, 3)
+    phi = fock_moments(*build_w_operators(0.5, jump.moments(2), basis, 3), basis, 3)
     by_words = w_operators_by_words(0.5, jump.moments(2), 2, FockBasis(2, 12))
     full = dict(zip(("wl", "wr"), by_words))
     tables = [{w: phi(w) for w in phi.values}, {}]
@@ -245,8 +242,8 @@ def test_criterion_7_positivity():
     t0 = time.time()
     min_eigs = []
     for lam, alpha, beta in [(1.0, 1.0, 1.0), (0.5, 2.0, 0.5), (2.5, 1.0, 3.0)]:
-        dist = cbp_moments(CbpSpec(lam, point_mass_jump(alpha, beta, 4)))
-        ok, min_eig = psd_check(dist, 2)
+        phi = cbp_moments(CbpSpec(lam, point_mass_jump(alpha, beta, 4)))
+        ok, min_eig = psd_check(phi, 2)
         min_eigs.append(min_eig)
     dt = time.time() - t0
     ok = all(e >= -1e-9 for e in min_eigs) and dt < 5

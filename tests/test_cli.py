@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -35,7 +36,8 @@ from bipoisson.cli import (
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
 from bipoisson.partitions import ChiShape, _nc_range, enumerate_nc, mobius_nc_one
-from bipoisson.poisson import JOINT_ATOM_BUDGET
+from bipoisson import poisson
+from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw
 
 
 # a uniform law whose product with itself is past the joint atom budget
@@ -268,9 +270,12 @@ class TestTables:
             ([{"word": [["z", "l", 3]], "value": 0.5}],
              'letter ["z", "l", 3] is not a [name, side] pair'),
             ({"x": 1}, "entries must be a list of objects"),
+            ([{"word": 5, "value": 0.5}], "word 5 is not a list of letters"),
+            ([{"word": [["z", "l"]]}], 'missing key "value"'),
         ],
         ids=["duplicate", "nan", "over_cap", "bool_value", "string_value",
-             "huge_int_value", "string_letter", "triple_letter", "dict_entries"],
+             "huge_int_value", "string_letter", "triple_letter", "dict_entries",
+             "int_word", "no_value"],
     )
     def test_bad_entries_rejected(self, tmp_path, capsys, entries, message):
         obj = {
@@ -302,7 +307,9 @@ class TestTables:
         (1, {"left": "ab"}, "each alphabet side must be a list of names"),
         (1, {"left": ["z"], "right": "u"}, "each alphabet side must be a list of names"),
         (1, {"left": ["z", 2]}, "each alphabet side must be a list of names"),
-    ], ids=["bool_schema", "float_schema", "string_left", "string_right", "int_name"])
+        (1, ["a"], "alphabet must be an object"),
+    ], ids=["bool_schema", "float_schema", "string_left", "string_right", "int_name",
+            "list_alphabet"])
     def test_bad_schema_or_alphabet_rejected(self, tmp_path, capsys, schema, alphabet,
                                              message):
         path = tmp_path / "head.json"
@@ -311,6 +318,16 @@ class TestTables:
         code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err == f"ERROR TABLE_PARSE: {message}\n"
+
+    @pytest.mark.parametrize("key", ["alphabet", "degree_cap", "entries"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        obj = {"schema": 1, "alphabet": {"left": ["z"]}, "degree_cap": 0, "entries": []}
+        del obj[key]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f'ERROR TABLE_PARSE: missing key "{key}"\n'
 
     @pytest.mark.parametrize("cap", [-3, 2.9, 2.0, True, "2", None],
                              ids=["negative", "fraction", "float", "bool", "string", "null"])
@@ -407,6 +424,15 @@ class TestCbp:
         assert lines[0] == "N,word,value,reference,abs_err,slope,flag"
         slope = float(lines[1].split(",")[5])
         assert -1.15 <= slope <= -0.85
+
+    def test_approx_transforms_once_per_size(self, monkeypatch, capsys):
+        # the law is its cumulant table: only P(n, nu_{1/n}) needs moments
+        calls = []
+        transform = poisson.moments_from_kappa
+        monkeypatch.setattr(poisson, "moments_from_kappa",
+                            lambda kappa: calls.append(kappa) or transform(kappa))
+        code, _, _ = run(["cbp", "approx", "--sizes", "2,4,8"], capsys)
+        assert (code, len(calls)) == (0, 3)
 
     def test_psd(self, tmp_path, capsys):
         a = Alphabet(("zl",), ("zr",))
@@ -789,7 +815,7 @@ class TestStartup:
             wrong += [n for n in bipoisson.__all__ if star[n] is not getattr(bipoisson, n)]
             print(len(set(bipoisson.__all__)), wrong)
         """)
-        assert self.last_line(code) == "38 []"
+        assert self.last_line(code) == "37 []"
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -868,6 +894,15 @@ class TestFock:
         errs = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(errs) < 1e-10
 
+    def test_verify_builds_the_jump_table_once(self, monkeypatch, capsys):
+        calls = []
+        table = poisson.JumpLaw.moments
+        monkeypatch.setattr(poisson.JumpLaw, "moments",
+                            lambda law, cap: calls.append(cap) or table(law, cap))
+        code, _, _ = run(["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1",
+                          "--N", "3", "--max-m", "4"], capsys)
+        assert (code, calls) == (0, [3])
+
     def test_bad_order(self, capsys):
         code, _, err = run(
             ["fock", "verify", "--lambda", "1", "--atoms", "1:1", "--N", "0",
@@ -900,3 +935,25 @@ class TestHelpers:
         row = text.strip().split("\n")[1].split(",")
         assert row[5] == ""
         assert row[6] == "slope_omitted"
+
+
+def readme_cli_lines() -> list[str]:
+    """The `bipoisson` lines of the README's CLI section code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("bipoisson ")]
+
+
+class TestReadme:
+    def test_cli_examples_run(self, tmp_path, monkeypatch, capsys):
+        lines = readme_cli_lines()
+        assert len(lines) == 12
+        jump = JumpLaw(Alphabet(("z1",), ("u1",)), ((0.5, 1.0), (1.0, 2.0)), (0.5, 0.5))
+        (tmp_path / "phi.json").write_text(json.dumps(table_to_json(jump.moments(4))))
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, _, err = run(shlex.split(line, comments=True)[1:], capsys)
+            # simulate reports its progress on the error stream
+            err = [e for e in err.splitlines()
+                   if not e.startswith(("simulating sizes ", "  n="))]
+            assert (code, err) == (0, []), line

@@ -42,7 +42,7 @@ def annihilators(basis: FockBasis, max_len: int) -> tuple[IndexMap, IndexMap]:
     """(l_1^*, r_2^*) on the words of length <= max_len: the W operators at
     rate 0, where every series term vanishes, for moments to length
     max_len + 1."""
-    return build_w_operators(0.0, product_jump(0.7, 0.3), 1, basis, max_len + 1)
+    return build_w_operators(0.0, product_jump(0.7, 0.3).moments(1), basis, max_len + 1)
 
 
 def assert_sorted(op: IndexMap) -> None:
@@ -182,7 +182,7 @@ class TestWOperators:
         basis = FockBasis(2, 2)
         jump = product_jump(0.7, 0.3)
         # moments to length 3 read W on every word of length <= 2
-        w_l, w_r = build_w_operators(2.0, jump, 1, basis, 3)
+        w_l, w_r = build_w_operators(2.0, jump.moments(1), basis, 3)
         expect_l = creation_by_words(basis, LEFT, 1).T.toarray() + 2.0 * 0.7 * np.eye(
             basis.size
         )
@@ -192,28 +192,28 @@ class TestWOperators:
     def test_validation(self):
         jump = product_jump(0.5, 0.5)
         with pytest.raises(ValueError):
-            build_w_operators(1.0, jump, 0, FockBasis(2, 3), 3)
+            build_w_operators(1.0, jump.moments(0), FockBasis(2, 3), 3)
         with pytest.raises(CapExceededError):
-            build_w_operators(1.0, jump, 4, FockBasis(2, 2), 3)
+            build_w_operators(1.0, jump.moments(4), FockBasis(2, 2), 3)
         with pytest.raises(ValueError):
-            build_w_operators(1.0, jump, 2, FockBasis(2, 3), -1)
+            build_w_operators(1.0, jump.moments(2), FockBasis(2, 3), -1)
         with pytest.raises(ValueError, match="moment length 0"):
-            build_w_operators(1.0, jump, 2, FockBasis(2, 3), 0)
+            build_w_operators(1.0, jump.moments(2), FockBasis(2, 3), 0)
         with pytest.raises(ShapeMismatchError):
-            build_w_operators(1.0, jump, 2, FockBasis(3, 3), 3)
+            build_w_operators(1.0, jump.moments(2), FockBasis(3, 3), 3)
         # W needs one left and one right jump variable
         two_left = JumpLaw(Alphabet(("a1", "a2")), ((0.5, 0.5),), (1.0,))
         with pytest.raises(ShapeMismatchError, match="one left and one right"):
-            build_w_operators(1.0, two_left, 2, FockBasis(2, 3), 3)
+            build_w_operators(1.0, two_left.moments(2), FockBasis(2, 3), 3)
 
     def test_moments_need_the_whole_block(self):
         jump = product_jump(0.7, 0.3)
         basis = FockBasis(2, 6)
-        w_l, w_r = build_w_operators(0.5, jump, 2, basis, 3)
+        w_l, w_r = build_w_operators(0.5, jump.moments(2), basis, 3)
         with pytest.raises(ShapeMismatchError):
             fock_moments(w_l, w_r, basis, 4)
         # a larger block gives the same moments
-        small = fock_moments(*build_w_operators(0.5, jump, 2, basis, 2), basis, 2)
+        small = fock_moments(*build_w_operators(0.5, jump.moments(2), basis, 2), basis, 2)
         big = fock_moments(w_l, w_r, basis, 2)
         assert w_l.size > basis.offset(2) and small.values == big.values
 
@@ -238,7 +238,7 @@ class TestCumulantStructure:
     def test_block_moments_match_full_matvecs(self, N, max_m, depth, law):
         jump = product_jump(0.7, -0.4) if law == "product" else shared_jump()
         basis = FockBasis(2, depth)
-        w_l, w_r = build_w_operators(1.3, jump, N, basis, max_m)
+        w_l, w_r = build_w_operators(1.3, jump.moments(N), basis, max_m)
         phi = fock_moments(w_l, w_r, basis, max_m)
         by_words = w_operators_by_words(1.3, jump.moments(N), N, basis)
         ops = dict(zip(("wl", "wr"), by_words))
@@ -260,7 +260,7 @@ class TestCumulantStructure:
         vals = []
         for depth in (6, 12):
             basis = FockBasis(2, depth)
-            w_l, w_r = build_w_operators(0.75, jump, 2, basis, 3)
+            w_l, w_r = build_w_operators(0.75, jump.moments(2), basis, 3)
             phi = fock_moments(w_l, w_r, basis, 3)
             vals.append({w: phi(w) for w in phi.values})
         worst = max(abs(vals[0][w] - vals[1][w]) for w in vals[0])
