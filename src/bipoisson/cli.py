@@ -210,11 +210,14 @@ def parse_atoms(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(atoms), tuple(weights)
 
 
-def parse_int_list(text: str) -> tuple[int, ...]:
+def parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        sizes = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise CliError("VALIDATION", f"bad integer list {text!r}") from exc
+    if max(map(abs, sizes)) > sys.float_info.max:
+        raise CliError("VALIDATION", "--sizes holds a size past the float range")
+    return sizes
 
 
 # ------------------------------------------------------- convergence series
@@ -331,13 +334,10 @@ def cmd_moments_from_cumulants(args) -> str:
 
 
 def _truncate(table, cls, deg: int):
-    from .cumulants import word_offset
-
     if not 0 <= deg <= table.degree_cap:
         raise CliError("VALIDATION",
                        f"degree {deg} outside [0, {table.degree_cap}], the table cap")
-    count = word_offset(len(table.alphabet.names), deg + 1) - 1
-    return cls(table.alphabet, deg, table.row[:count])
+    return cls.from_function(table.alphabet, deg, table)
 
 
 def cmd_cbp_build(args) -> str:
@@ -368,7 +368,7 @@ def cmd_cbp_series(args) -> str:
 
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
-    sizes = parse_int_list(args.sizes)
+    sizes = parse_sizes(args.sizes)
     if len(set(sizes)) < len(sizes):
         # the slope is a fit over distinct sizes
         raise CliError("VALIDATION", f"--sizes must not repeat a size: {args.sizes}")
@@ -430,7 +430,7 @@ def cmd_simulate(args) -> str:
     spec = EnsembleSpec(
         rate=args.rate,
         jump=jump,
-        sizes=parse_int_list(args.sizes),
+        sizes=parse_sizes(args.sizes),
         trials=args.trials,
         seed=args.seed,
         max_word_len=args.max_word,
@@ -458,10 +458,10 @@ def cmd_fock_verify(args) -> str:
 
     from .cumulants import all_words
     from .fock import verify_fock_cumulants
+    from .poisson import CbpSpec, cbp_cumulants
 
-    phi, kappa, target = verify_fock_cumulants(
-        args.rate, _jump_law(args, "a1", "a2"), args.N, args.max_m, depth=args.depth
-    )
+    law = cbp_cumulants(CbpSpec(args.rate, _jump_law(args, "a1", "a2").moments(args.N)))
+    phi, kappa, target = verify_fock_cumulants(law, args.max_m, depth=args.depth)
     header = ["word", "chi", "omega_moment", "kappa_empirical", "kappa_target",
               "abs_err"]
     rows = []

@@ -4,8 +4,8 @@ The one-particle space has d generators; basis vectors are words over
 {1..d} of length <= depth, with the empty word as the vacuum. Left
 operators prepend letters, right operators append; annihilators are the
 exact adjoints on the truncated space. The W operators combine one
-annihilator with a jump-law-weighted series of creation strings, and their
-bi-free cumulants reproduce lambda * phi(a1^p a2^q) up to the series order.
+annihilator with a series of creation strings weighted by the law's
+cumulants kappa(a1^p a2^q); W's cumulants reproduce them to the series order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import (Alphabet, CumulantTable, MomentFunctional,
                         kappa_from_moments, word_offset)
 from .partitions import LEFT, RIGHT
-from .poisson import CbpSpec, JumpLaw, cbp_cumulants
 
 # Largest truncated Fock basis built (words of length <= depth over dim letters)
 FOCK_STATE_BUDGET = 2_000_000
@@ -35,11 +34,11 @@ class FockBasis:
             raise ValueError(f"bad Fock parameters dim={dim} depth={depth}")
         self.dim = dim
         self.depth = depth
+        # size >= depth + 1: a deeper basis is refused before its size is formed
+        if depth >= FOCK_STATE_BUDGET or self.offset(depth + 1) > FOCK_STATE_BUDGET:
+            raise CapExceededError(f"Fock basis of dim {dim} and depth {depth} "
+                                   f"exceeds the budget of {FOCK_STATE_BUDGET} states")
         self.size = self.offset(depth + 1)
-        if self.size > FOCK_STATE_BUDGET:
-            raise CapExceededError(
-                f"basis size {self.size} exceeds budget {FOCK_STATE_BUDGET}"
-            )
 
     def offset(self, n: int) -> int:
         """Index of the first word of length n: the count of shorter words."""
@@ -102,22 +101,23 @@ def vacuum_moment(ops) -> float:
 
 
 def build_w_operators(
-    rate: float, phi: MomentFunctional, basis: FockBasis, max_m: int
+    kappa: CumulantTable, basis: FockBasis, max_m: int
 ) -> tuple[IndexMap, IndexMap]:
     """The series operators (W_l, W_r) on the vacuum and the words of length
     < max_m, <= depth: all that moments to length max_m read. The series
-    order N is the cap of phi, the jump law's moment table.
+    order N is the cap of kappa, the law's cumulant table.
 
     W_l = l_1^* + sum over strings alpha in {1,2}^n, n < N, of
-    rate * phi(a_{alpha(1)}..a_{alpha(n)} a_1) * l_{alpha(n)}..l_{alpha(1)},
-    and W_r is the right-side mirror built on a_2. Stopping the creation
-    strings at length N-1 makes the bi-free cumulants of W-words equal
-    rate * phi(a1^p a2^q) for word lengths <= N and exactly zero beyond.
+    kappa(a1^p a2^q) * l_{alpha(n)}..l_{alpha(1)}, where p and q count the
+    1s and 2s of alpha plus the own letter 1, and W_r is the right-side
+    mirror built on a_2. Stopping the creation strings at length N-1 makes
+    the bi-free cumulants of W-words equal kappa(a1^p a2^q) for word
+    lengths <= N, in any letter order, and exactly zero beyond.
     No two terms share an entry, so each entry of W is one coefficient.
-    The jump law has one left name a1 and one right name a2.
+    The law has one left name a1 and one right name a2.
     """
-    N = phi.degree_cap
-    if len(phi.alphabet.left) != 1 or len(phi.alphabet.right) != 1:
+    N = kappa.degree_cap
+    if len(kappa.alphabet.left) != 1 or len(kappa.alphabet.right) != 1:
         raise ShapeMismatchError("need exactly one left and one right jump variable")
     if basis.dim != 2:
         raise ShapeMismatchError("W operators need a two-generator basis")
@@ -128,7 +128,7 @@ def build_w_operators(
     if max_m < 1:
         raise ValueError(f"moment length {max_m} must be >= 1")
     max_len = min(max_m - 1, basis.depth)
-    (a1,), (a2,) = phi.alphabet.left, phi.alphabet.right
+    (a1,), (a2,) = kappa.alphabet.left, kappa.alphabet.right
     out = []
     for side, own in ((LEFT, 1), (RIGHT, 2)):
         a = creation_string(basis, side, (own,), max_len)
@@ -136,7 +136,7 @@ def build_w_operators(
         for n in range(N):
             for alpha in itertools.product((1, 2), repeat=n):
                 p = alpha.count(1) + (own == 1)
-                coeff = rate * phi((a1,) * p + (a2,) * (n + 1 - p))
+                coeff = kappa((a1,) * p + (a2,) * (n + 1 - p))
                 if coeff != 0.0:
                     c = creation_string(basis, side, alpha, max_len)
                     rows.append(c.rows)
@@ -167,28 +167,21 @@ def fock_moments(
 
 
 def verify_fock_cumulants(
-    rate: float,
-    jump: JumpLaw,
-    N: int,
-    max_m: int,
-    depth: int | None = None,
+    law: CumulantTable, max_m: int, depth: int | None = None
 ) -> tuple[MomentFunctional, CumulantTable, np.ndarray]:
     """The vacuum moments of the W-words to length max_m, their bi-free
-    cumulants, and the series targets as a row over the same words:
-    lambda * phi(a1^p a2^q) for word length m <= N, zero for m > N. The
-    rate and the targets are checked first, so a bad one stops the run
-    before W is built. A W-word's target is read at its own row position:
-    the moments of a joint jump law depend on letter counts alone."""
-    jump_phi = jump.moments(N)
-    targets = cbp_cumulants(CbpSpec(rate, jump_phi))
+    cumulants, and the targets over the same words: the law's cumulant
+    table to its cap N, zero past it. Both rows list two-letter words in
+    `all_words` order, so a W-word's target sits at its own row position; a
+    law whose cumulants depend on more than letter counts shows as an error."""
+    N = law.degree_cap
     if depth is None:
         # W lowers the word length by at most one, so a vacuum-to-vacuum
         # path of length max_m never leaves depth max_m; W needs depth >= N
         depth = max(max_m, N)
     basis = FockBasis(2, depth)
-    w_l, w_r = build_w_operators(rate, jump_phi, basis, max_m)
+    w_l, w_r = build_w_operators(law, basis, max_m)
     phi = fock_moments(w_l, w_r, basis, max_m)
     target = np.zeros(len(phi.row))
-    count = word_offset(2, min(N, max_m) + 1) - 1
-    target[:count] = targets.row[:count]
+    target[:len(law.row)] = law.row[:len(target)]
     return phi, kappa_from_moments(phi), target

@@ -14,7 +14,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,18 +90,19 @@ class JumpLaw:
         letter count in the word."""
         var = dict(zip(self.alphabet.names, self.variables))
         columns = dict(zip(self.variables, zip(*self.atoms)))
+        weights = np.array(self.weights)
 
         @functools.cache
-        def power(v: int, count: int) -> list[float]:
-            try:
-                return [a**count for a in columns[v]]
+        def power(v: int, count: int) -> np.ndarray:
+            try:  # Python's power, which raises on overflow
+                return np.fromiter((a**count for a in columns[v]), float, len(weights))
             except OverflowError:
                 raise ValueError(f"a jump moment overflows at power {count}") from None
 
         @functools.cache
         def moment(counts: tuple) -> float:
-            products = map(math.prod, zip(*(power(*vc) for vc in counts)))
-            return sum(map(operator.mul, self.weights, products))
+            # adds left to right from 0.0, as Python's sum; np.sum is pairwise
+            return 0.0 + np.cumsum(weights * math.prod(power(*vc) for vc in counts))[-1]
 
         return MomentFunctional.from_function(self.alphabet, cap, lambda w: moment(
             tuple(sorted(collections.Counter(var[x] for x in w).items()))))
@@ -148,9 +148,8 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
     """Free-projection compression: a length-n entry scales by lam**(n-1)."""
     if not 0 < lam <= 1:
         raise ValueError(f"compression ratio must be in (0, 1], got {lam}")
-    size, lengths = len(kappa.alphabet.names), np.arange(1, kappa.degree_cap + 1)
-    scales = np.repeat(lam ** (lengths - 1), size**lengths)
-    return CumulantTable(kappa.alphabet, kappa.degree_cap, scales * kappa.row)
+    return CumulantTable.from_function(kappa.alphabet, kappa.degree_cap,
+                                       lambda w: lam ** (len(w) - 1) * kappa(w))
 
 
 def limit_theorem_moments(spec: CbpSpec, N: int) -> MomentFunctional:

@@ -212,7 +212,8 @@ def test_criterion_6_fock_model():
     jump = JumpLaw(Alphabet(("a1",), ("a2",)), ((0.7, 0.3),), (1.0,))
     worst = 0.0
     for N in (2, 3):
-        _, kappa, target = verify_fock_cumulants(0.5, jump, N, N + 1)
+        law = cbp_cumulants(CbpSpec(0.5, jump.moments(N)))
+        _, kappa, target = verify_fock_cumulants(law, N + 1)
         worst = max(worst, np.abs(kappa.row - target).max())
     # truncation doubling leaves moments unchanged: the library's block
     # moments at depth 6 against mat-vecs with the whole-space operators of
@@ -220,7 +221,8 @@ def test_criterion_6_fock_model():
     from bipoisson.fock import FockBasis, build_w_operators, fock_moments
 
     basis = FockBasis(2, 6)
-    phi = fock_moments(*build_w_operators(0.5, jump.moments(2), basis, 3), basis, 3)
+    law = cbp_cumulants(CbpSpec(0.5, jump.moments(2)))
+    phi = fock_moments(*build_w_operators(law, basis, 3), basis, 3)
     by_words = w_operators_by_words(0.5, jump.moments(2), 2, FockBasis(2, 12))
     full = dict(zip(("wl", "wr"), by_words))
     tables = [{w: phi(w) for w in phi.values}, {}]

@@ -503,6 +503,8 @@ class TestSimulate:
 
 
 class TestNumericValidation:
+    # an integer no float holds
+    HUGE_SIZE = "1" + "0" * 400
     SIM = ["simulate", "bimatrix", "--lambda", "1", "--atoms", "1:1",
            "--shared", "--sizes", "8", "--trials", "4", "--max-word", "2"]
     FOCK = ["fock", "verify", "--lambda", "1", "--atoms", "1:1", "--N", "2",
@@ -550,6 +552,12 @@ class TestNumericValidation:
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
             (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
             (FOCK[:-1] + ["0"], "moment length 0 must be >= 1"),
+            (FOCK + ["--depth", "20000"], "dim 2 and depth 20000 exceeds the budget"),
+            (FOCK[:-1] + ["20000"], "dim 2 and depth 20000 exceeds the budget"),
+            (["simulate", "wishart", "--lambda", "1", "--atoms", "1:1", "--sizes",
+              HUGE_SIZE, "--trials", "2"], "--sizes"),
+            (["cbp", "limit", "--sizes", HUGE_SIZE], "--sizes"),
+            (["cbp", "approx", "--sizes", HUGE_SIZE], "--sizes"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -562,7 +570,10 @@ class TestNumericValidation:
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
              "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
-             "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m"],
+             "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m",
+             "fock_depth_past_budget", "fock_max_m_past_budget",
+             "wishart_size_past_float", "limit_size_past_float",
+             "approx_size_past_float"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -877,6 +888,41 @@ class TestPublicNames:
                     return C, self.x
         """))
         assert loaded_names(tree) == {"n", "g", "h", "self", "x"}
+
+
+class TestImportGraph:
+    # Each module's `from .X import` edges, function bodies included: a law
+    # reaches the Fock model as its cumulant table, not through poisson
+    EDGES = {
+        "__init__": set(),
+        "errors": set(),
+        "partitions": {"errors"},
+        "cumulants": {"errors", "partitions"},
+        "poisson": {"cumulants", "errors"},
+        "fock": {"cumulants", "errors", "partitions"},
+        "matrix_models": {"cumulants", "errors", "partitions", "poisson"},
+        "cli": {"cumulants", "errors", "fock", "matrix_models", "partitions",
+                "poisson"},
+    }
+
+    @staticmethod
+    def trees():
+        src = Path(bipoisson.__file__).resolve().parent
+        return {path.stem: ast.parse(path.read_text(), str(path))
+                for path in sorted(src.glob("*.py"))}
+
+    def test_module_edges(self):
+        edges = {name: {node.module for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level == 1}
+                 for name, tree in self.trees().items()}
+        assert edges == self.EDGES
+
+    def test_row_layout_is_read_in_cumulants_and_fock_only(self):
+        readers = [name for name, tree in self.trees().items()
+                   if "word_offset" in loaded_names(tree) | {
+                       alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}]
+        assert readers == ["cumulants", "fock"]
 
 
 class TestFock:

@@ -10,7 +10,7 @@ import pytest
 from oracles import creation_by_words, creation_product_by_words, w_operators_by_words
 
 from bipoisson.errors import CapExceededError, ShapeMismatchError
-from bipoisson.cumulants import Alphabet
+from bipoisson.cumulants import Alphabet, CumulantTable
 from bipoisson.fock import (
     FockBasis,
     IndexMap,
@@ -21,7 +21,7 @@ from bipoisson.fock import (
     verify_fock_cumulants,
 )
 from bipoisson.partitions import LEFT, RIGHT
-from bipoisson.poisson import JumpLaw
+from bipoisson.poisson import CbpSpec, JumpLaw, cbp_cumulants
 
 PAIR = Alphabet(("a1",), ("a2",))
 
@@ -39,10 +39,10 @@ def dense(op: IndexMap) -> np.ndarray:
 
 
 def annihilators(basis: FockBasis, max_len: int) -> tuple[IndexMap, IndexMap]:
-    """(l_1^*, r_2^*) on the words of length <= max_len: the W operators at
-    rate 0, where every series term vanishes, for moments to length
-    max_len + 1."""
-    return build_w_operators(0.0, product_jump(0.7, 0.3).moments(1), basis, max_len + 1)
+    """(l_1^*, r_2^*) on the words of length <= max_len: the W operators of
+    the all-zero cumulant table of order 1, where every series term
+    vanishes, for moments to length max_len + 1."""
+    return build_w_operators(CumulantTable(PAIR, 1, [0.0, 0.0]), basis, max_len + 1)
 
 
 def assert_sorted(op: IndexMap) -> None:
@@ -64,6 +64,11 @@ def product_jump(m1: float, m2: float) -> JumpLaw:
     return JumpLaw.independent(PAIR, (((m1,), (1.0,)), ((m2,), (1.0,))))
 
 
+def cbp_law(rate: float, jump: JumpLaw, N: int) -> CumulantTable:
+    """The cumulant table to cap N of the compound Poisson law (rate, jump)."""
+    return cbp_cumulants(CbpSpec(rate, jump.moments(N)))
+
+
 def shared_jump() -> JumpLaw:
     """a1 = a2, one variable with law (delta_{0.5} + delta_{-1.2}) / 2."""
     return JumpLaw(PAIR, ((0.5, 0.5), (-1.2, -1.2)), (0.5, 0.5))
@@ -78,6 +83,9 @@ class TestBasis:
     def test_budget(self):
         with pytest.raises(CapExceededError):
             FockBasis(2, 25)
+        # refused before its size, a 2**(10**12 + 1) integer, is formed
+        with pytest.raises(CapExceededError, match="dim 2 and depth 1000000000000 "):
+            FockBasis(2, 10**12)
 
     def test_vacuum(self):
         # the vacuum is the only word before offset(1), at index 0
@@ -182,7 +190,7 @@ class TestWOperators:
         basis = FockBasis(2, 2)
         jump = product_jump(0.7, 0.3)
         # moments to length 3 read W on every word of length <= 2
-        w_l, w_r = build_w_operators(2.0, jump.moments(1), basis, 3)
+        w_l, w_r = build_w_operators(cbp_law(2.0, jump, 1), basis, 3)
         expect_l = creation_by_words(basis, LEFT, 1).T.toarray() + 2.0 * 0.7 * np.eye(
             basis.size
         )
@@ -192,28 +200,28 @@ class TestWOperators:
     def test_validation(self):
         jump = product_jump(0.5, 0.5)
         with pytest.raises(ValueError):
-            build_w_operators(1.0, jump.moments(0), FockBasis(2, 3), 3)
+            build_w_operators(cbp_law(1.0, jump, 0), FockBasis(2, 3), 3)
         with pytest.raises(CapExceededError):
-            build_w_operators(1.0, jump.moments(4), FockBasis(2, 2), 3)
+            build_w_operators(cbp_law(1.0, jump, 4), FockBasis(2, 2), 3)
         with pytest.raises(ValueError):
-            build_w_operators(1.0, jump.moments(2), FockBasis(2, 3), -1)
+            build_w_operators(cbp_law(1.0, jump, 2), FockBasis(2, 3), -1)
         with pytest.raises(ValueError, match="moment length 0"):
-            build_w_operators(1.0, jump.moments(2), FockBasis(2, 3), 0)
+            build_w_operators(cbp_law(1.0, jump, 2), FockBasis(2, 3), 0)
         with pytest.raises(ShapeMismatchError):
-            build_w_operators(1.0, jump.moments(2), FockBasis(3, 3), 3)
+            build_w_operators(cbp_law(1.0, jump, 2), FockBasis(3, 3), 3)
         # W needs one left and one right jump variable
         two_left = JumpLaw(Alphabet(("a1", "a2")), ((0.5, 0.5),), (1.0,))
         with pytest.raises(ShapeMismatchError, match="one left and one right"):
-            build_w_operators(1.0, two_left.moments(2), FockBasis(2, 3), 3)
+            build_w_operators(cbp_law(1.0, two_left, 2), FockBasis(2, 3), 3)
 
     def test_moments_need_the_whole_block(self):
         jump = product_jump(0.7, 0.3)
-        basis = FockBasis(2, 6)
-        w_l, w_r = build_w_operators(0.5, jump.moments(2), basis, 3)
+        basis, law = FockBasis(2, 6), cbp_law(0.5, jump, 2)
+        w_l, w_r = build_w_operators(law, basis, 3)
         with pytest.raises(ShapeMismatchError):
             fock_moments(w_l, w_r, basis, 4)
         # a larger block gives the same moments
-        small = fock_moments(*build_w_operators(0.5, jump.moments(2), basis, 2), basis, 2)
+        small = fock_moments(*build_w_operators(law, basis, 2), basis, 2)
         big = fock_moments(w_l, w_r, basis, 2)
         assert w_l.size > basis.offset(2) and small.values == big.values
 
@@ -222,14 +230,24 @@ class TestCumulantStructure:
     @pytest.mark.parametrize("N", [2, 3])
     def test_exact_truncation(self, N):
         jump = product_jump(0.7, 0.3)
-        _, kappa, target = verify_fock_cumulants(0.5, jump, N, N + 1)
+        _, kappa, target = verify_fock_cumulants(cbp_law(0.5, jump, N), N + 1)
         assert np.abs(kappa.row - target).max() < 1e-10
 
     def test_shared_variable_law(self):
         # a1 = a2 fully correlated: moments depend on total count
         jump = JumpLaw(PAIR, ((0.5, 0.5),), (1.0,))
-        _, kappa, target = verify_fock_cumulants(1.5, jump, 3, 4)
+        _, kappa, target = verify_fock_cumulants(cbp_law(1.5, jump, 3), 4)
         assert np.abs(kappa.row - target).max() < 1e-10
+
+    @pytest.mark.parametrize("mean, bound",
+                             [((0.0, 0.0), 1e-12), ((0.4, -1.1), 1e-10)])
+    def test_realizes_a_bi_free_gaussian_pair(self, mean, bound):
+        # not a compound Poisson law: W reads only its cumulant table, whose
+        # entries past order 2 are zero
+        law = CumulantTable(PAIR, 2, [*mean, 1.0, 0.5, 0.5, 2.0])
+        for max_m in (2, 4, 6):
+            _, kappa, target = verify_fock_cumulants(law, max_m)
+            assert np.abs(kappa.row - target).max() <= bound, max_m
 
     @pytest.mark.parametrize("law", ["product", "shared"])
     @pytest.mark.parametrize(
@@ -238,7 +256,7 @@ class TestCumulantStructure:
     def test_block_moments_match_full_matvecs(self, N, max_m, depth, law):
         jump = product_jump(0.7, -0.4) if law == "product" else shared_jump()
         basis = FockBasis(2, depth)
-        w_l, w_r = build_w_operators(1.3, jump.moments(N), basis, max_m)
+        w_l, w_r = build_w_operators(cbp_law(1.3, jump, N), basis, max_m)
         phi = fock_moments(w_l, w_r, basis, max_m)
         by_words = w_operators_by_words(1.3, jump.moments(N), N, basis)
         ops = dict(zip(("wl", "wr"), by_words))
@@ -260,7 +278,7 @@ class TestCumulantStructure:
         vals = []
         for depth in (6, 12):
             basis = FockBasis(2, depth)
-            w_l, w_r = build_w_operators(0.75, jump.moments(2), basis, 3)
+            w_l, w_r = build_w_operators(cbp_law(0.75, jump, 2), basis, 3)
             phi = fock_moments(w_l, w_r, basis, 3)
             vals.append({w: phi(w) for w in phi.values})
         worst = max(abs(vals[0][w] - vals[1][w]) for w in vals[0])

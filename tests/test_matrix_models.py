@@ -2,6 +2,7 @@
 evaluation, commutation of left and right actions, and small Monte Carlo
 convergence checks (heavier configurations live in the acceptance tests)."""
 
+import collections
 import gc
 import math
 import tracemalloc
@@ -80,6 +81,27 @@ class TestJumpLaw:
         # a word's moment is read from the joint law
         correlated = JumpLaw(PAIR, ((1.0, 0.5), (2.0, 3.0)), (0.5, 0.5)).moments(2)
         assert correlated(("zl", "zr")) == 0.5 * 0.5 + 0.5 * 6.0
+
+    def test_moments_match_an_explicit_loop(self):
+        # powers multiply in variable order and the weighted atoms add left
+        # to right from 0.0; a pairwise sum changes bits from 8 atoms on
+        rng = np.random.default_rng(24)
+        weights = (0.1, 0.3, 0.15, 0.25, 0.2)
+        marginals = [(tuple(rng.uniform(-2, 2, 5).tolist()), weights) for _ in range(3)]
+        alphabet = Alphabet(("x", "y"), ("u",))
+        law = JumpLaw.independent(alphabet, marginals)
+        var = dict(zip(alphabet.names, law.variables))
+        columns = dict(zip(law.variables, zip(*law.atoms)))
+        jump = law.moments(4)
+        for w in all_words(alphabet, 4):
+            counts = sorted(collections.Counter(var[x] for x in w).items())
+            want = 0.0
+            for j, weight in enumerate(law.weights):
+                product = 1.0
+                for v, count in counts:
+                    product *= columns[v][j] ** count
+                want += weight * product
+            assert jump(w) == want, w
 
     def test_validation(self):
         with pytest.raises(ValueError, match="probability vector"):
