@@ -9,20 +9,19 @@ every report is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
-# The numerical modules (and numpy) are imported inside the commands that
-# use them, so that the partition commands start without them.
+# The numerical modules, numpy, json and csv are imported where they are
+# used, so that the partition commands start without them.
 from .errors import CapExceededError, MissingEntryError
-from .partitions import ChiShape, SetPartition, _block, _mobius_zero_one, nc_rows
+from .partitions import (ChiShape, SetPartition, _block, _mobius_zero_one, _nc_range,
+                         nc_heads, nc_rows)
 
 DEFAULT_SEED = 20240101
 
@@ -81,6 +80,8 @@ def write_output(text: str | Iterable[str], out_path: str | None) -> None:
 
 
 def csv_text(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -92,6 +93,8 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 def json_text(obj) -> str:
     """`json.dumps(obj, indent=2) + "\\n"`; a non-finite float raises
     CliError("NUMERIC") where `json.dumps` would write NaN or Infinity."""
+    import json
+
     try:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -122,6 +125,8 @@ def table_to_json(table) -> dict:
 
 
 def table_from_json(obj, cls):
+    import json
+
     from .cumulants import Alphabet
 
     try:
@@ -186,6 +191,8 @@ def table_from_json(obj, cls):
 
 
 def load_table(path: str, cls):
+    import json
+
     try:
         with open(path) as f:
             obj = json.load(f)
@@ -280,20 +287,62 @@ _MOBIUS = _Pieces('{\n    "blocks": [', "\n      ")
 _mobius_tail = lru_cache(maxsize=None)('\n    ],\n    "mobius": {}\n  }}'.format)
 
 
-def partition_stream(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
-    """The JSON array of `head + tail + row_tail` over rows (head, tail,
-    row_tail), read lazily in chunks of JSON_BATCH rows, so the full text
-    never exists at once. Heads start with "," and the first row's with "["."""
-    out, i = [], 0
-    for i, row in enumerate(rows, 1):
-        out += row
-        if i == 1:
-            out[0] = "[" + out[0][1:]
-        if i % JSON_BATCH == 0:
+def partition_stream(heads: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
+    """The JSON array of the rows `head + text`, for each (head, texts) in
+    order and each text in texts, read lazily in chunks of exactly JSON_BATCH
+    rows but the last, so the full text never exists at once. A head's rows
+    are one `head.join`, cut where a chunk ends. Heads start with ",", and
+    the first row's gives way to the array's "["."""
+    out, room, first = [], JSON_BATCH, True
+    for head, texts in heads:
+        while len(texts) >= room:
+            out += head, head.join(texts[:room])
+            if first:
+                out[0], first = "[" + out[0][1:], False
             yield "".join(out)
             out.clear()
-    out.append("\n]\n" if i else "[]\n")
+            texts, room = texts[room:], JSON_BATCH
+        if texts:
+            out += head, head.join(texts)
+            room -= len(texts)
+    out.append("\n]\n")
+    if first:  # also for no rows: "[]\n"
+        out[0] = "[" + out[0][1:]
     yield "".join(out)
+
+
+def _list_ends(share, tails, inners, outers) -> list[str]:
+    return [t + "\n  ]" for t in tails]
+
+
+def _mobius_ends(share, tails, inners, outers) -> list[str]:
+    return [t + _mobius_tail(share * i * _mobius_zero_one(o + 1))
+            for t, i, o in zip(tails, inners, outers)]
+
+
+def _nc_stream(n: int, pieces: _Pieces, ends) -> Iterator[str]:
+    """`partition_stream` of NC(n) in `pieces`' row form, a head at a time.
+    The texts after a head, `ends(share, *_nc_range(tail_lo, n + 1, piece))`
+    (each tail and its row end), are made once per (tail range, share) and
+    kept for the command if the range has at most JSON_BATCH rows; a larger
+    range's are made JSON_BATCH at a time, as they are written."""
+    hi, piece, kept = n + 1, pieces.__getitem__, {}
+    heads = nc_heads(n, piece, pieces.first)  # checks n now, before any byte
+
+    def rows():
+        for head, share, lo in heads:
+            key = lo, share
+            texts = kept.get(key)
+            if texts is None:
+                tail = _nc_range(lo, hi, piece)
+                if len(tail[0]) > JSON_BATCH:
+                    for s in range(0, len(tail[0]), JSON_BATCH):
+                        yield head, ends(share, *(c[s:s + JSON_BATCH] for c in tail))
+                    continue
+                texts = kept[key] = ends(share, *tail)
+            yield head, texts
+
+    return partition_stream(rows())
 
 
 # The partition commands return chunks rendered while they are written; their
@@ -301,22 +350,20 @@ def partition_stream(rows: Iterable[tuple[str, str, str]]) -> Iterator[str]:
 
 
 def cmd_nc_list(args) -> Iterator[str]:
-    rows = nc_rows(args.n, _LIST.__getitem__, _LIST.first)
-    return partition_stream((head, tail, "\n  ]") for head, tail, _, _ in rows)
+    return _nc_stream(args.n, _LIST, _list_ends)
 
 
 def cmd_nc_mobius(args) -> Iterator[str]:
-    rows = nc_rows(args.n, _MOBIUS.__getitem__, _MOBIUS.first)
-    return partition_stream((head, tail, _mobius_tail(i * _mobius_zero_one(o)))
-                            for head, tail, i, o in rows)
+    return _nc_stream(args.n, _MOBIUS, _mobius_ends)
 
 
 def cmd_bnc_list(args) -> Iterator[str]:
     shape = ChiShape(tuple(args.chi))
     blocks = (shape.apply(SetPartition(shape.n, h + t)).blocks
               for h, t, _, _ in nc_rows(shape.n, _block, _block))
-    return partition_stream((_LIST.first(b[0]), "".join(map(_LIST.__getitem__, b[1:])),
-                             "\n  ]") for b in blocks)
+    return partition_stream(
+        (_LIST.first(b[0]), ("".join(map(_LIST.__getitem__, b[1:])) + "\n  ]",))
+        for b in blocks)
 
 
 def cmd_cumulants_from_moments(args) -> str:

@@ -55,53 +55,81 @@ def _mobius_zero_one(m: int) -> int:
     return (-1) ** (m - 1) * catalan(m - 1)
 
 
-def _rows(lo: int, hi: int, piece, first) -> Iterator[tuple]:
-    """Each non-crossing partition pi of lo..hi-1 (lo < hi) as (head, tail,
-    inner(pi), outer(pi)): head + tail is `first(b_0)` and then `piece(b)`
-    for pi's other blocks b, in canonical order.
+def _heads(lo: int, hi: int, piece, first) -> Iterator[tuple]:
+    """The first-block recursion over the non-crossing partitions pi of
+    lo..hi-1 (lo < hi), a head at a time: each head as (head, share, tail_lo),
+    where the partitions with that head are head + tail for each tail, a
+    partition of tail_lo..hi-1. head + tail is `first(b_0)` and then
+    `piece(b)` for pi's other blocks b, in canonical order.
 
-    First-block recursion: the block b_0 = lo < ... < b_k, in order of size
-    and then lexicographically, then a partition sigma_j of each gap
-    b_j < x < b_{j+1} (b_{k+1} = hi); the head ends with the gaps j < k,
-    and the tail is sigma_k. K(pi), the Kreweras complement, has the blocks
-    of each K(sigma_j) off sigma_j's outer face, one block of size
-    outer(sigma_j) + 1 per gap j < k, and the outer-face block, of size
+    A head is the block b_0 = lo < ... < b_k, in order of size and then
+    lexicographically, and a partition sigma_j of each gap
+    b_j < x < b_{j+1} for j < k; the tail is a partition sigma_k of
+    b_k < x < hi. K(pi), the Kreweras complement, has the blocks of each
+    K(sigma_j) off sigma_j's outer face, one block of size outer(sigma_j) + 1
+    per gap j < k, and the outer-face block, of size
     outer(pi) = outer(sigma_k) + 1. inner(pi) is the product of
-    mu(0_|b|, 1_|b|) over the other blocks b of K(pi), so
+    mu(0_|b|, 1_|b|) over the other blocks b of K(pi), so it is the head's
+    share, the gaps' part of it, times inner(sigma_k), and
     mu(pi, 1) = inner(pi) * mu(0_outer, 1_outer).
     """
     rest = range(lo + 1, hi)
     for k in range(len(rest) + 1):
         for chosen in itertools.combinations(rest, k):
             block = (lo,) + chosen
-            heads = [(first(block), 1)]  # (head, the gaps' share of inner)
+            head = first(block)
+            heads, gap = [(head, 1)], [(head[:0], 1)]  # no gap yet: empty, weighing 1
             for a, b in zip(block, chosen):
                 if b > a + 1:  # an empty gap adds nothing and weighs 1
-                    gaps, inners, outers = _nc_range(a + 1, b, piece)
-                    gap = [(g, i * _mobius_zero_one(o + 1))
-                           for g, i, o in zip(gaps, inners, outers)]
                     heads = [(p + g, w * v) for p, w in heads for g, v in gap]
-            tails, inners, outers = _nc_range(block[-1] + 1, hi, piece)
+                    gap = [*zip(_nc_range(a + 1, b, piece)[0], _gap_shares(a + 1, b, piece))]
+            # the last gap is joined as the heads are read, not held in a list
+            tail_lo = block[-1] + 1
             for p, w in heads:
-                for t, i, o in zip(tails, inners, outers):
-                    yield p, t, w * i, o + 1
+                for g, v in gap:
+                    yield p + g, w * v, tail_lo
 
 
 @lru_cache(maxsize=None)
 def _nc_range(lo: int, hi: int, piece) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """`_rows(lo, hi, piece, piece)` joined, as three aligned tuples. A piece
-    is anything `+` joins and `[:0]` empties: `(block,)` gives block tuples."""
+    """The rows of lo..hi-1 with `piece` for every block, joined, as three
+    aligned tuples (text, inner, outer). A piece is anything `+` joins and
+    `[:0]` empties: `(block,)` gives block tuples."""
     if lo >= hi:  # one partition, with no blocks
         return (piece((lo,))[:0],), (1,), (0,)
-    return tuple(zip(*[(p + t, i, o) for p, t, i, o in _rows(lo, hi, piece, piece)]))
+    texts, inners, outers = [], [], []
+    for head, share, tail_lo in _heads(lo, hi, piece, piece):
+        tails, tail_inners, tail_outers = _nc_range(tail_lo, hi, piece)
+        texts += [head + t for t in tails]
+        inners += [share * i for i in tail_inners]
+        outers += [o + 1 for o in tail_outers]
+    return tuple(texts), tuple(inners), tuple(outers)
+
+
+@lru_cache(maxsize=None)
+def _gap_shares(lo: int, hi: int, piece) -> tuple[int, ...]:
+    """Each partition sigma of `_nc_range(lo, hi, piece)` as a gap of a first
+    block: its share of inner, inner(sigma) * mu(0_m, 1_m) with
+    m = outer(sigma) + 1, the size of its Kreweras block."""
+    _, inners, outers = _nc_range(lo, hi, piece)
+    return tuple([i * _mobius_zero_one(o + 1) for i, o in zip(inners, outers)])
+
+
+def nc_heads(n: int, piece, first) -> Iterator[tuple]:
+    """`_heads` of {1..n}, which are streamed and not memoized; a head's
+    tails are `_nc_range(tail_lo, n + 1, piece)`. The cap is checked at the
+    call, before the first head."""
+    if not 1 <= n <= DEFAULT_CAP:
+        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
+    return _heads(1, n + 1, piece, first)
 
 
 def nc_rows(n: int, piece, first) -> Iterator[tuple]:
-    """`_rows` of {1..n}, which is streamed and not memoized. The cap is
-    checked at the call, before the first row."""
-    if not 1 <= n <= DEFAULT_CAP:
-        raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
-    return _rows(1, n + 1, piece, first)
+    """Each partition pi of {1..n} as (head, tail, inner(pi), outer(pi)): the
+    heads of `nc_heads(n, piece, first)`, each with its tails. The cap is
+    checked at the call."""
+    return ((head, t, share * i, o + 1) for head, share, lo in nc_heads(n, piece, first)
+            for t, i, o in zip(*_nc_range(lo, n + 1, piece)))
 
 
 def _block(b: tuple[int, ...]) -> tuple[tuple[int, ...]]:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bipoisson
+from bipoisson import cli
 from bipoisson.cli import (
     _LIST,
     _MOBIUS,
@@ -156,8 +157,8 @@ class TestJsonText:
         mobius = [-1, 1] * (size // 2) + [2] * (size % 2)
         items = [{"blocks": b, "mobius": mu} for b, mu in zip(blocks, mobius)]
 
-        def rows(pieces, row_tails):
-            return ((pieces.first(p[0]), "".join(map(pieces.__getitem__, p[1:])), t)
+        def rows(pieces, row_tails):  # a head and one row text per partition
+            return ((pieces.first(p[0]), ("".join(map(pieces.__getitem__, p[1:])) + t,))
                     for p, t in zip(blocks, row_tails))
 
         for chunks, expected in (
@@ -176,6 +177,32 @@ class TestJsonText:
         _, out, _ = run(["nc", "mobius", "--n", str(n)], capsys)
         rows = [{"blocks": b, "mobius": mobius_nc_one(p)} for b, p in zip(blocks, pis)]
         assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_partition_commands_cut_chunks_at_batch(self, batch, monkeypatch):
+        # a head's rows are cut where a chunk ends, and a tail range of more
+        # than a batch is rendered a slice at a time: every chunk but the
+        # last holds exactly `batch` rows, at each n and in each row form
+        monkeypatch.setattr(cli, "JSON_BATCH", batch)
+        for n in range(1, 8):
+            pis = enumerate_nc(n)
+            blocks = [[list(b) for b in p.blocks] for p in pis]
+            s = ChiShape(tuple("lrlrlrl"[:n])).s_chi
+            expected = {
+                ("nc", "list", "--n", str(n)): blocks,
+                ("nc", "mobius", "--n", str(n)): [
+                    {"blocks": b, "mobius": mobius_nc_one(p)} for b, p in zip(blocks, pis)],
+                ("bnc", "list", "--chi", "lrlrlrl"[:n]): [
+                    sorted(sorted(s[x - 1] for x in b) for b in p.blocks) for p in pis],
+            }
+            for argv, rows in expected.items():
+                args = cli.build_parser().parse_args(argv)
+                chunks = list(args.fn(args))
+                assert "".join(chunks) == json.dumps(rows, indent=2) + "\n"
+                assert len(chunks) == len(rows) // batch + 1
+                row_start = "\n  {" if argv[1] == "mobius" else "\n  ["
+                assert [c.count(row_start) for c in chunks] == (
+                    [batch] * (len(rows) // batch) + [len(rows) % batch])
 
     @pytest.mark.parametrize("action", ["list", "mobius"])
     def test_repeat_nc_command_adds_no_memo_entries(self, action, capsys):
@@ -806,6 +833,15 @@ class TestStartup:
         assert self.last_line(
             code + "; print([m for m in ('inspect', 'dataclasses') if m in sys.modules])"
         ) == "[]"
+
+    @pytest.mark.parametrize("args, unloaded", [
+        *[(args, ["csv", "json"]) for args in PARTITION_COMMANDS],
+        (["cbp", "limit", "--deg", "2", "--sizes", "8,16"], ["json"])])
+    def test_commands_leave_unread_formats_unloaded(self, args, unloaded):
+        # the partition commands render their own JSON; csv reports need no json
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert self.last_line(
+            code + f"; print([m for m in {unloaded!r} if m in sys.modules])") == "[]"
 
     def test_package_names_resolve_to_their_modules(self):
         # A fresh process, so that each name is resolved on first use. The
