@@ -19,9 +19,8 @@ from functools import lru_cache
 
 # The numerical modules, numpy, json and csv are imported where they are
 # used, so that the partition commands start without them.
-from .errors import CapExceededError, MissingEntryError
-from .partitions import (ChiShape, SetPartition, _block, _mobius_zero_one, _nc_range,
-                         nc_heads, nc_rows)
+from .errors import DEFAULT_CAP, CapExceededError, MissingEntryError
+from .partitions import ChiShape, SetPartition, _block, nc_heads, tail_mobius
 
 DEFAULT_SEED = 20240101
 
@@ -265,9 +264,9 @@ JSON_BATCH = 1024
 
 
 class _Pieces(dict):
-    """Block -> `"," + nl + its JSON text` at the block indent `nl`, kept;
-    `first(block)` puts a row's separator and opening in place of the ",".
-    One instance per row form keys the recursion's memo alike in every call."""
+    """Block -> `"," + nl + its JSON text` at the block indent `nl`, kept for
+    one command; `first(block)` puts a row's separator and opening in place
+    of the ","."""
 
     def __init__(self, opening: str, nl: str):
         self.nl, self.head = nl, ",\n  " + opening
@@ -279,12 +278,6 @@ class _Pieces(dict):
 
     def first(self, b) -> str:
         return self.head + self[b][1:]
-
-
-_LIST = _Pieces("[", "\n    ")
-_MOBIUS = _Pieces('{\n    "blocks": [', "\n      ")
-# mu -> the tail of its `nc mobius` row, kept
-_mobius_tail = lru_cache(maxsize=None)('\n    ],\n    "mobius": {}\n  }}'.format)
 
 
 def partition_stream(heads: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str]:
@@ -311,30 +304,20 @@ def partition_stream(heads: Iterable[tuple[str, Sequence[str]]]) -> Iterator[str
     yield "".join(out)
 
 
-def _list_ends(share, tails, inners, outers) -> list[str]:
-    return [t + "\n  ]" for t in tails]
-
-
-def _mobius_ends(share, tails, inners, outers) -> list[str]:
-    return [t + _mobius_tail(share * i * _mobius_zero_one(o + 1))
-            for t, i, o in zip(tails, inners, outers)]
-
-
-def _nc_stream(n: int, pieces: _Pieces, ends) -> Iterator[str]:
-    """`partition_stream` of NC(n) in `pieces`' row form, a head at a time.
-    The texts after a head, `ends(share, *_nc_range(tail_lo, n + 1, piece))`
-    (each tail and its row end), are made once per (tail range, share) and
-    kept for the command if the range has at most JSON_BATCH rows; a larger
-    range's are made JSON_BATCH at a time, as they are written."""
-    hi, piece, kept = n + 1, pieces.__getitem__, {}
-    heads = nc_heads(n, piece, pieces.first)  # checks n now, before any byte
+def _nc_stream(n: int, opening: str, nl: str, ends) -> Iterator[str]:
+    """`partition_stream` of NC(n) in the row form `_Pieces(opening, nl)`, a
+    head at a time. The texts after a head, `ends(share, *tail)` (each tail
+    and its row end), are made once per (tail, share) and kept for the
+    command if the tail has at most JSON_BATCH rows; a larger tail's are
+    made JSON_BATCH at a time, as they are written."""
+    pieces, kept = _Pieces(opening, nl), {}
+    heads = nc_heads(n, pieces.__getitem__, pieces.first)  # checks n now, before any byte
 
     def rows():
-        for head, share, lo in heads:
-            key = lo, share
+        for head, share, tail in heads:
+            key = id(tail), share  # the heads' memo keeps each tail, and its id, alive
             texts = kept.get(key)
             if texts is None:
-                tail = _nc_range(lo, hi, piece)
                 if len(tail[0]) > JSON_BATCH:
                     for s in range(0, len(tail[0]), JSON_BATCH):
                         yield head, ends(share, *(c[s:s + JSON_BATCH] for c in tail))
@@ -350,19 +333,27 @@ def _nc_stream(n: int, pieces: _Pieces, ends) -> Iterator[str]:
 
 
 def cmd_nc_list(args) -> Iterator[str]:
-    return _nc_stream(args.n, _LIST, _list_ends)
+    return _nc_stream(args.n, "[", "\n    ",
+                      lambda share, texts, *_: [t + "\n  ]" for t in texts])
 
 
 def cmd_nc_mobius(args) -> Iterator[str]:
-    return _nc_stream(args.n, _MOBIUS, _mobius_ends)
+    # mu -> the end of its row, kept for this command
+    end = lru_cache(maxsize=None)('\n    ],\n    "mobius": {}\n  }}'.format)
+    return _nc_stream(args.n, '{\n    "blocks": [', "\n      ",
+                      lambda share, texts, *values: [
+                          t + end(mu) for t, mu in zip(texts, tail_mobius(share, *values))])
 
 
 def cmd_bnc_list(args) -> Iterator[str]:
-    shape = ChiShape(tuple(args.chi))
-    blocks = (shape.apply(SetPartition(shape.n, h + t)).blocks
-              for h, t, _, _ in nc_rows(shape.n, _block, _block))
+    shape, pieces = ChiShape(tuple(args.chi)), _Pieces("[", "\n    ")
+    if not 1 <= shape.n <= DEFAULT_CAP:
+        raise CliError("VALIDATION",
+                       f"--chi must have 1 to {DEFAULT_CAP} letters, got {shape.n}")
+    blocks = (shape.apply(SetPartition(shape.n, head + t)).blocks
+              for head, _, tail in nc_heads(shape.n, _block, _block) for t in tail[0])
     return partition_stream(
-        (_LIST.first(b[0]), ("".join(map(_LIST.__getitem__, b[1:])) + "\n  ]",))
+        (pieces.first(b[0]), ("".join(map(pieces.__getitem__, b[1:])) + "\n  ]",))
         for b in blocks)
 
 

@@ -55,12 +55,42 @@ def _mobius_zero_one(m: int) -> int:
     return (-1) ** (m - 1) * catalan(m - 1)
 
 
-def _heads(lo: int, hi: int, piece, first) -> Iterator[tuple]:
+class _Ranges(dict):
+    """One call's memo, filled on first use. (lo, hi): the rows of lo..hi-1
+    with `piece` for every block, joined, as three aligned tuples (text,
+    inner, outer). ("gap", lo, hi): each row's share as a gap,
+    `tail_mobius(1, ...)`, made only for the ranges that serve as gaps. A
+    piece is anything `+` joins and `[:0]` empties: `(block,)` gives block
+    tuples."""
+
+    def __init__(self, piece):
+        self.piece = piece
+
+    def __missing__(self, key):
+        if key[0] == "gap":
+            _, inners, outers = self[key[1:]]
+            rows = tuple(tail_mobius(1, inners, outers))
+        elif key[0] == key[1]:  # an empty range: one partition, with no blocks
+            rows = (self.piece(key[:1])[:0],), (1,), (0,)
+        else:
+            texts, inners, outers = [], [], []
+            for head, share, (tails, tail_inners, tail_outers) in _heads(
+                    self, *key, self.piece):
+                texts += [head + t for t in tails]
+                inners += [share * i for i in tail_inners]
+                outers += [o + 1 for o in tail_outers]
+            rows = tuple(texts), tuple(inners), tuple(outers)
+        self[key] = rows
+        return rows
+
+
+def _heads(memo: _Ranges, lo: int, hi: int, first) -> Iterator[tuple]:
     """The first-block recursion over the non-crossing partitions pi of
-    lo..hi-1 (lo < hi), a head at a time: each head as (head, share, tail_lo),
-    where the partitions with that head are head + tail for each tail, a
-    partition of tail_lo..hi-1. head + tail is `first(b_0)` and then
-    `piece(b)` for pi's other blocks b, in canonical order.
+    lo..hi-1 (lo < hi), a head at a time: each head as (head, share, tail),
+    the partitions with that head being head + t for each text t of `tail`,
+    the rows of the range after the first block. head + t is `first(b_0)`
+    and then `memo.piece(b)` for pi's other blocks b, in canonical order. The
+    memo is an argument, not a closure's cell, so no reference cycle keeps it.
 
     A head is the block b_0 = lo < ... < b_k, in order of size and then
     lexicographically, and a partition sigma_j of each gap
@@ -78,68 +108,43 @@ def _heads(lo: int, hi: int, piece, first) -> Iterator[tuple]:
         for chosen in itertools.combinations(rest, k):
             block = (lo,) + chosen
             head = first(block)
-            heads, gap = [(head, 1)], [(head[:0], 1)]  # no gap yet: empty, weighing 1
+            # no gap yet: one empty partition, weighing 1
+            heads, texts, shares = [(head, 1)], (head[:0],), (1,)
             for a, b in zip(block, chosen):
                 if b > a + 1:  # an empty gap adds nothing and weighs 1
-                    heads = [(p + g, w * v) for p, w in heads for g, v in gap]
-                    gap = [*zip(_nc_range(a + 1, b, piece)[0], _gap_shares(a + 1, b, piece))]
+                    heads = [(p + g, w * v) for p, w in heads for g, v in zip(texts, shares)]
+                    texts, shares = memo[a + 1, b][0], memo["gap", a + 1, b]
             # the last gap is joined as the heads are read, not held in a list
-            tail_lo = block[-1] + 1
+            tail = memo[block[-1] + 1, hi]
             for p, w in heads:
-                for g, v in gap:
-                    yield p + g, w * v, tail_lo
+                for g, v in zip(texts, shares):
+                    yield p + g, w * v, tail
 
 
-@lru_cache(maxsize=None)
-def _nc_range(lo: int, hi: int, piece) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-    """The rows of lo..hi-1 with `piece` for every block, joined, as three
-    aligned tuples (text, inner, outer). A piece is anything `+` joins and
-    `[:0]` empties: `(block,)` gives block tuples."""
-    if lo >= hi:  # one partition, with no blocks
-        return (piece((lo,))[:0],), (1,), (0,)
-    texts, inners, outers = [], [], []
-    for head, share, tail_lo in _heads(lo, hi, piece, piece):
-        tails, tail_inners, tail_outers = _nc_range(tail_lo, hi, piece)
-        texts += [head + t for t in tails]
-        inners += [share * i for i in tail_inners]
-        outers += [o + 1 for o in tail_outers]
-    return tuple(texts), tuple(inners), tuple(outers)
-
-
-@lru_cache(maxsize=None)
-def _gap_shares(lo: int, hi: int, piece) -> tuple[int, ...]:
-    """Each partition sigma of `_nc_range(lo, hi, piece)` as a gap of a first
-    block: its share of inner, inner(sigma) * mu(0_m, 1_m) with
-    m = outer(sigma) + 1, the size of its Kreweras block."""
-    _, inners, outers = _nc_range(lo, hi, piece)
-    return tuple([i * _mobius_zero_one(o + 1) for i, o in zip(inners, outers)])
+def tail_mobius(share: int, inners, outers) -> list[int]:
+    """mu(pi, 1) of each pi = head + sigma, from the head's share and the
+    tails' inner and outer: share * inner(sigma) * mu(0_m, 1_m) with m =
+    outer(pi) = outer(sigma) + 1. With share 1 it is sigma's share as a gap."""
+    return [share * i * _mobius_zero_one(o + 1) for i, o in zip(inners, outers)]
 
 
 def nc_heads(n: int, piece, first) -> Iterator[tuple]:
-    """`_heads` of {1..n}, which are streamed and not memoized; a head's
-    tails are `_nc_range(tail_lo, n + 1, piece)`. The cap is checked at the
+    """`_heads` of {1..n}, with one memo that lives as long as the heads are
+    read; {1..n} itself is streamed, not kept. The cap is checked at the
     call, before the first head."""
     if not 1 <= n <= DEFAULT_CAP:
         raise CapExceededError(f"n={n} outside [1, {DEFAULT_CAP}]")
-    return _heads(1, n + 1, piece, first)
-
-
-def nc_rows(n: int, piece, first) -> Iterator[tuple]:
-    """Each partition pi of {1..n} as (head, tail, inner(pi), outer(pi)): the
-    heads of `nc_heads(n, piece, first)`, each with its tails. The cap is
-    checked at the call."""
-    return ((head, t, share * i, o + 1) for head, share, lo in nc_heads(n, piece, first)
-            for t, i, o in zip(*_nc_range(lo, n + 1, piece)))
+    return _heads(_Ranges(piece), 1, n + 1, first)
 
 
 def _block(b: tuple[int, ...]) -> tuple[tuple[int, ...]]:
     return (b,)
 
 
-@lru_cache(maxsize=None)
 def enumerate_nc(n: int) -> tuple[SetPartition, ...]:
     """All non-crossing partitions of {1..n}; |result| = Catalan(n)."""
-    return tuple(SetPartition(n, p + t) for p, t, _, _ in nc_rows(n, _block, _block))
+    return tuple(SetPartition(n, head + t) for head, _, tail in nc_heads(n, _block, _block)
+                 for t in tail[0])
 
 
 def _kreweras_cycles(p: SetPartition) -> list[list[int]]:

@@ -34,8 +34,13 @@ from bipoisson.partitions import (
     ChiShape,
     SetPartition,
     _kreweras_cycles,
+    enumerate_nc,
     mobius_nc_one,
 )
+
+# The library's NC(n), kept per n: the tests read it hundreds of times, and
+# `enumerate_nc` keeps nothing past its call
+nc_partitions = lru_cache(maxsize=None)(enumerate_nc)
 
 
 def from_blocks(n: int, blocks) -> SetPartition:

@@ -24,7 +24,6 @@ from bipoisson.matrix_models import EnsembleSpec, estimate_empirical_cumulants
 from bipoisson.partitions import (
     ChiShape,
     catalan,
-    enumerate_nc,
 )
 from bipoisson.poisson import (
     CbpSpec,
@@ -43,6 +42,7 @@ from oracles import (
     bimodule_residue,
     compression_oracle,
     model_letters,
+    nc_partitions,
     num_blocks,
     w_operators_by_words,
 )
@@ -63,7 +63,7 @@ def point_mass_jump(alpha: float, beta: float, cap: int) -> MomentFunctional:
 
 def mobius_zero_one_by_recursion(n: int) -> int:
     """mu(0_n, 1_n) from the defining recursion over NC(n) only."""
-    parts = sorted(enumerate_nc(n), key=lambda p: -num_blocks(p))
+    parts = sorted(nc_partitions(n), key=lambda p: -num_blocks(p))
     # owner[j, x]: block index of element x in partition j;
     # rep[i, x]: first element of the block of x in partition i
     owner = np.empty((len(parts), n), dtype=np.int64)
@@ -84,7 +84,7 @@ def mobius_zero_one_by_recursion(n: int) -> int:
 
 def test_criterion_1_combinatorics():
     t0 = time.time()
-    ok = all(len(enumerate_nc(n)) == catalan(n) for n in range(1, 10))
+    ok = all(len(nc_partitions(n)) == catalan(n) for n in range(1, 10))
     ok = ok and all(
         mobius_zero_one_by_recursion(n) == (-1) ** (n - 1) * catalan(n - 1)
         for n in range(1, 10)
@@ -94,7 +94,7 @@ def test_criterion_1_combinatorics():
         n = rng.randint(1, 8)
         chi = "".join(rng.choice("lr") for _ in range(n))
         shape = ChiShape(tuple(chi))
-        ok = ok and len(set(map(shape.apply, enumerate_nc(n)))) == catalan(n)
+        ok = ok and len(set(map(shape.apply, nc_partitions(n)))) == catalan(n)
     dt = time.time() - t0
     report(1, ok and dt < 30, f"exact counts and Mobius recursion, {dt:.1f}s")
 

@@ -21,11 +21,8 @@ from hypothesis import given, settings, strategies as st
 import bipoisson
 from bipoisson import cli
 from bipoisson.cli import (
-    _LIST,
-    _MOBIUS,
     JSON_BATCH,
     CliError,
-    _mobius_tail,
     emit_convergence_series,
     json_text,
     main,
@@ -36,9 +33,10 @@ from bipoisson.cli import (
 )
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
-from bipoisson.partitions import ChiShape, _nc_range, enumerate_nc, mobius_nc_one
-from bipoisson import poisson
+from bipoisson.partitions import ChiShape, mobius_nc_one
+from bipoisson import partitions, poisson
 from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw
+from oracles import nc_partitions
 
 
 # a uniform law whose product with itself is past the joint atom budget
@@ -161,16 +159,20 @@ class TestJsonText:
             return ((pieces.first(p[0]), ("".join(map(pieces.__getitem__, p[1:])) + t,))
                     for p, t in zip(blocks, row_tails))
 
+        # each command's pieces and row ends, made here as the command makes them
+        list_pieces = cli._Pieces("[", "\n    ")
+        mobius_pieces = cli._Pieces('{\n    "blocks": [', "\n      ")
+        mobius_ends = map('\n    ],\n    "mobius": {}\n  }}'.format, mobius)
         for chunks, expected in (
-                (partition_stream(rows(_LIST, ["\n  ]"] * size)), blocks),
-                (partition_stream(rows(_MOBIUS, map(_mobius_tail, mobius))), items)):
+                (partition_stream(rows(list_pieces, ["\n  ]"] * size)), blocks),
+                (partition_stream(rows(mobius_pieces, mobius_ends)), items)):
             chunks = list(chunks)
             assert len(chunks) == size // JSON_BATCH + 1
             assert "".join(chunks) == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_nc_commands_match_json_dumps(self, n, capsys):
-        pis = enumerate_nc(n)
+        pis = nc_partitions(n)
         _, out, _ = run(["nc", "list", "--n", str(n)], capsys)
         blocks = [[list(b) for b in p.blocks] for p in pis]
         assert out == json.dumps(blocks, indent=2) + "\n"
@@ -185,7 +187,7 @@ class TestJsonText:
         # last holds exactly `batch` rows, at each n and in each row form
         monkeypatch.setattr(cli, "JSON_BATCH", batch)
         for n in range(1, 8):
-            pis = enumerate_nc(n)
+            pis = nc_partitions(n)
             blocks = [[list(b) for b in p.blocks] for p in pis]
             s = ChiShape(tuple("lrlrlrl"[:n])).s_chi
             expected = {
@@ -205,23 +207,22 @@ class TestJsonText:
                     [batch] * (len(rows) // batch) + [len(rows) % batch])
 
     @pytest.mark.parametrize("action", ["list", "mobius"])
-    def test_repeat_nc_command_adds_no_memo_entries(self, action, capsys):
-        # the sub-range memo is keyed on one set of pieces per row form
-        run(["nc", "list", "--n", "7"], capsys)
-        run(["nc", "mobius", "--n", "7"], capsys)
-        size = _nc_range.cache_info().currsize
-        run(["nc", action, "--n", "7"], capsys)
-        assert _nc_range.cache_info().currsize == size
+    def test_nc_ground_set_is_streamed_not_memoized(self, action, capsys, monkeypatch):
+        # the command's memo builds each nonempty sub-range lo..hi-1 of 2..n
+        # once, and never 1..n, which is streamed; gap shares are made for
+        # the gap ranges, which end before n, and for no other range
+        n, built, build = 8, [], partitions._Ranges.__missing__
 
-    @pytest.mark.parametrize("action, pieces", [("list", _LIST), ("mobius", _MOBIUS)])
-    def test_nc_ground_set_is_streamed_not_memoized(self, action, pieces, capsys):
-        n = 8
-        run(["nc", action, "--n", str(n)], capsys)
-        misses = _nc_range.cache_info().misses
-        _nc_range(2, n + 1, pieces.__getitem__)  # the tail of the first block {1}
-        assert _nc_range.cache_info().misses == misses
-        _nc_range(1, n + 1, pieces.__getitem__)
-        assert _nc_range.cache_info().misses == misses + 1
+        def spy(memo, key):
+            built.append(key)
+            return build(memo, key)
+
+        monkeypatch.setattr(partitions._Ranges, "__missing__", spy)
+        assert run(["nc", action, "--n", str(n)], capsys)[0] == 0
+        assert sorted(key for key in built if key[0] != "gap" and key[0] < key[1]) == [
+            (lo, hi) for lo in range(2, n + 1) for hi in range(lo + 1, n + 2)]
+        assert sorted(key[1:] for key in built if key[0] == "gap") == [
+            (lo, hi) for lo in range(2, n) for hi in range(lo + 1, n + 1)]
 
     @pytest.mark.parametrize("chi", ["l", "r", "lr", "rl", "lrlr", "llrrl", "rrrrrrrr",
                                      "lrlrlrlrlr", "rlrrllrlrl"])
@@ -230,7 +231,7 @@ class TestJsonText:
         # s_chi o pi for each pi of NC(n), mapped here rather than by the library
         s = ChiShape(tuple(chi)).s_chi
         blocks = [sorted(sorted(s[x - 1] for x in b) for b in p.blocks)
-                  for p in enumerate_nc(len(chi))]
+                  for p in nc_partitions(len(chi))]
         assert out == json.dumps(blocks, indent=2) + "\n"
 
 
@@ -585,6 +586,9 @@ class TestNumericValidation:
               HUGE_SIZE, "--trials", "2"], "--sizes"),
             (["cbp", "limit", "--sizes", HUGE_SIZE], "--sizes"),
             (["cbp", "approx", "--sizes", HUGE_SIZE], "--sizes"),
+            (["bnc", "list", "--chi", ""], "--chi must have 1 to 12 letters, got 0"),
+            (["bnc", "list", "--chi", "lr" * 6 + "l"],
+             "--chi must have 1 to 12 letters, got 13"),
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
@@ -600,7 +604,7 @@ class TestNumericValidation:
              "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m",
              "fock_depth_past_budget", "fock_max_m_past_budget",
              "wishart_size_past_float", "limit_size_past_float",
-             "approx_size_past_float"],
+             "approx_size_past_float", "empty_chi", "chi_past_cap"],
     )
     def test_named_error(self, capsys, args, names):
         code, out, err = run(args, capsys)
@@ -820,6 +824,28 @@ class TestStartup:
     PARTITION_COMMANDS = [["nc", "list", "--n", "4"], ["nc", "mobius", "--n", "4"],
                           ["bnc", "list", "--chi", "lrl"]]
 
+    def test_partition_commands_keep_no_memory(self):
+        # Every memo of a partition command is its own and ends with it. Each
+        # command leaves tracemalloc within 1 MB of its reading before the
+        # call, once one collection has taken the parser's cyclic garbage.
+        code = textwrap.dedent("""
+            import gc, os, sys, tracemalloc
+            from bipoisson import cli
+            sys.stdout, held = open(os.devnull, "w"), []
+            tracemalloc.start()
+            for args in (["nc", "mobius", "--n", "11"], ["nc", "list", "--n", "11"],
+                         ["bnc", "list", "--chi", "lrlrlrlrlrl"]):
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                assert cli.main(args) == 0
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+            print(held, file=sys.__stdout__)
+        """)
+        held = ast.literal_eval(self.last_line(code))
+        assert len(held) == 3
+        assert max(held) <= 1e6, held
+
     @pytest.mark.parametrize("args", PARTITION_COMMANDS)
     def test_partition_commands_leave_numpy_unloaded(self, args):
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
@@ -924,6 +950,72 @@ class TestPublicNames:
                     return C, self.x
         """))
         assert loaded_names(tree) == {"n", "g", "h", "self", "x"}
+
+
+def module_caches(tree: ast.AST) -> list[str]:
+    """The names that an `lru_cache` or `functools.cache` wraps at module
+    scope, class bodies included: each def it decorates, and each target of
+    an assignment that applies it. Function and lambda bodies are not
+    walked: a cache made in a call ends with what made it."""
+    found = []
+
+    def walk(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for child in node.decorator_list:
+                walk(child, node.name)
+            for child in node.body if isinstance(node, ast.ClassDef) else ():
+                walk(child, None)
+            return
+        if isinstance(node, ast.Lambda):
+            return
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            owner = ast.unparse(getattr(node, "target", None) or node.targets[0])
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in ("lru_cache", "cache") and isinstance(node.ctx, ast.Load):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner)
+
+    walk(tree, None)
+    return found
+
+
+class TestProcessCaches:
+    # A cache at module scope lives as long as the process; each one kept is
+    # listed with its reason and its bound
+    ALLOWED = {
+        "_mobius_zero_one": "mu(0_m, 1_m), one int per size m: at most 13 entries, "
+                            "as the capped commands ask m <= 13",
+        "_length_plan": "64 transform plans (maxsize=64): `cbp limit` reuses its plans "
+                        "across 5 transforms, and uncached the command was ~8% slower",
+    }
+
+    def test_module_scope_caches_are_allowed(self):
+        src = Path(bipoisson.__file__).resolve().parent
+        found = [name for path in sorted(src.glob("*.py"))
+                 for name in module_caches(ast.parse(path.read_text(), str(path)))]
+        assert sorted(set(found) - set(self.ALLOWED)) == []
+        assert sorted(set(self.ALLOWED) - set(found)) == []  # an allowance ends with its cache
+
+    def test_module_caches_skip_calls(self):
+        tree = ast.parse(textwrap.dedent("""
+            import functools
+            from functools import cache, lru_cache
+            @lru_cache(maxsize=None)
+            def a(n): return n
+            b = lru_cache(maxsize=None)("{}".format)
+            class C:
+                @functools.cache
+                def d(self): return 1
+                @functools.cached_property
+                def e(self): return lru_cache(maxsize=None)(len)
+            def f():
+                g = lru_cache(maxsize=None)(len)
+                @cache
+                def h(n): return n
+            i = lambda: functools.cache(len)
+        """))
+        assert module_caches(tree) == ["a", "b", "d"]
 
 
 class TestImportGraph:

@@ -26,7 +26,6 @@ from bipoisson.partitions import (
     LEFT,
     RIGHT,
     catalan,
-    enumerate_nc,
     mobius_nc_one,
 )
 from bipoisson.poisson import convolve, semigroup_element
@@ -37,6 +36,7 @@ from oracles import (
     from_blocks,
     moment_of_word,
     moments_by_words,
+    nc_partitions,
     num_blocks,
     one_partition,
     phi_pi,
@@ -50,7 +50,7 @@ def single_face_free_cumulant(moments: dict[int, float], n: int) -> float:
     directly against the enumeration (no shared code paths with the
     bi-free engine beyond the NC list itself)."""
     total = 0.0
-    for pi in enumerate_nc(n):
+    for pi in nc_partitions(n):
         term = float(mobius_nc_one(pi))
         for b in pi.blocks:
             term *= moments[len(b)]
@@ -159,7 +159,7 @@ class TestSingleFaceInversion:
     def test_free_poisson(self, lam):
         # free Poisson moments: sum over NC(n) of lam^{#blocks}
         m = {
-            n: sum(lam ** num_blocks(p) for p in enumerate_nc(n))
+            n: sum(lam ** num_blocks(p) for p in nc_partitions(n))
             for n in range(1, 7)
         }
         phi = MomentFunctional.from_function(

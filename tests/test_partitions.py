@@ -13,12 +13,12 @@ from bipoisson.partitions import (
     ChiShape,
     SetPartition,
     _block,
-    _mobius_zero_one,
     catalan,
     enumerate_nc,
     is_noncrossing,
     mobius_nc_one,
-    nc_rows,
+    nc_heads,
+    tail_mobius,
 )
 from oracles import (
     apply_by_relabel,
@@ -28,6 +28,7 @@ from oracles import (
     ker_map,
     kreweras,
     mobius_nc,
+    nc_partitions,
     num_blocks,
     one_partition,
     refines,
@@ -121,14 +122,14 @@ class TestKreweras:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_complement_is_noncrossing_bijection(self, n):
-        images = {kreweras(p) for p in enumerate_nc(n)}
+        images = {kreweras(p) for p in nc_partitions(n)}
         assert len(images) == catalan(n)
         assert all(is_noncrossing(p) for p in images)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_block_count_identity(self, n):
         # |pi| + |K(pi)| = n + 1
-        for p in enumerate_nc(n):
+        for p in nc_partitions(n):
             assert num_blocks(p) + num_blocks(kreweras(p)) == n + 1
 
 
@@ -141,10 +142,10 @@ class TestMobius:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_defining_recursion_at_one(self, n):
         # sum over sigma in [pi, 1_n] of mu(sigma, 1_n) = [pi == 1_n]
-        for pi in enumerate_nc(n):
+        for pi in nc_partitions(n):
             total = sum(
                 mobius_nc_one(sigma)
-                for sigma in enumerate_nc(n)
+                for sigma in nc_partitions(n)
                 if refines(pi, sigma)
             )
             assert total == (1 if pi == one_partition(n) else 0)
@@ -152,7 +153,7 @@ class TestMobius:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_general_interval_recursion(self, n):
         # sum over tau in [pi, sigma] of mu(tau, sigma) = [pi == sigma]
-        ncs = enumerate_nc(n)
+        ncs = nc_partitions(n)
         for pi in ncs:
             for sigma in ncs:
                 if not refines(pi, sigma):
@@ -171,18 +172,19 @@ class TestMobius:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_values_match_per_partition(self, n):
-        # mu(pi, 1_n) = inner(pi) * mu(0_outer, 1_outer), read off the
-        # recursion's rows as `nc mobius` reads it, in enumeration order
-        values = [i * _mobius_zero_one(o) for _, _, i, o in nc_rows(n, _block, _block)]
-        assert values == [mobius_nc_one(p) for p in enumerate_nc(n)]
+        # mu(pi, 1_n) as `nc mobius` reads it off the recursion's heads: a
+        # head's share with its tails' inner and outer, in enumeration order
+        values = [mu for _, share, (_, inners, outers) in nc_heads(n, _block, _block)
+                  for mu in tail_mobius(share, inners, outers)]
+        assert values == [mobius_nc_one(p) for p in nc_partitions(n)]
         # sum over pi in [0_n, 1_n] of mu(pi, 1_n) = [0_n == 1_n]
         assert sum(values) == (1 if n == 1 else 0)
 
     @pytest.mark.parametrize("n", [0, 13])
     def test_values_share_enumeration_cap(self, n):
-        # the rows' cap is checked at the call, before a row is read
+        # the heads' cap is checked at the call, before a head is read
         with pytest.raises(CapExceededError) as rows_err:
-            nc_rows(n, _block, _block)
+            nc_heads(n, _block, _block)
         with pytest.raises(CapExceededError) as enum_err:
             enumerate_nc(n)
         assert str(rows_err.value) == str(enum_err.value)
@@ -209,7 +211,7 @@ class TestChiShape:
         # a block image kept for one shape and read by the other shows up
         shapes = [ChiShape(tuple("lrlrl")), ChiShape(tuple("rrlll"))]
         for _ in range(2):
-            for pi in enumerate_nc(5):
+            for pi in nc_partitions(5):
                 for shape in shapes:
                     s = dict(zip(range(1, 6), shape.s_chi))
                     want = tuple(sorted(tuple(sorted(s[x] for x in b)) for b in pi.blocks))
@@ -219,7 +221,7 @@ class TestChiShape:
     @settings(max_examples=50)
     def test_apply_unapply_roundtrip(self, tags):
         shape = ChiShape(tuple(tags))
-        for pi in enumerate_nc(shape.n):
+        for pi in nc_partitions(shape.n):
             assert unapply(shape, shape.apply(pi)) == pi
 
 
@@ -229,18 +231,18 @@ class TestBNC:
     )
     def test_count_is_catalan(self, chi):
         shape = ChiShape(tuple(chi))
-        bncs = [shape.apply(pi) for pi in enumerate_nc(shape.n)]
+        bncs = [shape.apply(pi) for pi in nc_partitions(shape.n)]
         assert len(bncs) == catalan(shape.n)
         assert len(set(bncs)) == catalan(shape.n)
 
     def test_all_left_is_plain_nc(self):
         shape = ChiShape(tuple("lllll"))
-        assert [shape.apply(pi) for pi in enumerate_nc(5)] == list(enumerate_nc(5))
+        assert [shape.apply(pi) for pi in nc_partitions(5)] == list(nc_partitions(5))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_relabel_path(self, n):
         # every chi of length n, as ordered tuples of canonical partitions
-        ncs = enumerate_nc(n)
+        ncs = nc_partitions(n)
         for chi in itertools.product("lr", repeat=n):
             shape = ChiShape(chi)
             got = [shape.apply(pi) for pi in ncs]
@@ -250,14 +252,14 @@ class TestBNC:
 
     def test_preimage_roundtrip(self):
         shape = ChiShape(tuple("lrrl"))
-        for b in map(shape.apply, enumerate_nc(4)):
+        for b in map(shape.apply, nc_partitions(4)):
             assert shape.apply(unapply(shape, b)) == b
             assert isinstance(b, SetPartition)
 
     def test_order_isomorphism(self):
         # pi <= rho in NC iff their s_chi images refine in the same way
         shape = ChiShape(tuple("lrlr"))
-        ncs = enumerate_nc(4)
+        ncs = nc_partitions(4)
         for pi, rho in itertools.product(ncs, repeat=2):
             assert refines(pi, rho) == refines(shape.apply(pi), shape.apply(rho))
 
