@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import namedtuple
 from pathlib import Path
 
@@ -205,6 +206,22 @@ class TestJsonText:
                 row_start = "\n  {" if argv[1] == "mobius" else "\n  ["
                 assert [c.count(row_start) for c in chunks] == (
                     [batch] * (len(rows) // batch) + [len(rows) % batch])
+
+    @pytest.mark.parametrize("action", ["list", "mobius"])
+    def test_repeat_nc_command_adds_no_memo_entries(self, action, capsys, monkeypatch):
+        # each run makes one memo of its own, which reference counting frees
+        # as the run ends: the process keeps no entries, however often it runs
+        memos, init = [], partitions._Ranges.__init__
+
+        def spy(memo, piece):
+            memos.append(weakref.ref(memo))
+            init(memo, piece)
+
+        monkeypatch.setattr(partitions._Ranges, "__init__", spy)
+        for _ in range(2):
+            assert run(["nc", action, "--n", "7"], capsys)[0] == 0
+            assert memos[-1]() is None
+        assert len(memos) == 2
 
     @pytest.mark.parametrize("action", ["list", "mobius"])
     def test_nc_ground_set_is_streamed_not_memoized(self, action, capsys, monkeypatch):
