@@ -14,8 +14,9 @@ import importlib
 _MODULE_OF = {
     name: module
     for module, names in {
-        "errors": ("CapExceededError", "MissingEntryError", "ShapeMismatchError"),
-        "partitions": ("LEFT", "RIGHT", "ChiShape", "SetPartition", "catalan",
+        "errors": ("LEFT", "RIGHT", "CapExceededError", "MissingEntryError",
+                   "ShapeMismatchError"),
+        "partitions": ("ChiShape", "SetPartition", "catalan",
                        "enumerate_nc", "is_noncrossing", "mobius_nc_one"),
         "cumulants": ("Alphabet", "CumulantTable", "MomentFunctional", "Word",
                       "all_words", "kappa_from_moments", "moments_from_kappa"),

@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CAP,
+    LEFT,
+    RIGHT,
     CapExceededError,
     MissingEntryError,
     ShapeMismatchError,
 )
-from .partitions import LEFT, RIGHT
 
 Word = tuple[str, ...]
 

@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import LEFT, RIGHT, CapExceededError, ShapeMismatchError
 from .cumulants import (Alphabet, CumulantTable, MomentFunctional,
                         kappa_from_moments, word_offset)
-from .partitions import LEFT, RIGHT
 
 # Largest truncated Fock basis built (words of length <= depth over dim letters)
 FOCK_STATE_BUDGET = 2_000_000

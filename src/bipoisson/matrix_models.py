@@ -39,9 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, ShapeMismatchError
+from .errors import LEFT, RIGHT, CapExceededError, ShapeMismatchError
 from .cumulants import Alphabet, all_words, transform_rows
-from .partitions import LEFT, RIGHT
 from .poisson import CbpSpec, JumpLaw
 
 # Largest p x n Gaussian factor G a trial stands for; its stacked Bartlett

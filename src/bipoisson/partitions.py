@@ -12,10 +12,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 
-from .errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
-
-LEFT = "l"
-RIGHT = "r"
+from .errors import DEFAULT_CAP, LEFT, RIGHT, CapExceededError, ShapeMismatchError
 
 
 def catalan(n: int) -> int:

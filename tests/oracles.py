@@ -26,11 +26,9 @@ from bipoisson.cumulants import (
     all_words,
     kappa_from_moments,
 )
-from bipoisson.errors import DEFAULT_CAP, CapExceededError, ShapeMismatchError
+from bipoisson.errors import DEFAULT_CAP, LEFT, RIGHT, CapExceededError, ShapeMismatchError
 from bipoisson.matrix_models import build_wishart_model, evaluate_bimatrix_word
 from bipoisson.partitions import (
-    LEFT,
-    RIGHT,
     ChiShape,
     SetPartition,
     _kreweras_cycles,

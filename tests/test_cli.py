@@ -21,14 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 import bipoisson
 from bipoisson import cli
-from bipoisson.cli import (
-    JSON_BATCH,
-    CliError,
+from bipoisson.cli import JSON_BATCH, CliError, json_text, main, partition_stream
+from bipoisson.reports import (
     emit_convergence_series,
-    json_text,
-    main,
     parse_atoms,
-    partition_stream,
     table_from_json,
     table_to_json,
 )
@@ -200,7 +196,7 @@ class TestJsonText:
             }
             for argv, rows in expected.items():
                 args = cli.build_parser().parse_args(argv)
-                chunks = list(args.fn(args))
+                chunks = list(getattr(cli, args.fn)(args))
                 assert "".join(chunks) == json.dumps(rows, indent=2) + "\n"
                 assert len(chunks) == len(rows) // batch + 1
                 row_start = "\n  {" if argv[1] == "mobius" else "\n  ["
@@ -820,6 +816,55 @@ class TestStartup:
         code = "import sys, bipoisson.cli; bipoisson.cli.build_parser()"
         assert self.modules_after(code, "scipy") == "[]"
 
+    def test_parser_loads_only_cli_and_errors(self):
+        # the parser names each command's function; no command module is compiled
+        code = "import sys, bipoisson.cli; bipoisson.cli.build_parser()"
+        assert self.modules_after(code, "bipoisson") == str(
+            ["bipoisson", "bipoisson.cli", "bipoisson.errors"])
+
+    NUMERIC_COMMANDS = [
+        ["cbp", "limit", "--deg", "2", "--sizes", "8,16"],
+        ["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--N", "2",
+         "--max-m", "3"],
+        ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
+         "--sizes", "4", "--trials", "2", "--max-word", "2"]]
+
+    @pytest.mark.parametrize("args", NUMERIC_COMMANDS)
+    def test_numeric_commands_leave_partitions_unloaded(self, args):
+        # the side tags are in errors; only the partition commands read partitions
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert "bipoisson.partitions" not in self.modules_after(code, "bipoisson")
+
+    @pytest.mark.parametrize("args", NUMERIC_COMMANDS)
+    def test_numeric_commands_load_reports_before_numpy(self, args):
+        # sys.modules keeps import order: compiling `reports` comes before
+        # numpy's import, so its memory does not add to numpy's peak
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        order = ast.literal_eval(self.last_line(
+            code + "; print([m for m in sys.modules if m in "
+                   "('bipoisson.reports', 'numpy')])"))
+        assert order == ["bipoisson.reports", "numpy"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["cbp", "limit", "--deg", "0"], "ERROR VALIDATION: --deg must be >= 1, got 0"),
+        (["nc", "list", "--n", "0"], "ERROR VALIDATION: n=0 outside [1, 12]")])
+    def test_module_run_prints_named_errors(self, args, message):
+        # run as `python -m`, cli is `__main__` and `reports` imports a second
+        # copy of it: an error raised in either is still one ERROR line
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "bipoisson.cli", *args], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize("args", [["nc", "list", "--n", "3"],
+                                      ["cbp", "limit", "--deg", "2", "--sizes", "8,16"]])
+    def test_stdout_commands_run_without_tempfile(self, args):
+        # only an --out write imports tempfile
+        code = ("import sys; sys.modules['tempfile'] = None; import bipoisson.cli; "
+                f"assert bipoisson.cli.main({args!r}) == 0")
+        assert self.last_line(code + "; print('ok')") == "ok"
+
     def test_fock_verify_leaves_scipy_unloaded(self):
         # the Fock model runs on numpy alone
         code = (
@@ -867,6 +912,12 @@ class TestStartup:
     def test_partition_commands_leave_numpy_unloaded(self, args):
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
         assert self.modules_after(code, "numpy") == "[]"
+
+    @pytest.mark.parametrize("args", PARTITION_COMMANDS)
+    def test_partition_commands_leave_reports_unloaded(self, args):
+        code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
+        assert self.modules_after(code, "bipoisson") == str(
+            ["bipoisson", "bipoisson.cli", "bipoisson.errors", "bipoisson.partitions"])
 
     @pytest.mark.parametrize("args", PARTITION_COMMANDS)
     def test_partition_commands_leave_dataclasses_unloaded(self, args):
@@ -1037,17 +1088,18 @@ class TestProcessCaches:
 
 class TestImportGraph:
     # Each module's `from .X import` edges, function bodies included: a law
-    # reaches the Fock model as its cumulant table, not through poisson
+    # reaches the Fock model as its cumulant table, not through poisson, and
+    # the side tags come from errors, so no numeric module reads partitions
     EDGES = {
         "__init__": set(),
         "errors": set(),
         "partitions": {"errors"},
-        "cumulants": {"errors", "partitions"},
+        "cumulants": {"errors"},
         "poisson": {"cumulants", "errors"},
-        "fock": {"cumulants", "errors", "partitions"},
-        "matrix_models": {"cumulants", "errors", "partitions", "poisson"},
-        "cli": {"cumulants", "errors", "fock", "matrix_models", "partitions",
-                "poisson"},
+        "fock": {"cumulants", "errors"},
+        "matrix_models": {"cumulants", "errors", "poisson"},
+        "cli": {"errors", "partitions", "reports"},
+        "reports": {"cli", "cumulants", "errors", "fock", "matrix_models", "poisson"},
     }
 
     @staticmethod
@@ -1057,8 +1109,10 @@ class TestImportGraph:
                 for path in sorted(src.glob("*.py"))}
 
     def test_module_edges(self):
-        edges = {name: {node.module for node in ast.walk(tree)
-                        if isinstance(node, ast.ImportFrom) and node.level == 1}
+        # `from . import X` is an edge to X
+        edges = {name: {node.module or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level == 1
+                        for alias in node.names}
                  for name, tree in self.trees().items()}
         assert edges == self.EDGES
 

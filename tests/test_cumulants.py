@@ -22,12 +22,8 @@ from bipoisson.cumulants import (
     transform_rows,
     word_offset,
 )
-from bipoisson.partitions import (
-    LEFT,
-    RIGHT,
-    catalan,
-    mobius_nc_one,
-)
+from bipoisson.errors import LEFT, RIGHT
+from bipoisson.partitions import catalan, mobius_nc_one
 from bipoisson.poisson import convolve, semigroup_element
 from oracles import (
     bnc_cumulant,

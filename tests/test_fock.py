@@ -9,7 +9,7 @@ import pytest
 
 from oracles import creation_by_words, creation_product_by_words, w_operators_by_words
 
-from bipoisson.errors import CapExceededError, ShapeMismatchError
+from bipoisson.errors import LEFT, RIGHT, CapExceededError, ShapeMismatchError
 from bipoisson.cumulants import Alphabet, CumulantTable
 from bipoisson.fock import (
     FockBasis,
@@ -20,7 +20,6 @@ from bipoisson.fock import (
     vacuum_moment,
     verify_fock_cumulants,
 )
-from bipoisson.partitions import LEFT, RIGHT
 from bipoisson.poisson import CbpSpec, JumpLaw, cbp_cumulants
 
 PAIR = Alphabet(("a1",), ("a2",))
