@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -127,7 +126,6 @@ def word_offset(size: int, n):
     return n if size == 1 else (size**n - 1) // (size - 1)
 
 
-@lru_cache(maxsize=64)
 def _length_plan(n_left: int, size: int, n: int):
     """The first-block recursion for every word of length n, as index arrays.
 
@@ -137,7 +135,7 @@ def _length_plan(n_left: int, size: int, n: int):
     kappa(w|V) times the product over the gaps of V of phi(w|gap): the free
     moment-cumulant relation (Nica-Speicher 2006). Terms are cut sets of
     reordered positions by size, then lexicographically; the whole word last.
-    Returns (blocks, runs, gaps), cached and never written: blocks[t, w]
+    Returns (blocks, runs, gaps): blocks[t, w]
     indexes term t's block in the w-th word of length n, runs[r, w] its run
     r of reordered positions (run 0 is empty), and gaps[g, t] is the run of
     term t's g-th gap, 0 past its last.
@@ -185,11 +183,14 @@ def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool
         blocks, runs, gaps = _length_plan(len(alphabet.left), size, n)
         lo, hi = word_offset(size, n), word_offset(size, n + 1)
         terms = len(blocks) - to_cumulants  # a cumulant drops the whole word
-        prod = kappa[:, blocks[:terms]]
-        for gap in gaps[:, :terms]:
-            prod *= phi[:, runs[gap]]
-        acc = sum(prod.swapaxes(0, 1), 0.0)  # term by term, in plan order
-        out[:, lo:hi] = phi[:, lo:hi] - acc if to_cumulants else acc
+        step = max(1, PLAN_BUDGET // blocks.size)  # rows whose products fit the budget
+        for top in range(0, len(out), step):
+            part = slice(top, top + step)
+            prod = kappa[part, blocks[:terms]]
+            for gap in gaps[:, :terms]:
+                prod *= phi[part, runs[gap]]
+            acc = sum(prod.swapaxes(0, 1), 0.0)  # term by term, in plan order
+            out[part, lo:hi] = phi[part, lo:hi] - acc if to_cumulants else acc
     return out[:, 1:]
 
 

@@ -244,7 +244,7 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
 
     Each trial evaluates every distinct (left-subword, right-subword) key
     once, in one `key_values` call, and gives its value to every word with
-    that key. Each size inverts its mean moments in one call. Identical
+    that key. One call inverts the mean moments of every size. Identical
     seed and spec give identical reports.
     """
     alphabet = spec.alphabet
@@ -260,7 +260,7 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
     ]
     root = np.random.SeedSequence(spec.seed)
     size_seeds = root.spawn(len(spec.sizes))
-    reports = []
+    means, sems, imags = [], [], []
     for n, size_seed in zip(spec.sizes, size_seeds):
         trial_values = np.empty((spec.trials, len(words)))
         imag = np.empty(spec.trials)
@@ -271,8 +271,8 @@ def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:
             values = key_values(mats, key_index)
             imag[t] = np.abs(values.imag).max()
             trial_values[t] = values.real[word_key]
-        mean = trial_values.mean(axis=0)
-        sem = trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials)
-        kappa = transform_rows(alphabet, spec.max_word_len, [mean], to_cumulants=True)
-        reports.append(SizeReport(n, mean, sem, kappa[0], float(imag.max())))
-    return reports
+        means.append(trial_values.mean(axis=0))
+        sems.append(trial_values.std(axis=0, ddof=1) / math.sqrt(spec.trials))
+        imags.append(float(imag.max()))
+    kappas = transform_rows(alphabet, spec.max_word_len, means, to_cumulants=True)
+    return list(map(SizeReport, spec.sizes, means, sems, kappas, imags))

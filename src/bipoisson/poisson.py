@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import (
-    Alphabet,
-    CumulantTable,
-    MomentFunctional,
-    Word,
-    kappa_from_moments,
-    moments_from_kappa,
-)
+from .cumulants import (Alphabet, CumulantTable, MomentFunctional, Word,
+                        moments_from_kappa, transform_rows)
 
 PSD_TOLERANCE = 1e-9
 # Most atoms `JumpLaw.independent` lists: a product law this large builds
@@ -152,25 +146,30 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
                                        lambda w: lam ** (len(w) - 1) * kappa(w))
 
 
-def limit_theorem_moments(spec: CbpSpec, N: int) -> MomentFunctional:
-    """Moments of the N-fold bi-free sum of the scaled summand whose
-    moments are (lambda/N) * jump_law; converges to cbp_moments(spec)."""
-    if N < spec.rate:
-        raise ValueError(f"N={N} below rate {spec.rate}")
-    jump = spec.jump_law
-    phi_summand = MomentFunctional(
-        jump.alphabet, jump.degree_cap, spec.rate / N * jump.row
-    )
-    return moments_from_kappa(semigroup_element(kappa_from_moments(phi_summand), N))
+def limit_theorem_moments(spec: CbpSpec, sizes) -> list[MomentFunctional]:
+    """Moments of the N-fold bi-free sum of the scaled summand whose moments
+    are (lambda/N) * jump_law, for each N in sizes; they converge to
+    cbp_moments(spec)."""
+    for N in sizes:
+        if N < spec.rate:
+            raise ValueError(f"N={N} below rate {spec.rate}")
+    a, cap = spec.jump_law.alphabet, spec.jump_law.degree_cap
+    phi = [spec.rate / N * spec.jump_law.row for N in sizes]
+    kappa = [semigroup_element(CumulantTable(a, cap, row), N).row
+             for N, row in zip(sizes, transform_rows(a, cap, phi, True))]
+    return [MomentFunctional(a, cap, row) for row in transform_rows(a, cap, kappa, False)]
 
 
-def poisson_approximation(kappa: CumulantTable, n: int) -> CumulantTable:
-    """P(n, nu_{1/n}), rate n and jump law nu_{1/n}, for the nu with cumulants
-    kappa; its cumulants converge to kappa as n grows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    jump = moments_from_kappa(semigroup_element(kappa, 1.0 / n))
-    return cbp_cumulants(CbpSpec(n, jump))
+def poisson_approximation(kappa: CumulantTable, sizes) -> list[CumulantTable]:
+    """P(n, nu_{1/n}) for each n in sizes: rate n and jump law nu_{1/n}, for
+    the nu with cumulants kappa; its cumulants converge to kappa as n grows."""
+    for n in sizes:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+    a, cap = kappa.alphabet, kappa.degree_cap
+    nu = [semigroup_element(kappa, 1.0 / n).row for n in sizes]
+    return [cbp_cumulants(CbpSpec(n, MomentFunctional(a, cap, row)))
+            for n, row in zip(sizes, transform_rows(a, cap, nu, False))]
 
 
 def gram_basis(alphabet: Alphabet, deg: int) -> list[Word]:

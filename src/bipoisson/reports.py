@@ -242,10 +242,10 @@ def cmd_cbp_series(args) -> str:
     spec = CbpSpec(args.rate, jump)
     if args.action == "limit":
         ref = cbp_moments(spec)
-        approx = [limit_theorem_moments(spec, n) for n in sizes]
+        approx = limit_theorem_moments(spec, sizes)
     else:
         ref = cbp_cumulants(spec)
-        approx = [poisson_approximation(ref, n) for n in sizes]
+        approx = poisson_approximation(ref, sizes)
     points = [(n, table.row, ref.row) for n, table in zip(sizes, approx)]
     words = [_word_str(w) for w in all_words(jump.alphabet, args.deg)]
     return emit_convergence_series(words, points, args.format)

@@ -129,8 +129,8 @@ def test_criterion_3_limit_theorem_rate():
     words = list(all_words(target.alphabet, 4))
     sizes = [8, 16, 32, 64]
     errs = [
-        max(abs(limit_theorem_moments(spec, n)(w) - target(w)) for w in words)
-        for n in sizes
+        max(abs(approx(w) - target(w)) for w in words)
+        for approx in limit_theorem_moments(spec, sizes)
     ]
     slope = float(np.polyfit(np.log(sizes), np.log(errs), 1)[0])
     dt = time.time() - t0

@@ -4,6 +4,7 @@ and the convergence-series emitter."""
 
 import ast
 import errno
+import importlib
 import io
 import json
 import math
@@ -31,7 +32,7 @@ from bipoisson.reports import (
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
 from bipoisson.partitions import ChiShape, mobius_nc_one
-from bipoisson import partitions, poisson
+from bipoisson import cumulants, partitions, poisson
 from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw
 from oracles import nc_partitions
 
@@ -466,14 +467,40 @@ class TestCbp:
         slope = float(lines[1].split(",")[5])
         assert -1.15 <= slope <= -0.85
 
-    def test_approx_transforms_once_per_size(self, monkeypatch, capsys):
-        # the law is its cumulant table: only P(n, nu_{1/n}) needs moments
-        calls = []
-        transform = poisson.moments_from_kappa
-        monkeypatch.setattr(poisson, "moments_from_kappa",
-                            lambda kappa: calls.append(kappa) or transform(kappa))
-        code, _, _ = run(["cbp", "approx", "--sizes", "2,4,8"], capsys)
-        assert (code, len(calls)) == (0, 3)
+    SIM = ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
+           "--shared", "--trials", "2", "--max-word", "3"]
+
+    @pytest.mark.parametrize("args, calls", [
+        (["cbp", "approx", "--sizes", "2,4"], 1),
+        (["cbp", "approx", "--sizes", "2,4,8,16"], 1),
+        (SIM + ["--sizes", "4"], 1),
+        (SIM + ["--sizes", "4,6,8"], 1),
+        (["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--N", "2",
+          "--max-m", "3"], 1),
+        (["cbp", "build", "--lambda", "2", "--jump", "JUMP"], 1),
+        # the reference moments, then one call each way for every size
+        (["cbp", "limit", "--deg", "3", "--sizes", "8,16,32"], 3),
+    ], ids=["approx_2", "approx_4", "simulate_1", "simulate_3", "fock", "build",
+            "limit"])
+    def test_transform_calls_per_command(self, args, calls, tmp_path, monkeypatch,
+                                         capsys):
+        # one transform call serves every size of a command in each direction
+        _, path = sample_table(tmp_path)
+        args = [path if a == "JUMP" else a for a in args]
+        seen = []
+        transform = cumulants.transform_rows
+
+        def spy(*a, **k):
+            seen.append(a)
+            return transform(*a, **k)
+
+        src = Path(bipoisson.__file__).resolve().parent
+        for name in sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__"):
+            module = importlib.import_module(f"bipoisson.{name}")
+            if getattr(module, "transform_rows", None) is transform:
+                monkeypatch.setattr(module, "transform_rows", spy)
+        code, _, _ = run(args, capsys)
+        assert (code, len(seen)) == (0, calls)
 
     def test_psd(self, tmp_path, capsys):
         a = Alphabet(("zl",), ("zr",))
@@ -590,6 +617,8 @@ class TestNumericValidation:
             (SIM + ["--lambda", "1e12"], "exceeds budget"),
             (SIM + ["--trials", "100000000"], "past the trial budget"),
             (["cbp", "limit", "--sizes", "2,2"], "must not repeat"),
+            (["cbp", "limit", "--sizes", "2,1", "--lambda", "3"], "N=2 below rate 3.0"),
+            (["cbp", "approx", "--sizes", "0,2"], "n must be >= 1, got 0"),
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
             (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
             (FOCK[:-1] + ["0"], "moment length 0 must be >= 1"),
@@ -614,6 +643,7 @@ class TestNumericValidation:
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
              "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
+             "limit_first_size_below_rate", "approx_first_size_below_one",
              "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m",
              "fock_depth_past_budget", "fock_max_m_past_budget",
              "wishart_size_past_float", "limit_size_past_float",
@@ -908,6 +938,40 @@ class TestStartup:
         assert len(held) == 3
         assert max(held) <= 1e6, held
 
+    def test_numeric_commands_keep_no_memory(self, tmp_path):
+        # No transform plan outlives its call. numpy (with numpy.random, which
+        # it loads on first use), the numeric modules and the writers' formats
+        # load before the first reading and no transform runs before it, so
+        # each reading holds only what its command kept.
+        jump = MomentFunctional.from_function(Alphabet(("zl",), ("zr",)), 10,
+                                              lambda w: 0.5 ** len(w))
+        path = tmp_path / "jump.json"
+        path.write_text(json.dumps(table_to_json(jump)))
+        commands = [
+            ["cbp", "build", "--lambda", "2", "--jump", str(path)],
+            ["cbp", "limit", "--deg", "7"],
+            ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
+             "--shared", "--sizes", "4,8", "--trials", "2", "--max-word", "3"],
+            ["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--right-atoms",
+             "0.3:1", "--N", "3", "--max-m", "4"]]
+        code = textwrap.dedent(f"""
+            import csv, gc, json, os, sys, tracemalloc
+            import numpy.random
+            from bipoisson import cli, cumulants, fock, matrix_models, poisson, reports
+            sys.stdout, held = open(os.devnull, "w"), []
+            tracemalloc.start()
+            for args in {commands!r}:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                assert cli.main(args) == 0
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+            print(held, file=sys.__stdout__)
+        """)
+        held = ast.literal_eval(self.last_line(code))
+        assert len(held) == 4
+        assert max(held) <= 1e6, held
+
     @pytest.mark.parametrize("args", PARTITION_COMMANDS)
     def test_partition_commands_leave_numpy_unloaded(self, args):
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
@@ -1054,8 +1118,6 @@ class TestProcessCaches:
     ALLOWED = {
         "_mobius_zero_one": "mu(0_m, 1_m), one int per size m: at most 13 entries, "
                             "as the capped commands ask m <= 13",
-        "_length_plan": "64 transform plans (maxsize=64): `cbp limit` reuses its plans "
-                        "across 5 transforms, and uncached the command was ~8% slower",
     }
 
     def test_module_scope_caches_are_allowed(self):

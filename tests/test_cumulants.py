@@ -5,6 +5,7 @@ against the per-word first-block recursion, bit for bit."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,25 @@ class TestPlanGuards:
         with pytest.raises(Compiled if admitted else CapExceededError):
             transform_rows(a, cap, rows, to_cumulants=True)
 
+    @pytest.mark.parametrize("to_cumulants", [True, False])
+    def test_rows_share_the_plan_budget(self, monkeypatch, to_cumulants):
+        # A length's plan takes as many rows at a time as the budget admits:
+        # with the top length's plan at the budget, a call over 16 rows gives
+        # the rows of the unbounded call, and its peak stays under twice one
+        # row's (all 16 rows at once peak at about seven times).
+        a = Alphabet(("x",), ("u",))
+        rows = np.random.default_rng(5).uniform(-1, 1, (16, 510))
+        want = transform_rows(a, 8, rows, to_cumulants)
+        monkeypatch.setattr(cumulants, "PLAN_BUDGET", 2**7 * 2**8)
+        peaks = []
+        for batch in (rows[:1], rows):
+            tracemalloc.start()
+            got = transform_rows(a, 8, batch, to_cumulants)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert bits(got) == bits(want)
+        assert peaks[1] < 2 * peaks[0], peaks
+
     def test_unknown_side_tag_rejected(self):
         with pytest.raises(ShapeMismatchError):
             moment_of_word(lambda w: 1.0, lambda w: 1.0, (LEFT, "x"), ("a", "b"))
@@ -461,7 +481,7 @@ class TestPlanMembers:
     @pytest.mark.parametrize("n_left, size", [(1, 1), (1, 2), (0, 2), (2, 3)])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_plan_matches_isin_construction(self, n_left, size, n):
-        got = cumulants._length_plan.__wrapped__(n_left, size, n)
+        got = cumulants._length_plan(n_left, size, n)
         for a, b in zip(got, _isin_plan(n_left, size, n)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)

@@ -17,8 +17,10 @@ from bipoisson.cumulants import (
     kappa_from_moments,
     moments_from_kappa,
 )
+from bipoisson import poisson
 from bipoisson.poisson import (
     CbpSpec,
+    JumpLaw,
     cbp_cumulants,
     cbp_moments,
     compress,
@@ -134,17 +136,15 @@ class TestLimitTheorem:
         target = cbp_moments(spec)
         words = list(all_words(target.alphabet, 4))
         sizes = [8, 16, 32, 64]
-        errs = []
-        for n in sizes:
-            approx = limit_theorem_moments(spec, n)
-            errs.append(max(abs(approx(w) - target(w)) for w in words))
+        errs = [max(abs(approx(w) - target(w)) for w in words)
+                for approx in limit_theorem_moments(spec, sizes)]
         slope = np.polyfit(np.log(sizes), np.log(errs), 1)[0]
         assert -1.15 <= slope <= -0.85
 
     def test_rejects_small_n(self):
         spec = CbpSpec(4.0, point_mass_jump(1, 1, 2))
         with pytest.raises(ValueError):
-            limit_theorem_moments(spec, 2)
+            limit_theorem_moments(spec, [2])
 
 
 class TestPoissonApproximation:
@@ -152,13 +152,47 @@ class TestPoissonApproximation:
         nu = cbp_cumulants(CbpSpec(1.0, point_mass_jump(1.0, 0.5, 4)))
         words = list(all_words(nu.alphabet, 4))
         prev = None
-        for n in (2, 4, 8, 16, 32):
-            approx = poisson_approximation(nu, n)
+        for approx in poisson_approximation(nu, (2, 4, 8, 16, 32)):
             err = max(abs(approx(w) - nu(w)) for w in words)
             if prev is not None:
                 assert err < prev
             prev = err
         assert prev < 0.2
+
+
+class TestSizeSequences:
+    # two atoms a side, so that the rows vary from word to word
+    SPEC = CbpSpec(2.5, JumpLaw.independent(
+        Alphabet(("zl",), ("zr",)),
+        (((0.5, -1.5), (0.3, 0.7)), ((2.0, 0.25), (0.6, 0.4)))).moments(5))
+
+    def law(self, fn):
+        return self.SPEC if fn is limit_theorem_moments else cbp_cumulants(self.SPEC)
+
+    @pytest.mark.parametrize("fn", [limit_theorem_moments, poisson_approximation],
+                             ids=["limit", "approx"])
+    def test_each_size_equals_its_own_call(self, fn):
+        # rows do not mix: one call over every size gives each size's table
+        # bit for bit as a call with that size alone
+        sizes = [64, 3, 17, 8]
+        tables = fn(self.law(fn), sizes)
+        assert len(tables) == len(sizes)
+        for n, table in zip(sizes, tables):
+            assert table.row.tobytes() == fn(self.law(fn), [n])[0].row.tobytes()
+
+    @pytest.mark.parametrize("fn, sizes, message", [
+        (limit_theorem_moments, [8, 2, 1], "N=2 below rate 2.5"),
+        (poisson_approximation, [4, 0, -1], "n must be >= 1, got 0")],
+        ids=["limit", "approx"])
+    def test_first_bad_size_raises_before_any_transform(self, monkeypatch, fn, sizes,
+                                                        message):
+        def transform(*args):
+            raise AssertionError("a transform ran before every size was checked")
+
+        monkeypatch.setattr(poisson, "transform_rows", transform)
+        with pytest.raises(ValueError) as exc:
+            fn(self.law(fn), sizes)
+        assert str(exc.value) == message
 
 
 class TestPositivity:
