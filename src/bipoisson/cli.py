@@ -1,5 +1,5 @@
-"""Command-line harness: parsing, dispatch, the writers and the partition
-commands; the numeric commands are in `reports`.
+"""Command-line harness: parsing, dispatch, rendering, the writers and the
+partition commands; the numeric commands are in `reports`.
 
 Data goes to --out (atomic write) or standard output; progress and errors
 go to the error stream. Errors print a single machine-parsable line
@@ -37,17 +37,19 @@ def write_output(text: str | Iterable[str], out_path: str | None) -> None:
     """Write a text, or a text's chunks in order, to stdout, or atomically
     (temp file + rename) to out_path; the temp file is removed on any
     error, including one raised by the chunks. A reader that closes
-    standard output early gives CliError("IO")."""
+    standard output early, or a failed write to it, gives CliError("IO")."""
     chunks = (text,) if isinstance(text, str) else text
     if out_path is None:
         try:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # What is still buffered goes to devnull, so that the flush at
             # exit does not raise again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise CliError("IO", "standard output closed") from None
+            closed = isinstance(exc, BrokenPipeError)
+            raise CliError("IO", "standard output closed" if closed
+                           else f"cannot write standard output: {exc}") from None
         return
     import tempfile
 
@@ -209,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="csv (default) or json: simulate, fock verify, "
                    "cbp limit/approx only")
-    # fn names the command's function: in `reports` for a numeric command,
-    # which computes in floating point under np.errstate, and here otherwise
-    p.set_defaults(reads=(), numeric=True)
+    # fn names the command's function: here, or in `reports` for a numeric
+    # command, which returns its report as data for `main` to render
+    p.set_defaults(reads=())
     sub = p.add_subparsers(dest="command", required=True)
 
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(
@@ -219,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("list", "mobius"):
         q = nc.add_parser(name)
         q.add_argument("--n", type=int, required=True)
-        q.set_defaults(fn=f"cmd_nc_{name}", numeric=False)
+        q.set_defaults(fn=f"cmd_nc_{name}")
 
     bnc = sub.add_parser("bnc", help="bi-non-crossing partitions").add_subparsers(
         dest="action", required=True)
     q = bnc.add_parser("list")
     q.add_argument("--chi", required=True, help="side word over l/r, e.g. lrlr")
-    q.set_defaults(fn="cmd_bnc_list", numeric=False)
+    q.set_defaults(fn="cmd_bnc_list")
 
     cum = sub.add_parser("cumulants").add_subparsers(dest="action", required=True)
     q = cum.add_parser("from-moments")
@@ -298,16 +300,22 @@ def main(argv: list[str] | None = None) -> int:
             elif name not in args.reads:
                 raise CliError("USAGE", f"--{name} does nothing for "
                                f"{args.command} {args.action}")
-        if args.numeric:
+        if command := globals().get(args.fn):
+            text = command(args)
+        else:
             # before numpy, so that compiling `reports` adds nothing to the
             # peak memory of numpy's import
             from . import reports
             import numpy as np
 
             with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
-                text = getattr(reports, args.fn)(args)
-        else:
-            text = globals()[args.fn](args)
+                report = getattr(reports, args.fn)(args)
+            if isinstance(report, dict):
+                text = json_text(report)
+            elif args.format == "csv":
+                text = csv_text(*report)
+            else:  # one object per row
+                text = json_text([dict(zip(report[0], r)) for r in report[1]])
         write_output(text, args.out)
     except CliError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

@@ -12,9 +12,8 @@ RIGHT = "r"
 
 class CliError(Exception):
     """A command's failure, printed as `ERROR <code>: <message>`. It lives
-    here, not in `cli`: under `python -m bipoisson.cli` the running module
-    is `__main__`, and `reports` imports `bipoisson.cli` as a second module,
-    so a class defined in `cli` would be two classes."""
+    here, not in `cli`, because both `cli` and `reports` raise it and
+    `reports` imports nothing from `cli`."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)

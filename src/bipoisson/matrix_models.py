@@ -80,7 +80,8 @@ class EnsembleSpec:
                 f"got rate {self.rate} at n = {self.sizes[0]}"
             )
         n = self.sizes[-1]
-        if math.floor(self.rate * n + 0.5) * n > GAUSSIAN_ENTRY_BUDGET:
+        half_up = self.rate * n + 0.5  # inf where rate * n overflows
+        if not math.isfinite(half_up) or math.floor(half_up) * n > GAUSSIAN_ENTRY_BUDGET:
             raise CapExceededError(
                 f"Gaussian factor of round(rate * n) x n entries at n = {n} "
                 f"exceeds budget {GAUSSIAN_ENTRY_BUDGET}"

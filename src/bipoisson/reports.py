@@ -1,6 +1,7 @@
 """The numeric commands: the word-table schema, the report rows, and the
 commands that compute in floating point (`cumulants`, `moments`, `cbp`,
-`simulate`, `fock`).
+`simulate`, `fock`). Each returns its report as data, a JSON object or a
+(header, rows) table, for `cli.main` to render; it imports nothing from `cli`.
 
 `cli.main` imports this module only to run one of these commands, and
 before numpy, so the partition commands never compile it. The numerical
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 
-from .cli import csv_text, json_text
 from .errors import CapExceededError, CliError, MissingEntryError
 
 # ---------------------------------------------------------------- report rows
@@ -23,12 +23,6 @@ def _fmt(x: float) -> str:
     if not math.isfinite(x):
         raise CliError("NUMERIC", f"non-finite value {x} in the output")
     return f"{x:.17g}"
-
-
-def rows_as(fmt: str, header: list[str], rows: list[list]) -> str:
-    if fmt == "csv":
-        return csv_text(header, rows)
-    return json_text([dict(zip(header, r)) for r in rows])
 
 
 # ------------------------------------------------------------- table schema
@@ -118,11 +112,11 @@ def load_table(path: str, cls):
     import json
 
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             obj = json.load(f)
     except OSError as exc:
         raise CliError("TABLE_PARSE", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CliError("TABLE_PARSE", f"invalid JSON in {path}: {exc}") from exc
     return table_from_json(obj, cls)
 
@@ -154,11 +148,11 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 # ------------------------------------------------------- convergence series
 
 
-def emit_convergence_series(words: list[str], points, fmt: str) -> str:
-    """Long-format (N, word, value, reference, abs_err) rows from points
-    (N, value row, reference row), each row over `words`, plus a fitted
-    log-log slope of the per-N maximum error; slope blank with a flag when
-    fewer than two points are available."""
+def emit_convergence_series(words: list[str], points) -> tuple[list[str], list[list]]:
+    """The long-format (N, word, value, reference, abs_err) table (header,
+    rows) of points (N, value row, reference row), each row over `words`,
+    plus a fitted log-log slope of the per-N maximum error; slope blank
+    with a flag when fewer than two points are available."""
     import numpy as np
 
     sizes = [n for n, _, _ in points]
@@ -174,7 +168,7 @@ def emit_convergence_series(words: list[str], points, fmt: str) -> str:
     for (n, value, ref), err in zip(points, errs):
         for word, *values in zip(words, value, ref, err):
             rows.append([n, word, *map(_fmt, values), slope_str, flag])
-    return rows_as(fmt, header, rows)
+    return header, rows
 
 
 def _word_str(word) -> str:
@@ -184,18 +178,18 @@ def _word_str(word) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_cumulants_from_moments(args) -> str:
+def cmd_cumulants_from_moments(args) -> dict:
     from .cumulants import MomentFunctional, kappa_from_moments
 
     phi = load_table(args.infile, MomentFunctional)
-    return json_text(table_to_json(kappa_from_moments(phi)))
+    return table_to_json(kappa_from_moments(phi))
 
 
-def cmd_moments_from_cumulants(args) -> str:
+def cmd_moments_from_cumulants(args) -> dict:
     from .cumulants import CumulantTable, moments_from_kappa
 
     kappa = load_table(args.infile, CumulantTable)
-    return json_text(table_to_json(moments_from_kappa(kappa)))
+    return table_to_json(moments_from_kappa(kappa))
 
 
 def _truncate(table, cls, deg: int):
@@ -205,7 +199,7 @@ def _truncate(table, cls, deg: int):
     return cls.from_function(table.alphabet, deg, table)
 
 
-def cmd_cbp_build(args) -> str:
+def cmd_cbp_build(args) -> dict:
     from .cumulants import MomentFunctional, moments_from_kappa
     from .poisson import CbpSpec, cbp_cumulants
 
@@ -213,17 +207,15 @@ def cmd_cbp_build(args) -> str:
     if args.deg is not None:
         jump = _truncate(jump, MomentFunctional, args.deg)
     kappa = cbp_cumulants(CbpSpec(args.rate, jump))
-    return json_text(
-        {
-            "schema": 1,
-            "rate": args.rate,
-            "cumulants": table_to_json(kappa),
-            "moments": table_to_json(moments_from_kappa(kappa)),
-        }
-    )
+    return {
+        "schema": 1,
+        "rate": args.rate,
+        "cumulants": table_to_json(kappa),
+        "moments": table_to_json(moments_from_kappa(kappa)),
+    }
 
 
-def cmd_cbp_series(args) -> str:
+def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
     """The law with rate --lambda whose jump is the point mass (--alpha,
     --beta), against the moments of the N-fold bi-free sum (`limit`) or the
     cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
@@ -248,18 +240,16 @@ def cmd_cbp_series(args) -> str:
         approx = poisson_approximation(ref, sizes)
     points = [(n, table.row, ref.row) for n, table in zip(sizes, approx)]
     words = [_word_str(w) for w in all_words(jump.alphabet, args.deg)]
-    return emit_convergence_series(words, points, args.format)
+    return emit_convergence_series(words, points)
 
 
-def cmd_cbp_psd(args) -> str:
+def cmd_cbp_psd(args) -> dict:
     from .cumulants import MomentFunctional
     from .poisson import CbpSpec, cbp_moments, psd_check
 
     jump = load_table(args.jump, MomentFunctional)
     ok, min_eig = psd_check(cbp_moments(CbpSpec(args.rate, jump)), args.deg)
-    return json_text(
-        {"schema": 1, "degree": args.deg, "psd": bool(ok), "min_eigenvalue": min_eig}
-    )
+    return {"schema": 1, "degree": args.deg, "psd": bool(ok), "min_eigenvalue": min_eig}
 
 
 def _jump_law(args, left: str, right: str):
@@ -281,7 +271,7 @@ def _jump_law(args, left: str, right: str):
     return JumpLaw(alphabet, tuple((a, a) for a in atoms), weights)
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> tuple[list[str], list[list]]:
     import numpy as np
 
     from .cumulants import Alphabet, all_words
@@ -315,10 +305,10 @@ def cmd_simulate(args) -> str:
         )
         for word, *values in zip(words, rep.cumulants, target, err, rep.moment_se):
             rows.append([rep.n, word, *map(_fmt, values)])
-    return rows_as(args.format, header, rows)
+    return header, rows
 
 
-def cmd_fock_verify(args) -> str:
+def cmd_fock_verify(args) -> tuple[list[str], list[list]]:
     import numpy as np
 
     from .cumulants import all_words
@@ -335,4 +325,4 @@ def cmd_fock_verify(args) -> str:
     for w, *values in zip(words, phi.row, kappa.row, target, err):
         chi = "".join(phi.alphabet.sides_of(w))
         rows.append([_word_str(w), chi, *map(_fmt, values)])
-    return rows_as(args.format, header, rows)
+    return header, rows

@@ -407,6 +407,19 @@ class TestTables:
         assert out == ""
         assert err == "ERROR VALIDATION: degree cap 13 exceeds 12\n"
 
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "maximum recursion depth exceeded")],
+        ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_json_is_table_parse(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR TABLE_PARSE: invalid JSON in {path}: ")
+        assert message in err
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             ["moments", "from-cumulants", "--in", "/nonexistent.json"], capsys
@@ -615,6 +628,9 @@ class TestNumericValidation:
             (["cbp", "limit", "--lambda", "1e200", "--deg", "4"], "non-finite value"),
             (FOCK + ["--lambda", "1e200", "--max-m", "4"], "non-finite value"),
             (SIM + ["--lambda", "1e12"], "exceeds budget"),
+            (SIM + ["--lambda", "1e308"], "exceeds budget"),
+            (["simulate", "wishart", "--lambda", "1e308", "--atoms", "1:1", "--sizes",
+              "100", "--trials", "2"], "exceeds budget"),
             (SIM + ["--trials", "100000000"], "past the trial budget"),
             (["cbp", "limit", "--sizes", "2,2"], "must not repeat"),
             (["cbp", "limit", "--sizes", "2,1", "--lambda", "3"], "N=2 below rate 3.0"),
@@ -642,7 +658,8 @@ class TestNumericValidation:
              "fock_moment_overflow", "limit_moment_overflow",
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
-             "gaussian_past_budget", "trials_past_budget", "limit_repeated_size",
+             "gaussian_past_budget", "overflowing_rate_past_budget",
+             "wishart_overflowing_rate_past_budget", "trials_past_budget", "limit_repeated_size",
              "limit_first_size_below_rate", "approx_first_size_below_one",
              "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m",
              "fock_depth_past_budget", "fock_max_m_past_budget",
@@ -777,6 +794,21 @@ class TestNumericValidation:
         # one named line: no traceback, no "Exception ignored" at shutdown
         assert err.decode() == "ERROR IO: standard output closed\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("args", [["nc", "list", "--n", "4"],
+                                      ["cbp", "limit", "--deg", "2"]])
+    def test_full_stdout_is_io_error(self, args):
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bipoisson.cli", *args], stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 2
+        # one named line: no traceback, no "Exception ignored" at shutdown
+        assert proc.stderr == ("ERROR IO: cannot write standard output: "
+                               "[Errno 28] No space left on device\n")
+
 
 # One small run of each subcommand; "{table}" stands for a sample table file
 COMMANDS = {
@@ -879,13 +911,27 @@ class TestStartup:
         (["cbp", "limit", "--deg", "0"], "ERROR VALIDATION: --deg must be >= 1, got 0"),
         (["nc", "list", "--n", "0"], "ERROR VALIDATION: n=0 outside [1, 12]")])
     def test_module_run_prints_named_errors(self, args, message):
-        # run as `python -m`, cli is `__main__` and `reports` imports a second
-        # copy of it: an error raised in either is still one ERROR line
+        # run as `python -m`, cli is `__main__`: an error raised in it or in
+        # `reports` is still one ERROR line
         src = Path(bipoisson.__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-m", "bipoisson.cli", *args], capture_output=True,
             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
         assert (out.returncode, out.stdout, out.stderr) == (2, "", message + "\n")
+
+    def test_module_run_imports_cli_once(self):
+        # `reports` imports nothing from `cli`, so under `python -m` the
+        # running `__main__` is the only copy of cli.py: no `bipoisson.cli`
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bipoisson.cli", "cbp", "limit",
+             "--deg", "2", "--sizes", "8,16"], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 0
+        imported = [line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "bipoisson.reports" in imported
+        assert "bipoisson.cli" not in imported
 
     @pytest.mark.parametrize("args", [["nc", "list", "--n", "3"],
                                       ["cbp", "limit", "--deg", "2", "--sizes", "8,16"]])
@@ -1161,7 +1207,7 @@ class TestImportGraph:
         "fock": {"cumulants", "errors"},
         "matrix_models": {"cumulants", "errors", "poisson"},
         "cli": {"errors", "partitions", "reports"},
-        "reports": {"cli", "cumulants", "errors", "fock", "matrix_models", "poisson"},
+        "reports": {"cumulants", "errors", "fock", "matrix_models", "poisson"},
     }
 
     @staticmethod
@@ -1226,20 +1272,22 @@ class TestHelpers:
 
     def test_convergence_slope_perfect(self):
         points = [(n, [1.0 + 1.0 / n], [1.0]) for n in (2, 4, 8, 16)]
-        text = emit_convergence_series(["w"], points, "csv")
-        slope = float(text.strip().split("\n")[1].split(",")[5])
+        header, rows = emit_convergence_series(["w"], points)
+        assert header[5] == "slope"
+        slope = float(rows[0][5])
         assert slope == pytest.approx(-1.0, abs=1e-6)
 
     def test_convergence_slope_constant(self):
         points = [(n, [1.5], [1.0]) for n in (2, 4, 8)]
-        text = emit_convergence_series(["w"], points, "csv")
-        slope = float(text.strip().split("\n")[1].split(",")[5])
+        _, rows = emit_convergence_series(["w"], points)
+        slope = float(rows[0][5])
         assert slope == pytest.approx(0.0, abs=1e-9)
 
     def test_single_point_omits_slope(self):
         points = [(4, [1.5], [1.0])]
-        text = emit_convergence_series(["w"], points, "csv")
-        row = text.strip().split("\n")[1].split(",")
+        header, rows = emit_convergence_series(["w"], points)
+        row = rows[0]
+        assert header[5:] == ["slope", "flag"]
         assert row[5] == ""
         assert row[6] == "slope_omitted"
 
