@@ -21,6 +21,8 @@ from functools import lru_cache
 from .errors import DEFAULT_CAP, CliError, MissingEntryError
 
 DEFAULT_SEED = 20240101
+# The longest message an ERROR line prints whole; a longer one loses its middle
+ERROR_ECHO = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,11 +319,12 @@ def main(argv: list[str] | None = None) -> int:
             else:  # one object per row
                 text = json_text([dict(zip(report[0], r)) for r in report[1]])
         write_output(text, args.out)
-    except CliError as exc:
-        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except (MissingEntryError, ValueError) as exc:
-        print(f"ERROR VALIDATION: {exc}", file=sys.stderr)
+    except (CliError, MissingEntryError, ValueError) as exc:
+        text = str(exc)
+        if len(text) > ERROR_ECHO:  # an echoed input: keep its head and tail
+            text = text[:ERROR_ECHO - 80] + "…" + text[-79:]
+        code = exc.code if isinstance(exc, CliError) else "VALIDATION"
+        print(f"ERROR {code}: {text}", file=sys.stderr)
         return 2
     return 0
 

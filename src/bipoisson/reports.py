@@ -151,15 +151,20 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 def emit_convergence_series(words: list[str], points) -> tuple[list[str], list[list]]:
     """The long-format (N, word, value, reference, abs_err) table (header,
     rows) of points (N, value row, reference row), each row over `words`,
-    plus a fitted log-log slope of the per-N maximum error; slope blank
-    with a flag when fewer than two points are available."""
+    plus the least-squares slope of log max |error| on log N; slope blank
+    with a flag unless two sizes differ in log N and each size's maximum
+    error is positive."""
     import numpy as np
 
-    sizes = [n for n, _, _ in points]
     errs = [np.abs(np.subtract(value, ref)) for _, value, ref in points]
     max_errs = [err.max() for err in errs]
-    if len(sizes) >= 2 and min(max_errs) > 0:
-        slope = float(np.polyfit(np.log(sizes), np.log(max_errs), 1)[0])
+    # in closed form, as np.polyfit's LAPACK solve adds its workspace to the peak
+    x = np.log(np.array([n for n, _, _ in points], float))
+    x -= x.mean()
+    sxx = (x * x).sum()
+    if sxx > 0 and min(max_errs) > 0:
+        y = np.log(max_errs)
+        slope = float((x * (y - y.mean())).sum() / sxx)
         slope_str, flag = _fmt(slope), ""
     else:
         slope_str, flag = "", "slope_omitted"
@@ -226,9 +231,10 @@ def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
     sizes = parse_sizes(args.sizes)
-    if len(set(sizes)) < len(sizes):
-        # the slope is a fit over distinct sizes
-        raise CliError("VALIDATION", f"--sizes must not repeat a size: {args.sizes}")
+    if len(set(map(float, sizes))) < len(sizes):
+        # the slope is a fit in log N, over sizes distinct as floats
+        raise CliError("VALIDATION",
+                       f"--sizes must not repeat a size as a float: {args.sizes}")
     jump = JumpLaw(Alphabet(("zl",), ("zr",)), ((args.alpha, args.beta),),
                    (1.0,)).moments(args.deg)
     spec = CbpSpec(args.rate, jump)

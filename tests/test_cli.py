@@ -17,8 +17,9 @@ import weakref
 from collections import namedtuple
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bipoisson
 from bipoisson import cli
@@ -420,6 +421,37 @@ class TestTables:
         assert message in err
         assert err.count("\n") == 1
 
+    LONG_ENTRY = {"schema": 1, "alphabet": {"left": ["a"]}, "degree_cap": 2,
+                  "entries": [{"word": [["a", "l"]] * 100_000, "value": 1.0}]}
+
+    @pytest.mark.parametrize("obj, field", [
+        ({"schema": "s" * 10**6}, "unsupported schema"),
+        (LONG_ENTRY, "longer than degree_cap 2"),
+    ], ids=["long_schema", "long_entry"])
+    def test_long_echo_is_cut(self, tmp_path, capsys, obj, field):
+        # the echoed value loses its middle; the line keeps the field named
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR TABLE_PARSE: ")
+        assert err.count("\n") == 1
+        assert len(err.encode()) <= 300
+        assert field in err and "…" in err
+
+    @pytest.mark.parametrize("size", [cli.ERROR_ECHO, cli.ERROR_ECHO + 1])
+    def test_echo_cut_at_bound(self, tmp_path, capsys, size):
+        # a message of ERROR_ECHO characters prints whole; one more loses
+        # its middle to "…", which keeps the line at ERROR_ECHO characters
+        message = 'unsupported schema "' + "s" * (size - 21) + '"'
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({"schema": message[20:-1]}))
+        _, _, err = run(["cumulants", "from-moments", "--in", str(path)], capsys)
+        if size > cli.ERROR_ECHO:
+            message = message[:cli.ERROR_ECHO - 80] + "…" + message[-79:]
+        assert len(message) == cli.ERROR_ECHO
+        assert err == f"ERROR TABLE_PARSE: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             ["moments", "from-cumulants", "--in", "/nonexistent.json"], capsys
@@ -479,6 +511,32 @@ class TestCbp:
         assert lines[0] == "N,word,value,reference,abs_err,slope,flag"
         slope = float(lines[1].split(",")[5])
         assert -1.15 <= slope <= -0.85
+
+    @pytest.mark.parametrize("args", [["cbp", "limit", "--deg", "7", "--sizes", "16,64"],
+                                      ["cbp", "approx"]], ids=["limit", "approx"])
+    def test_slope_runs_no_least_squares_solver(self, args, capsys, monkeypatch):
+        # np.polyfit holds its own binding of lstsq, so both names are patched
+        expected = run(args, capsys)
+        assert expected[0] == 0
+
+        def solver(*_, **__):
+            raise AssertionError("a least-squares solver ran")
+
+        monkeypatch.setattr(np, "polyfit", solver)
+        monkeypatch.setattr(np.linalg, "lstsq", solver)
+        assert run(args, capsys) == expected
+
+    @pytest.mark.parametrize("sizes, slope", [
+        (f"{10**22},{2 * 10**22}", "0"),
+        # distinct floats whose logarithms are one float: no slope to fit
+        (f"{10**17},{10**17 + 16}", ""),
+    ], ids=["past_int64", "equal_logs"])
+    def test_large_sizes_fit_their_slope(self, capsys, sizes, slope):
+        code, out, err = run(["cbp", "approx", "--lambda", "2", "--alpha", "1.5",
+                              "--beta", "0.5", "--deg", "4", "--sizes", sizes], capsys)
+        assert (code, err) == (0, "")
+        cells = {tuple(line.split(",")[5:]) for line in out.splitlines()[1:]}
+        assert cells == {(slope, "" if slope else "slope_omitted")}
 
     SIM = ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
            "--shared", "--trials", "2", "--max-word", "3"]
@@ -636,6 +694,9 @@ class TestNumericValidation:
             (["cbp", "limit", "--sizes", "2,1", "--lambda", "3"], "N=2 below rate 3.0"),
             (["cbp", "approx", "--sizes", "0,2"], "n must be >= 1, got 0"),
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
+            (["cbp", "limit", "--sizes", f"{10**17 + 1},{10**17}"], "as a float"),
+            (["cbp", "approx", "--lambda", "2", "--alpha", "1.5", "--beta", "0.5",
+              "--deg", "4", "--sizes", f"{10**17 + 1},{10**17}"], "as a float"),
             (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
             (FOCK[:-1] + ["0"], "moment length 0 must be >= 1"),
             (FOCK + ["--depth", "20000"], "dim 2 and depth 20000 exceeds the budget"),
@@ -661,7 +722,8 @@ class TestNumericValidation:
              "gaussian_past_budget", "overflowing_rate_past_budget",
              "wishart_overflowing_rate_past_budget", "trials_past_budget", "limit_repeated_size",
              "limit_first_size_below_rate", "approx_first_size_below_one",
-             "approx_repeated_size", "product_law_past_budget", "fock_zero_max_m",
+             "approx_repeated_size", "limit_sizes_equal_as_floats",
+             "approx_sizes_equal_as_floats", "product_law_past_budget", "fock_zero_max_m",
              "fock_depth_past_budget", "fock_max_m_past_budget",
              "wishart_size_past_float", "limit_size_past_float",
              "approx_size_past_float", "empty_chi", "chi_past_cap"],
@@ -1282,6 +1344,24 @@ class TestHelpers:
         _, rows = emit_convergence_series(["w"], points)
         slope = float(rows[0][5])
         assert slope == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 10**6), min_size=2, max_size=6, unique=True),
+           st.data())
+    def test_slope_matches_polyfit(self, sizes, data):
+        # the largest size at least twice the smallest keeps both fits well
+        # conditioned; the tolerance is relative to |y| / |x - mean(x)|, which
+        # bounds the slope, so that a slope near 0 is held to the data's scale
+        assume(max(sizes) >= 2 * min(sizes))
+        errs = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=len(sizes),
+                                  max_size=len(sizes)))
+        _, rows = emit_convergence_series(
+            ["w"], [(n, [e], [0.0]) for n, e in zip(sizes, errs)])
+        x, y = np.log(sizes), np.log(errs)
+        scale = math.hypot(*y) / math.hypot(*(x - x.mean()))
+        expected = np.polyfit(x, y, 1)[0]
+        assert float(rows[0][5]) == pytest.approx(expected, rel=1e-12,
+                                                  abs=1e-12 * scale)
 
     def test_single_point_omits_slope(self):
         points = [(4, [1.5], [1.0])]
