@@ -218,6 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(reads=())
     sub = p.add_subparsers(dest="command", required=True)
 
+    def atom_flags(q, two_names=True, **atoms):
+        """--atoms, and with two_names the rest of the group `reports._jump_law` reads"""
+        q.add_argument("--atoms", **atoms, help="value:weight list, e.g. 1:0.5,2:0.5; "
+                       "a leading negative atom is written --atoms=-2:1")
+        if two_names:
+            q.add_argument("--right-atoms", default=None)
+            q.add_argument("--shared", action="store_true",
+                           help="left and right share one jump variable")
+
     nc = sub.add_parser("nc", help="non-crossing partitions").add_subparsers(
         dest="action", required=True)
     for name in ("list", "mobius"):
@@ -251,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("limit", "approx"):
         q = cbp.add_parser(name)
         q.add_argument("--lambda", dest="rate", type=float, default=1.0)
-        q.add_argument("--alpha", type=float, default=1.0)
-        q.add_argument("--beta", type=float, default=1.0)
+        atom_flags(q, default="1:1")
         q.add_argument("--sizes", default="8,16,32,64" if name == "limit"
                        else "2,4,8,16")
         q.add_argument("--deg", type=int, default=4)
@@ -268,11 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("wishart", "bimatrix"):
         q = sim.add_parser(name)
         q.add_argument("--lambda", dest="rate", type=float, required=True)
-        q.add_argument("--atoms", required=True, help="e.g. 1:0.5,2:0.5")
-        if name == "bimatrix":
-            q.add_argument("--right-atoms", default=None)
-            q.add_argument("--shared", action="store_true",
-                           help="left and right share one jump variable")
+        atom_flags(q, name == "bimatrix", required=True)
         q.add_argument("--sizes", default="32,64,128")
         q.add_argument("--trials", type=int, default=200)
         q.add_argument("--max-word", type=int, default=4)
@@ -282,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True)
     q = fock.add_parser("verify")
     q.add_argument("--lambda", dest="rate", type=float, required=True)
-    q.add_argument("--atoms", required=True)
-    q.add_argument("--right-atoms", default=None)
-    q.add_argument("--shared", action="store_true")
+    atom_flags(q, required=True)
     q.add_argument("--N", type=int, required=True, help="series order")
     q.add_argument("--max-m", type=int, required=True)
     q.add_argument("--depth", type=int, default=None)

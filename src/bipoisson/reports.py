@@ -221,12 +221,12 @@ def cmd_cbp_build(args) -> dict:
 
 
 def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
-    """The law with rate --lambda whose jump is the point mass (--alpha,
-    --beta), against the moments of the N-fold bi-free sum (`limit`) or the
-    cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
-    from .cumulants import Alphabet, all_words
-    from .poisson import (CbpSpec, JumpLaw, cbp_cumulants, cbp_moments,
-                          limit_theorem_moments, poisson_approximation)
+    """The law with rate --lambda whose jump is the law of the atom flags
+    (`_jump_law`), against the moments of the N-fold bi-free sum (`limit`)
+    or the cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
+    from .cumulants import all_words
+    from .poisson import (CbpSpec, cbp_cumulants, cbp_moments, limit_theorem_moments,
+                          poisson_approximation)
 
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
@@ -235,9 +235,7 @@ def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
         # the slope is a fit in log N, over sizes distinct as floats
         raise CliError("VALIDATION",
                        f"--sizes must not repeat a size as a float: {args.sizes}")
-    jump = JumpLaw(Alphabet(("zl",), ("zr",)), ((args.alpha, args.beta),),
-                   (1.0,)).moments(args.deg)
-    spec = CbpSpec(args.rate, jump)
+    spec = CbpSpec(args.rate, _jump_law(args, "zl", "zr").moments(args.deg))
     if args.action == "limit":
         ref = cbp_moments(spec)
         approx = limit_theorem_moments(spec, sizes)
@@ -245,7 +243,7 @@ def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
         ref = cbp_cumulants(spec)
         approx = poisson_approximation(ref, sizes)
     points = [(n, table.row, ref.row) for n, table in zip(sizes, approx)]
-    words = [_word_str(w) for w in all_words(jump.alphabet, args.deg)]
+    words = [_word_str(w) for w in all_words(spec.jump_law.alphabet, args.deg)]
     return emit_convergence_series(words, points)
 
 

@@ -6,6 +6,8 @@ of the first-block recursion that the library's commands and transforms
 use, that recursion word by word (the
 reference the compiled plan must match bit for bit, and the inner transform
 of the compression oracle), the brute-force compression oracle, the
+exact 1/N coefficients of the Poisson limit theorem and of the Poisson
+approximation, as sums over the two-block partitions of BNC(n, chi), the
 explicit bimodule operators that check the bi-matrix word evaluation, the
 direct Gaussian sampler of the matrix model that checks its law, and
 the Fock creation and W operators on the whole truncated space, built by
@@ -230,6 +232,43 @@ def bnc_moment(kappa, word) -> float:
     """phi(word) as the sum over BNC(n, chi) of kappa block products."""
     shape = ChiShape(kappa.alphabet.sides_of(word))
     return sum(phi_pi(kappa, word, sigma) for sigma in enumerate_bnc_by_relabel(shape))
+
+
+def two_block_sum(table, word) -> float:
+    """The sum over the two-block partitions in BNC(n, chi) of the products
+    of `table` on their two subwords.
+
+    On the cumulants kappa of nu it is the approximation's coefficient
+    c_1(word) = lim n * (kappa_n(word) - kappa(word)), kappa_n the cumulants
+    of P(n, nu_{1/n}): kappa_n is n times the moments of nu_{1/n}, the sum
+    over BNC(n, chi) of n^{-|pi|} times the block products of kappa."""
+    shape = ChiShape(table.alphabet.sides_of(word))
+    return sum(phi_pi(table, word, sigma) for sigma in enumerate_bnc_by_relabel(shape)
+               if len(sigma.blocks) == 2)
+
+
+def limit_coefficient(rate: float, jump: MomentFunctional, word) -> float:
+    """c_1(word) = lim N * (phi_N(word) - phi(word)), phi_N the moments of
+    the N-fold bi-free sum of the summand with moments (rate/N) * jump, and
+    phi those of the compound Poisson law with cumulants rate * jump.
+
+    The summand's cumulants are the sum over BNC of mu(pi, 1) times the
+    block products of (rate/N) * jump; mu(pi, 1) = -1 for two blocks, so
+    the N-fold sum has cumulants rate * jump + delta/N + O(N^-2) with
+    delta(w) = -rate^2 * (two-block sum of jump). Pushed to first order
+    through the moment sum over BNC, c_1 is the sum over sigma in BNC(n, chi)
+    and over its blocks V of delta(word|V) times rate * jump on the other
+    blocks."""
+    delta = lru_cache(maxsize=None)(lambda w: -rate**2 * two_block_sum(jump, w))
+    total = 0.0
+    for sigma in enumerate_bnc_by_relabel(ChiShape(jump.alphabet.sides_of(word))):
+        subwords = [tuple(word[i - 1] for i in block) for block in sigma.blocks]
+        for k, sub in enumerate(subwords):
+            term = delta(sub)
+            for other in subwords[:k] + subwords[k + 1:]:
+                term *= rate * jump(other)
+            total += term
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ from bipoisson.poisson import (
     compress,
     convolve,
     limit_theorem_moments,
+    poisson_approximation,
     psd_check,
     semigroup_element,
 )
@@ -41,9 +42,11 @@ from bipoisson import cli
 from oracles import (
     bimodule_residue,
     compression_oracle,
+    limit_coefficient,
     model_letters,
     nc_partitions,
     num_blocks,
+    two_block_sum,
     w_operators_by_words,
 )
 
@@ -133,9 +136,35 @@ def test_criterion_3_limit_theorem_rate():
         for approx in limit_theorem_moments(spec, sizes)
     ]
     slope = float(np.polyfit(np.log(sizes), np.log(errs), 1)[0])
+    # The exact 1/N coefficient c_1 of both theorems: N * error - c_1 is
+    # O(1/N), so its largest value over the words falls 4-fold as N does.
+    # A wrong rate or scaling keeps a 1/N error, and the slope above, but
+    # moves c_1.
+    a = Alphabet(("zl",), ("zr",))
+    laws = [JumpLaw(a, ((1.0, 1.0),), (1.0,)),
+            JumpLaw(a, ((1.0, 0.5), (2.0, 3.0)), (0.5, 0.5)),
+            JumpLaw(a, ((1.0, -1.0), (-2.0, 1.0)), (0.5, 0.5))]
+    sizes = (64, 256, 1024, 4096)
+    ratios = []
+    for law in laws:
+        jump = law.moments(5)
+        spec = CbpSpec(1.0, jump)
+        kappa = cbp_cumulants(spec)
+        for tables, ref, coefficient in (
+            (limit_theorem_moments(spec, sizes), cbp_moments(spec),
+             lambda w: limit_coefficient(1.0, jump, w)),
+            (poisson_approximation(kappa, sizes), kappa,
+             lambda w: two_block_sum(kappa, w)),
+        ):
+            c1 = {w: coefficient(w) for w in all_words(a, 5)}
+            residual = [max(abs(n * (table(w) - ref(w)) - c) for w, c in c1.items())
+                        for n, table in zip(sizes, tables)]
+            ratios += [r / r4 for r, r4 in zip(residual, residual[1:])]
     dt = time.time() - t0
-    report(3, -1.15 <= slope <= -0.85 and dt < 10,
-           f"log-log slope {slope:+.3f}, {dt:.1f}s")
+    ok = all(3.6 <= r <= 4.4 for r in ratios)
+    report(3, -1.15 <= slope <= -0.85 and ok and dt < 10,
+           f"log-log slope {slope:+.3f}; N*err - c_1 falls {min(ratios):.2f}-"
+           f"{max(ratios):.2f}x per 4x N, 3 laws, both theorems, {dt:.1f}s")
 
 
 def test_criterion_4_divisibility_and_compression():

@@ -532,11 +532,41 @@ class TestCbp:
         (f"{10**17},{10**17 + 16}", ""),
     ], ids=["past_int64", "equal_logs"])
     def test_large_sizes_fit_their_slope(self, capsys, sizes, slope):
-        code, out, err = run(["cbp", "approx", "--lambda", "2", "--alpha", "1.5",
-                              "--beta", "0.5", "--deg", "4", "--sizes", sizes], capsys)
+        code, out, err = run(["cbp", "approx", "--lambda", "2", "--atoms", "1.5:1",
+                              "--right-atoms", "0.5:1", "--deg", "4", "--sizes", sizes],
+                             capsys)
         assert (code, err) == (0, "")
         cells = {tuple(line.split(",")[5:]) for line in out.splitlines()[1:]}
         assert cells == {(slope, "" if slope else "slope_omitted")}
+
+    def test_approx_reference_is_the_product_law(self, capsys):
+        # lambda * E[x^p] * E[y^q]: the right jump variable has its own law
+        code, out, _ = run(["cbp", "approx", "--atoms", "1:0.5,2:0.5",
+                            "--right-atoms", "0.5:0.5,3:0.5"], capsys)
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            _, word, _, reference, *_ = line.split(",")
+            p, q = (word.split(".").count(x) for x in ("zl", "zr"))
+            expected = (1 + 2**p) / 2 * (0.5**q + 3**q) / 2
+            assert float(reference) == pytest.approx(expected, rel=1e-14), word
+
+    def test_leading_negative_atom_needs_equals(self, capsys):
+        # argparse reads "-2:1" after a space as an option flag
+        code, out, err = run(["cbp", "limit", "--atoms", "-2:1"], capsys)
+        assert (code, out, err) == (
+            2, "", "ERROR USAGE: argument --atoms: expected one argument\n")
+        code, out, _ = run(["cbp", "limit", "--atoms=-2:0.5,1:0.5", "--right-atoms",
+                            "3:1", "--deg", "3", "--sizes", "8,16"], capsys)
+        law = JumpLaw.independent(Alphabet(("zl",), ("zr",)),
+                                  (((-2.0, 1.0), (0.5, 0.5)), ((3.0,), (1.0,))))
+        spec = poisson.CbpSpec(1.0, law.moments(3))
+        ref = poisson.cbp_moments(spec)
+        tables = poisson.limit_theorem_moments(spec, (8, 16))
+        expected = [[str(n), ".".join(w), f"{value:.17g}", f"{ref(w):.17g}"]
+                    for n, table in zip((8, 16), tables)
+                    for w, value in zip(all_words(law.alphabet, 3), table.row)]
+        assert code == 0
+        assert [line.split(",")[:4] for line in out.splitlines()[1:]] == expected
 
     SIM = ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
            "--shared", "--trials", "2", "--max-word", "3"]
@@ -676,13 +706,16 @@ class TestNumericValidation:
             (FOCK + ["--lambda", "-1"], "rate must be finite and positive"),
             (["cbp", "limit", "--lambda", "nan"], "rate must be finite"),
             (["cbp", "approx", "--lambda", "inf"], "rate must be finite"),
-            (["cbp", "limit", "--alpha", "nan"], "must be finite"),
-            (["cbp", "approx", "--beta", "inf"], "must be finite"),
+            (["cbp", "limit", "--atoms", "nan:1", "--right-atoms", "1:1"],
+             "must be finite"),
+            (["cbp", "approx", "--atoms", "1:1", "--right-atoms", "inf:1"],
+             "must be finite"),
             (FOCK + ["--atoms", "1e300:1", "--max-m", "4"], "overflows"),
-            (["cbp", "limit", "--alpha", "1e300", "--deg", "7"], "overflows"),
+            (["cbp", "limit", "--atoms", "1e300:1", "--right-atoms", "1:1", "--deg", "7"],
+             "overflows"),
             (FOCK + ["--lambda", "1e308", "--atoms", "10:1"], "non-finite value"),
-            (["cbp", "approx", "--lambda", "1e300", "--alpha", "1e10", "--deg", "2",
-              "--sizes", "2"], "non-finite value"),
+            (["cbp", "approx", "--lambda", "1e300", "--atoms", "1e10:1", "--right-atoms",
+              "1:1", "--deg", "2", "--sizes", "2"], "non-finite value"),
             (["cbp", "limit", "--lambda", "1e200", "--deg", "4"], "non-finite value"),
             (FOCK + ["--lambda", "1e200", "--max-m", "4"], "non-finite value"),
             (SIM + ["--lambda", "1e12"], "exceeds budget"),
@@ -695,9 +728,13 @@ class TestNumericValidation:
             (["cbp", "approx", "--sizes", "0,2"], "n must be >= 1, got 0"),
             (["cbp", "approx", "--sizes", "4,2,4"], "must not repeat"),
             (["cbp", "limit", "--sizes", f"{10**17 + 1},{10**17}"], "as a float"),
-            (["cbp", "approx", "--lambda", "2", "--alpha", "1.5", "--beta", "0.5",
-              "--deg", "4", "--sizes", f"{10**17 + 1},{10**17}"], "as a float"),
+            (["cbp", "approx", "--lambda", "2", "--atoms", "1.5:1", "--right-atoms",
+              "0.5:1", "--deg", "4", "--sizes", f"{10**17 + 1},{10**17}"], "as a float"),
             (SIM[:4] + ["--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW], "joint atom budget"),
+            (["cbp", "approx", "--atoms", WIDE_LAW, "--right-atoms", WIDE_LAW],
+             "joint atom budget"),
+            (["cbp", "limit", "--atoms", "1:1", "--right-atoms", "2:1", "--shared"],
+             "--shared"),
             (FOCK[:-1] + ["0"], "moment length 0 must be >= 1"),
             (FOCK + ["--depth", "20000"], "dim 2 and depth 20000 exceeds the budget"),
             (FOCK[:-1] + ["20000"], "dim 2 and depth 20000 exceeds the budget"),
@@ -715,7 +752,7 @@ class TestNumericValidation:
              "infinite_rate", "nan_rate", "empty_model", "repeated_size",
              "simulate_nan_atom", "fock_nan_atom", "fock_nan_rate",
              "fock_zero_rate", "fock_negative_rate", "limit_nan_rate",
-             "approx_infinite_rate", "limit_nan_alpha", "approx_infinite_beta",
+             "approx_infinite_rate", "limit_nan_atom", "approx_infinite_right_atom",
              "fock_moment_overflow", "limit_moment_overflow",
              "fock_infinite_target", "approx_infinite_target",
              "limit_overflow_in_transform", "fock_overflow_in_moments",
@@ -723,7 +760,8 @@ class TestNumericValidation:
              "wishart_overflowing_rate_past_budget", "trials_past_budget", "limit_repeated_size",
              "limit_first_size_below_rate", "approx_first_size_below_one",
              "approx_repeated_size", "limit_sizes_equal_as_floats",
-             "approx_sizes_equal_as_floats", "product_law_past_budget", "fock_zero_max_m",
+             "approx_sizes_equal_as_floats", "product_law_past_budget",
+             "approx_product_law_past_budget", "limit_shared_laws", "fock_zero_max_m",
              "fock_depth_past_budget", "fock_max_m_past_budget",
              "wishart_size_past_float", "limit_size_past_float",
              "approx_size_past_float", "empty_chi", "chi_past_cap"],
@@ -1015,7 +1053,8 @@ class TestStartup:
     @pytest.mark.parametrize("args", [
         ["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--N", "2",
          "--max-m", "3"],
-        ["cbp", "limit", "--deg", "2", "--sizes", "8,16"]])
+        ["cbp", "limit", "--deg", "2", "--sizes", "8,16"],
+        ["cbp", "approx", "--atoms", "1:0.5,2:0.5", "--right-atoms", "0.5:0.5,3:0.5"]])
     def test_jump_law_commands_leave_matrix_models_unloaded(self, args):
         # the jump law lives in `poisson`; only `simulate` needs the matrix model
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
@@ -1382,7 +1421,7 @@ def readme_cli_lines() -> list[str]:
 class TestReadme:
     def test_cli_examples_run(self, tmp_path, monkeypatch, capsys):
         lines = readme_cli_lines()
-        assert len(lines) == 12
+        assert len(lines) == 13
         jump = JumpLaw(Alphabet(("z1",), ("u1",)), ((0.5, 1.0), (1.0, 2.0)), (0.5, 0.5))
         (tmp_path / "phi.json").write_text(json.dumps(table_to_json(jump.moments(4))))
         monkeypatch.chdir(tmp_path)
