@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 
-# `partitions`, `reports`, numpy, json and csv are imported where they are
+# `partitions`, `reports`, json and csv are imported where they are
 # used, so that each command compiles and loads only what it runs.
 from .errors import DEFAULT_CAP, CliError, MissingEntryError
 
@@ -307,13 +307,11 @@ def main(argv: list[str] | None = None) -> int:
         if command := globals().get(args.fn):
             text = command(args)
         else:
-            # before numpy, so that compiling `reports` adds nothing to the
-            # peak memory of numpy's import
+            # before numpy, which a command imports where it runs, so that
+            # compiling `reports` adds nothing to the peak of numpy's import
             from . import reports
-            import numpy as np
 
-            with np.errstate(all="ignore"):  # overflow is caught as a non-finite value
-                report = getattr(reports, args.fn)(args)
+            report = getattr(reports, args.fn)(args)
             if isinstance(report, dict):
                 text = json_text(report)
             elif args.format == "csv":

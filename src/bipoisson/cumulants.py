@@ -11,8 +11,7 @@ import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
+# numpy is imported where it runs, so that a pair's grid commands never load it
 from .errors import (
     DEFAULT_CAP,
     LEFT,
@@ -72,6 +71,8 @@ class _WordTable:
     `transform_rows` reads and writes."""
 
     def __init__(self, alphabet: Alphabet, degree_cap: int, row):
+        import numpy as np
+
         _check_cap(degree_cap)
         self.alphabet = alphabet
         self.degree_cap = degree_cap
@@ -140,6 +141,8 @@ def _length_plan(n_left: int, size: int, n: int):
     r of reordered positions (run 0 is empty), and gaps[g, t] is the run of
     term t's g-th gap, 0 past its last.
     """
+    import numpy as np
+
     digits = np.arange(size**n)[:, None] // size ** np.arange(n - 1, -1, -1) % size
     right = digits >= n_left
     # reordered position of each letter: lefts ascending, then rights descending
@@ -165,6 +168,8 @@ def transform_rows(alphabet: Alphabet, degree_cap: int, rows, to_cumulants: bool
     """Cumulants from rows of moments (to_cumulants) or moments from rows of
     cumulants, each row over `all_words` order. Terms multiply left to right
     and add in order from 0.0, so each value is the per-word recursion's."""
+    import numpy as np
+
     _check_cap(degree_cap)
     size = len(alphabet.names)
     if degree_cap >= 1 and 2 ** (degree_cap - 1) * size**degree_cap > PLAN_BUDGET:

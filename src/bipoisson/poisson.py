@@ -5,7 +5,7 @@ distribution whose every bi-free cumulant is lambda times the matching
 joint moment of the jump family. A law is its cumulant table, with moments
 on demand: convolution adds cumulant tables; semigroups scale them. A jump
 family given as a finitely supported joint law of commuting variables is a
-`JumpLaw`.
+`JumpLaw`. The limit harnesses run on a pair's count grids (`grid.py`).
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapExceededError, ShapeMismatchError
-from .cumulants import (Alphabet, CumulantTable, MomentFunctional, Word,
-                        moments_from_kappa, transform_rows)
+from .cumulants import (Alphabet, CumulantTable, MomentFunctional, _check_cap,
+                        moments_from_kappa)
 
 PSD_TOLERANCE = 1e-9
 # Most atoms `JumpLaw.independent` lists: a product law this large builds
@@ -78,36 +77,45 @@ class JumpLaw:
         first: dict = {}
         return tuple(first.setdefault(col, len(first)) for col in zip(*self.atoms))
 
-    def moments(self, cap: int) -> MomentFunctional:
-        """Joint moments to degree cap: a word's moment is the sum over atoms
-        of the weight times each variable's coordinate to the power of its
-        letter count in the word."""
-        var = dict(zip(self.alphabet.names, self.variables))
+    def grid(self, cap: int) -> dict:
+        """{one letter count per name: moment} to total cap, classes by first word in
+        `all_words`; a moment sums weight * prod(coordinate**count) over atoms."""
+        _check_cap(cap)
         columns = dict(zip(self.variables, zip(*self.atoms)))
-        weights = np.array(self.weights)
 
         @functools.cache
-        def power(v: int, count: int) -> np.ndarray:
+        def power(v: int, count: int) -> list:
             try:  # Python's power, which raises on overflow
-                return np.fromiter((a**count for a in columns[v]), float, len(weights))
+                return [a**count for a in columns[v]]
             except OverflowError:
                 raise ValueError(f"a jump moment overflows at power {count}") from None
 
         @functools.cache
         def moment(counts: tuple) -> float:
-            # adds left to right from 0.0, as Python's sum; np.sum is pairwise
-            return 0.0 + np.cumsum(weights * math.prod(power(*vc) for vc in counts))[-1]
+            # terms add left to right from 0.0 (Python 3.12's `sum` compensates)
+            products = functools.reduce(lambda p, vc: map(operator.mul, p, power(*vc)),
+                                        counts[1:], power(*counts[0]))
+            return functools.reduce(operator.add, map(operator.mul, self.weights, products), 0.0)
 
-        return MomentFunctional.from_function(self.alphabet, cap, lambda w: moment(
-            tuple(sorted(collections.Counter(var[x] for x in w).items()))))
+        return {counts: moment(tuple(sorted(collections.Counter(
+                    v for v, c in zip(self.variables, counts) for _ in range(c)).items())))
+                for total in range(1, cap + 1)
+                for counts in itertools.product(range(total, -1, -1), repeat=len(self.variables))
+                if sum(counts) == total}
+
+    def moments(self, cap: int) -> MomentFunctional:
+        """Joint moments to degree cap: each word's is its class's in `grid`."""
+        grid, names = self.grid(cap), self.alphabet.names
+        return MomentFunctional.from_function(
+            self.alphabet, cap, lambda w: grid[tuple(map(w.count, names))])
 
 
 @dataclass(frozen=True)
 class CbpSpec:
-    """Rate and jump law of a compound bi-free Poisson law; owns the rate check."""
+    """Rate and jump law (moment table or grid) of a CBP law; owns the rate check."""
 
     rate: float
-    jump_law: MomentFunctional
+    jump_law: MomentFunctional | dict
 
     def __post_init__(self):
         if not math.isfinite(self.rate) or self.rate <= 0:
@@ -146,54 +154,45 @@ def compress(kappa: CumulantTable, lam: float) -> CumulantTable:
                                        lambda w: lam ** (len(w) - 1) * kappa(w))
 
 
-def limit_theorem_moments(spec: CbpSpec, sizes) -> list[MomentFunctional]:
-    """Moments of the N-fold bi-free sum of the scaled summand whose moments
-    are (lambda/N) * jump_law, for each N in sizes; they converge to
-    cbp_moments(spec)."""
+def limit_theorem_moments(spec: CbpSpec, sizes) -> list[dict]:
+    """Moment grids of the N-fold bi-free sum of the summand with moment grid
+    (lambda/N) * jump, for each N in sizes; they converge to lambda * jump's."""
+    from .grid import transform_grids
+
     for N in sizes:
         if N < spec.rate:
             raise ValueError(f"N={N} below rate {spec.rate}")
-    a, cap = spec.jump_law.alphabet, spec.jump_law.degree_cap
-    phi = [spec.rate / N * spec.jump_law.row for N in sizes]
-    kappa = [semigroup_element(CumulantTable(a, cap, row), N).row
-             for N, row in zip(sizes, transform_rows(a, cap, phi, True))]
-    return [MomentFunctional(a, cap, row) for row in transform_rows(a, cap, kappa, False)]
+    phi = [{c: spec.rate / N * x for c, x in spec.jump_law.items()} for N in sizes]
+    kappa = [{c: N * x for c, x in grid.items()}
+             for N, grid in zip(sizes, transform_grids(phi, True))]
+    return transform_grids(kappa, False)
 
 
-def poisson_approximation(kappa: CumulantTable, sizes) -> list[CumulantTable]:
-    """P(n, nu_{1/n}) for each n in sizes: rate n and jump law nu_{1/n}, for
-    the nu with cumulants kappa; its cumulants converge to kappa as n grows."""
+def poisson_approximation(kappa: dict, sizes) -> list[dict]:
+    """Cumulant grids of P(n, nu_{1/n}) for each n in sizes, for the nu with
+    cumulant grid kappa: rate n and jump law nu_{1/n}; they converge to kappa."""
+    from .grid import transform_grids
+
     for n in sizes:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-    a, cap = kappa.alphabet, kappa.degree_cap
-    nu = [semigroup_element(kappa, 1.0 / n).row for n in sizes]
-    return [cbp_cumulants(CbpSpec(n, MomentFunctional(a, cap, row)))
-            for n, row in zip(sizes, transform_rows(a, cap, nu, False))]
-
-
-def gram_basis(alphabet: Alphabet, deg: int) -> list[Word]:
-    """Words of length <= deg including the empty word, by (length, lex)."""
-    out: list[Word] = [()]
-    for n in range(1, deg + 1):
-        out.extend(sorted(itertools.product(alphabet.names, repeat=n)))
-    return out
+    nu = [{c: 1.0 / n * x for c, x in kappa.items()} for n in sizes]
+    return [{c: n * x for c, x in grid.items()}
+            for n, grid in zip(sizes, transform_grids(nu, False))]
 
 
 def psd_check(phi: MomentFunctional, deg: int) -> tuple[bool, float]:
-    """Min eigenvalue of the Gram matrix M[w1, w2] = phi(reverse(w1) w2).
+    """Min eigenvalue of the Gram matrix M[w1, w2] = phi(reverse(w1) w2):
+    letters are self-adjoint, so the involution just reverses words."""
+    import numpy as np
 
-    Letters are self-adjoint, so the involution just reverses words.
-    """
     if deg < 0:
         raise ValueError(f"degree {deg} must be >= 0")
     if 2 * deg > phi.degree_cap:
-        raise CapExceededError(
-            f"need moments to degree {2 * deg}, cap is {phi.degree_cap}"
-        )
-    basis = gram_basis(phi.alphabet, deg)
-    m = len(basis)
-    gram = np.empty((m, m))
+        raise CapExceededError(f"need moments to degree {2 * deg}, cap is {phi.degree_cap}")
+    basis = [()] + [w for n in range(1, deg + 1)  # by (length, lex)
+                    for w in sorted(itertools.product(phi.alphabet.names, repeat=n))]
+    gram = np.empty((len(basis), len(basis)))
     for i, w1 in enumerate(basis):
         for j, w2 in enumerate(basis):
             gram[i, j] = phi(tuple(reversed(w1)) + w2)

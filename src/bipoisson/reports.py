@@ -3,9 +3,11 @@ commands that compute in floating point (`cumulants`, `moments`, `cbp`,
 `simulate`, `fock`). Each returns its report as data, a JSON object or a
 (header, rows) table, for `cli.main` to render; it imports nothing from `cli`.
 
-`cli.main` imports this module only to run one of these commands, and
-before numpy, so the partition commands never compile it. The numerical
-modules, numpy and json are imported where they are used.
+`cli.main` imports this module only to run one of these commands, so the
+partition commands never compile it. The numerical modules, numpy and json
+are imported where they are used: `cbp limit`/`approx` run on a pair's
+count grid and load no numpy, and every other command runs numpy with its
+warnings off (`_numpy_command`).
 """
 
 from __future__ import annotations
@@ -151,20 +153,19 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 def emit_convergence_series(words: list[str], points) -> tuple[list[str], list[list]]:
     """The long-format (N, word, value, reference, abs_err) table (header,
     rows) of points (N, value row, reference row), each row over `words`,
-    plus the least-squares slope of log max |error| on log N; slope blank
-    with a flag unless two sizes differ in log N and each size's maximum
-    error is positive."""
-    import numpy as np
-
-    errs = [np.abs(np.subtract(value, ref)) for _, value, ref in points]
-    max_errs = [err.max() for err in errs]
-    # in closed form, as np.polyfit's LAPACK solve adds its workspace to the peak
-    x = np.log(np.array([n for n, _, _ in points], float))
-    x -= x.mean()
-    sxx = (x * x).sum()
+    plus the least-squares slope of log max |error| on log N, in closed
+    form; slope blank with a flag unless two sizes differ in log N and each
+    size's maximum error is positive."""
+    errs = [[abs(v - r) for v, r in zip(value, ref)] for _, value, ref in points]
+    max_errs = [max(err) for err in errs]
+    x = [math.log(n) for n, _, _ in points]
+    x_mean = sum(x) / len(x)
+    x = [xi - x_mean for xi in x]
+    sxx = sum(xi * xi for xi in x)
     if sxx > 0 and min(max_errs) > 0:
-        y = np.log(max_errs)
-        slope = float((x * (y - y.mean())).sum() / sxx)
+        y = [math.log(e) for e in max_errs]
+        y_mean = sum(y) / len(y)
+        slope = sum(xi * (yi - y_mean) for xi, yi in zip(x, y)) / sxx
         slope_str, flag = _fmt(slope), ""
     else:
         slope_str, flag = "", "slope_omitted"
@@ -183,6 +184,19 @@ def _word_str(word) -> str:
 # ------------------------------------------------------------- subcommands
 
 
+def _numpy_command(command):
+    """`command` with numpy's floating-point warnings off: an overflow shows
+    as a non-finite value, which the tables and `_fmt` reject by name."""
+    def run(args):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return command(args)
+
+    return run
+
+
+@_numpy_command
 def cmd_cumulants_from_moments(args) -> dict:
     from .cumulants import MomentFunctional, kappa_from_moments
 
@@ -190,6 +204,7 @@ def cmd_cumulants_from_moments(args) -> dict:
     return table_to_json(kappa_from_moments(phi))
 
 
+@_numpy_command
 def cmd_moments_from_cumulants(args) -> dict:
     from .cumulants import CumulantTable, moments_from_kappa
 
@@ -204,6 +219,7 @@ def _truncate(table, cls, deg: int):
     return cls.from_function(table.alphabet, deg, table)
 
 
+@_numpy_command
 def cmd_cbp_build(args) -> dict:
     from .cumulants import MomentFunctional, moments_from_kappa
     from .poisson import CbpSpec, cbp_cumulants
@@ -223,10 +239,12 @@ def cmd_cbp_build(args) -> dict:
 def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
     """The law with rate --lambda whose jump is the law of the atom flags
     (`_jump_law`), against the moments of the N-fold bi-free sum (`limit`)
-    or the cumulants of P(n, nu_{1/n}) (`approx`) at each size."""
+    or the cumulants of P(n, nu_{1/n}) (`approx`) at each size. Every table
+    is a count grid (`grid.py`), expanded to word rows to be checked and
+    rendered."""
     from .cumulants import all_words
-    from .poisson import (CbpSpec, cbp_cumulants, cbp_moments, limit_theorem_moments,
-                          poisson_approximation)
+    from .grid import transform_grids
+    from .poisson import CbpSpec, limit_theorem_moments, poisson_approximation
 
     if args.deg < 1:
         raise CliError("VALIDATION", f"--deg must be >= 1, got {args.deg}")
@@ -235,18 +253,34 @@ def cmd_cbp_series(args) -> tuple[list[str], list[list]]:
         # the slope is a fit in log N, over sizes distinct as floats
         raise CliError("VALIDATION",
                        f"--sizes must not repeat a size as a float: {args.sizes}")
-    spec = CbpSpec(args.rate, _jump_law(args, "zl", "zr").moments(args.deg))
+    law = _jump_law(args, "zl", "zr")
+    jump = law.grid(args.deg)
+    words = list(all_words(law.alphabet, args.deg))
+    counts = [tuple(map(w.count, law.alphabet.names)) for w in words]
+
+    def row(grid) -> list[float]:
+        """The grid's values over `words`; the first non-finite one is named
+        by its word, as a word table names it."""
+        values = [grid[c] for c in counts]
+        for w, x in zip(words, values):
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite value for word {w!r}")
+        return values
+
+    row(jump)
+    spec = CbpSpec(args.rate, jump)
+    kappa = {c: spec.rate * x for c, x in jump.items()}
+    ref = row(kappa)  # the law's cumulants, checked in the order the tables are made
     if args.action == "limit":
-        ref = cbp_moments(spec)
+        ref = row(transform_grids([kappa], False)[0])
         approx = limit_theorem_moments(spec, sizes)
     else:
-        ref = cbp_cumulants(spec)
-        approx = poisson_approximation(ref, sizes)
-    points = [(n, table.row, ref.row) for n, table in zip(sizes, approx)]
-    words = [_word_str(w) for w in all_words(spec.jump_law.alphabet, args.deg)]
-    return emit_convergence_series(words, points)
+        approx = poisson_approximation(kappa, sizes)
+    points = [(n, row(grid), ref) for n, grid in zip(sizes, approx)]
+    return emit_convergence_series([_word_str(w) for w in words], points)
 
 
+@_numpy_command
 def cmd_cbp_psd(args) -> dict:
     from .cumulants import MomentFunctional
     from .poisson import CbpSpec, cbp_moments, psd_check
@@ -265,7 +299,7 @@ def _jump_law(args, left: str, right: str):
     from .poisson import JumpLaw
 
     law = parse_atoms(args.atoms)
-    right_law = parse_atoms(args.right_atoms) if args.right_atoms else law
+    right_law = law if args.right_atoms is None else parse_atoms(args.right_atoms)
     alphabet = Alphabet((left,), (right,))
     if not args.shared:
         return JumpLaw.independent(alphabet, (law, right_law))
@@ -275,6 +309,7 @@ def _jump_law(args, left: str, right: str):
     return JumpLaw(alphabet, tuple((a, a) for a in atoms), weights)
 
 
+@_numpy_command
 def cmd_simulate(args) -> tuple[list[str], list[list]]:
     import numpy as np
 
@@ -312,6 +347,7 @@ def cmd_simulate(args) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+@_numpy_command
 def cmd_fock_verify(args) -> tuple[list[str], list[list]]:
     import numpy as np
 

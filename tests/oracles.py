@@ -9,9 +9,10 @@ of the compression oracle), the brute-force compression oracle, the
 exact 1/N coefficients of the Poisson limit theorem and of the Poisson
 approximation, as sums over the two-block partitions of BNC(n, chi), the
 explicit bimodule operators that check the bi-matrix word evaluation, the
-direct Gaussian sampler of the matrix model that checks its law, and
-the Fock creation and W operators on the whole truncated space, built by
-enumerating words as tuples and multiplying scipy sparse matrices."""
+direct Gaussian sampler of the matrix model that checks its law, the
+Fock creation and W operators on the whole truncated space, built by
+enumerating words as tuples and multiplying scipy sparse matrices, and
+`count_grid`, which reads a two-name word table as its (m, n) count grid."""
 
 import itertools
 import math
@@ -37,6 +38,13 @@ from bipoisson.partitions import (
     enumerate_nc,
     mobius_nc_one,
 )
+
+def count_grid(table) -> dict:
+    """A two-name word table whose values depend on letter counts alone as
+    the grid {(left count, right count): value} that `grid.py` reads."""
+    left = table.alphabet.left[0]
+    return {(w.count(left), len(w) - w.count(left)): x for w, x in table.values.items()}
+
 
 # The library's NC(n), kept per n: the tests read it hundreds of times, and
 # `enumerate_nc` keeps nothing past its call

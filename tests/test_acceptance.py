@@ -42,6 +42,7 @@ from bipoisson import cli
 from oracles import (
     bimodule_residue,
     compression_oracle,
+    count_grid,
     limit_coefficient,
     model_letters,
     nc_partitions,
@@ -132,8 +133,8 @@ def test_criterion_3_limit_theorem_rate():
     words = list(all_words(target.alphabet, 4))
     sizes = [8, 16, 32, 64]
     errs = [
-        max(abs(approx(w) - target(w)) for w in words)
-        for approx in limit_theorem_moments(spec, sizes)
+        max(abs(approx[w.count("zl"), w.count("zr")] - target(w)) for w in words)
+        for approx in limit_theorem_moments(CbpSpec(1.0, count_grid(spec.jump_law)), sizes)
     ]
     slope = float(np.polyfit(np.log(sizes), np.log(errs), 1)[0])
     # The exact 1/N coefficient c_1 of both theorems: N * error - c_1 is
@@ -151,13 +152,14 @@ def test_criterion_3_limit_theorem_rate():
         spec = CbpSpec(1.0, jump)
         kappa = cbp_cumulants(spec)
         for tables, ref, coefficient in (
-            (limit_theorem_moments(spec, sizes), cbp_moments(spec),
+            (limit_theorem_moments(CbpSpec(1.0, law.grid(5)), sizes), cbp_moments(spec),
              lambda w: limit_coefficient(1.0, jump, w)),
-            (poisson_approximation(kappa, sizes), kappa,
+            (poisson_approximation(count_grid(kappa), sizes), kappa,
              lambda w: two_block_sum(kappa, w)),
         ):
             c1 = {w: coefficient(w) for w in all_words(a, 5)}
-            residual = [max(abs(n * (table(w) - ref(w)) - c) for w, c in c1.items())
+            residual = [max(abs(n * (table[w.count("zl"), w.count("zr")] - ref(w)) - c)
+                            for w, c in c1.items())
                         for n, table in zip(sizes, tables)]
             ratios += [r / r4 for r, r4 in zip(residual, residual[1:])]
     dt = time.time() - t0

@@ -32,8 +32,8 @@ from bipoisson.reports import (
 )
 from bipoisson.cumulants import Alphabet, CumulantTable, MomentFunctional, all_words
 from bipoisson.errors import ShapeMismatchError
-from bipoisson.partitions import ChiShape, mobius_nc_one
-from bipoisson import cumulants, partitions, poisson
+from bipoisson.partitions import ChiShape, catalan, mobius_nc_one
+from bipoisson import cumulants, grid, partitions, poisson
 from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw
 from oracles import nc_partitions
 
@@ -512,19 +512,20 @@ class TestCbp:
         slope = float(lines[1].split(",")[5])
         assert -1.15 <= slope <= -0.85
 
-    @pytest.mark.parametrize("args", [["cbp", "limit", "--deg", "7", "--sizes", "16,64"],
-                                      ["cbp", "approx"]], ids=["limit", "approx"])
-    def test_slope_runs_no_least_squares_solver(self, args, capsys, monkeypatch):
-        # np.polyfit holds its own binding of lstsq, so both names are patched
-        expected = run(args, capsys)
-        assert expected[0] == 0
-
-        def solver(*_, **__):
-            raise AssertionError("a least-squares solver ran")
-
-        monkeypatch.setattr(np, "polyfit", solver)
-        monkeypatch.setattr(np.linalg, "lstsq", solver)
-        assert run(args, capsys) == expected
+    def test_degree_12_limit_of_the_point_mass(self, capsys):
+        # every cumulant of the rate-1 point mass (1, 1) is 1, so every
+        # reference moment is Catalan(|w|); a count grid makes the top degree cheap
+        for sizes in ("16,32", "64,128"):
+            code, out, err = run(["cbp", "limit", "--deg", "12", "--sizes", sizes], capsys)
+            assert (code, err) == (0, "")
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 2 * (2**13 - 2)
+            assert [r for r in rows
+                    if float(r[3]) != catalan(len(r[1].split(".")))] == []
+            (slope,) = {r[5] for r in rows}
+        # the 1/N^2 term still bends the degree-12 error at N = 16 (slope
+        # -0.814 over 16, 32); from N = 64 on the 1/N term leads
+        assert -1.15 <= float(slope) <= -0.85
 
     @pytest.mark.parametrize("sizes, slope", [
         (f"{10**22},{2 * 10**22}", "0"),
@@ -559,49 +560,55 @@ class TestCbp:
                             "3:1", "--deg", "3", "--sizes", "8,16"], capsys)
         law = JumpLaw.independent(Alphabet(("zl",), ("zr",)),
                                   (((-2.0, 1.0), (0.5, 0.5)), ((3.0,), (1.0,))))
-        spec = poisson.CbpSpec(1.0, law.moments(3))
-        ref = poisson.cbp_moments(spec)
-        tables = poisson.limit_theorem_moments(spec, (8, 16))
-        expected = [[str(n), ".".join(w), f"{value:.17g}", f"{ref(w):.17g}"]
-                    for n, table in zip((8, 16), tables)
-                    for w, value in zip(all_words(law.alphabet, 3), table.row)]
+        ref = poisson.cbp_moments(poisson.CbpSpec(1.0, law.moments(3)))
+        tables = poisson.limit_theorem_moments(poisson.CbpSpec(1.0, law.grid(3)), (8, 16))
+        expected = [[str(n), ".".join(w), f"{table[w.count('zl'), w.count('zr')]:.17g}",
+                     f"{ref(w):.17g}"]
+                    for n, table in zip((8, 16), tables) for w in all_words(law.alphabet, 3)]
         assert code == 0
         assert [line.split(",")[:4] for line in out.splitlines()[1:]] == expected
 
     SIM = ["simulate", "bimatrix", "--lambda", "2.5", "--atoms", "1:0.5,2:0.5",
            "--shared", "--trials", "2", "--max-word", "3"]
 
-    @pytest.mark.parametrize("args, calls", [
-        (["cbp", "approx", "--sizes", "2,4"], 1),
-        (["cbp", "approx", "--sizes", "2,4,8,16"], 1),
-        (SIM + ["--sizes", "4"], 1),
-        (SIM + ["--sizes", "4,6,8"], 1),
+    @pytest.mark.parametrize("args, calls, grid_calls", [
+        (["cbp", "approx", "--sizes", "2,4"], 0, [False]),
+        (["cbp", "approx", "--sizes", "2,4,8,16"], 0, [False]),
+        (SIM + ["--sizes", "4"], 1, []),
+        (SIM + ["--sizes", "4,6,8"], 1, []),
         (["fock", "verify", "--lambda", "0.5", "--atoms", "0.7:1", "--N", "2",
-          "--max-m", "3"], 1),
-        (["cbp", "build", "--lambda", "2", "--jump", "JUMP"], 1),
-        # the reference moments, then one call each way for every size
-        (["cbp", "limit", "--deg", "3", "--sizes", "8,16,32"], 3),
+          "--max-m", "3"], 1, []),
+        (["cbp", "build", "--lambda", "2", "--jump", "JUMP"], 1, []),
+        # the reference moments, then one grid call each way for every size
+        (["cbp", "limit", "--deg", "3", "--sizes", "8,16,32"], 0, [False, True, False]),
     ], ids=["approx_2", "approx_4", "simulate_1", "simulate_3", "fock", "build",
             "limit"])
-    def test_transform_calls_per_command(self, args, calls, tmp_path, monkeypatch,
-                                         capsys):
-        # one transform call serves every size of a command in each direction
+    def test_transform_calls_per_command(self, args, calls, grid_calls, tmp_path,
+                                         monkeypatch, capsys):
+        # one transform call serves every size of a command in each direction;
+        # a law built from a jump pair is transformed on its count grid, a
+        # table given word by word by `transform_rows`
         _, path = sample_table(tmp_path)
         args = [path if a == "JUMP" else a for a in args]
-        seen = []
-        transform = cumulants.transform_rows
+        seen, directions = [], []
+        transform, transform_grids = cumulants.transform_rows, grid.transform_grids
 
         def spy(*a, **k):
             seen.append(a)
             return transform(*a, **k)
+
+        def grid_spy(grids, to_cumulants):
+            directions.append(to_cumulants)
+            return transform_grids(grids, to_cumulants)
 
         src = Path(bipoisson.__file__).resolve().parent
         for name in sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__"):
             module = importlib.import_module(f"bipoisson.{name}")
             if getattr(module, "transform_rows", None) is transform:
                 monkeypatch.setattr(module, "transform_rows", spy)
+        monkeypatch.setattr(grid, "transform_grids", grid_spy)
         code, _, _ = run(args, capsys)
-        assert (code, len(seen)) == (0, calls)
+        assert (code, len(seen), directions) == (0, calls, grid_calls)
 
     def test_psd(self, tmp_path, capsys):
         a = Alphabet(("zl",), ("zr",))
@@ -693,6 +700,9 @@ class TestNumericValidation:
             (SIM + ["--trials", "1"], "trials"),
             (SIM + ["--right-atoms", "2:1"], "--shared"),
             (FOCK + ["--right-atoms", "2:1", "--shared"], "--shared"),
+            (["cbp", "limit", "--right-atoms", ""], "bad atom law ''"),
+            (SIM[:6] + ["--right-atoms", ""], "bad atom law ''"),
+            (FOCK + ["--right-atoms", ""], "bad atom law ''"),
             (["cbp", "limit", "--deg", "13"], "degree cap 13"),
             (FOCK[:-1] + ["13", "--depth", "3"], "degree cap 13"),
             (SIM + ["--lambda", "inf"], "rate must be finite"),
@@ -748,7 +758,9 @@ class TestNumericValidation:
         ],
         ids=["limit_deg", "approx_deg", "max_word", "zero_size",
              "negative_size", "one_trial", "simulate_shared_laws",
-             "fock_shared_laws", "limit_deg_past_cap", "fock_max_m_past_cap",
+             "fock_shared_laws", "limit_empty_right_atoms",
+             "simulate_empty_right_atoms", "fock_empty_right_atoms",
+             "limit_deg_past_cap", "fock_max_m_past_cap",
              "infinite_rate", "nan_rate", "empty_model", "repeated_size",
              "simulate_nan_atom", "fock_nan_atom", "fock_nan_rate",
              "fock_zero_rate", "fock_negative_rate", "limit_nan_rate",
@@ -1000,12 +1012,25 @@ class TestStartup:
     @pytest.mark.parametrize("args", NUMERIC_COMMANDS)
     def test_numeric_commands_load_reports_before_numpy(self, args):
         # sys.modules keeps import order: compiling `reports` comes before
-        # numpy's import, so its memory does not add to numpy's peak
+        # numpy's import, so its memory does not add to numpy's peak; the
+        # cbp series run on count grids and load no numpy
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
         order = ast.literal_eval(self.last_line(
             code + "; print([m for m in sys.modules if m in "
                    "('bipoisson.reports', 'numpy')])"))
-        assert order == ["bipoisson.reports", "numpy"]
+        assert order == ["bipoisson.reports"] + ["numpy"] * (args[0] != "cbp")
+
+    @pytest.mark.parametrize("args", [["cbp", "limit", "--deg", "7", "--sizes", "16,64"],
+                                      ["cbp", "approx"]], ids=["limit", "approx"])
+    def test_cbp_series_run_without_numpy(self, args, capsys):
+        # with numpy's import blocked, the output is the in-process run's
+        # byte for byte: no numpy (and no LAPACK solver) serves these commands
+        code = ("import sys; sys.modules['numpy'] = None; import bipoisson.cli; "
+                f"sys.exit(bipoisson.cli.main({args!r}))")
+        src = Path(bipoisson.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (out.returncode, out.stdout, out.stderr) == run(args, capsys)
 
     @pytest.mark.parametrize("args, message", [
         (["cbp", "limit", "--deg", "0"], "ERROR VALIDATION: --deg must be >= 1, got 0"),
@@ -1196,6 +1221,8 @@ class TestPublicNames:
         "enumerate_nc": "wrapped by perfbench/tracer.py",
         "convolve": "acceptance criterion 4 gates it (ROADMAP Watch)",
         "compress": "acceptance criterion 4 gates it (ROADMAP Watch)",
+        "semigroup_element": "acceptance criterion 4 gates it; the limit harnesses "
+                             "scale count grids, not tables (ROADMAP item 4)",
     }
 
     def test_every_public_name_is_read_in_src(self):
@@ -1304,11 +1331,12 @@ class TestImportGraph:
         "errors": set(),
         "partitions": {"errors"},
         "cumulants": {"errors"},
-        "poisson": {"cumulants", "errors"},
+        "poisson": {"cumulants", "errors", "grid"},
+        "grid": set(),
         "fock": {"cumulants", "errors"},
         "matrix_models": {"cumulants", "errors", "poisson"},
         "cli": {"errors", "partitions", "reports"},
-        "reports": {"cumulants", "errors", "fock", "matrix_models", "poisson"},
+        "reports": {"cumulants", "errors", "fock", "grid", "matrix_models", "poisson"},
     }
 
     @staticmethod
