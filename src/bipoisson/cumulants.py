@@ -8,7 +8,7 @@ dense up to a degree cap: a missing entry is an error, never a silent zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 # numpy is imported where it runs, so that a pair's grid commands never load it
@@ -27,17 +27,16 @@ Word = tuple[str, ...]
 PLAN_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(namedtuple("Alphabet", "left right")):
     """Ordered left and right variable names; names unique across sides."""
 
-    left: tuple[str, ...]
-    right: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = self.left + self.right
+    def __new__(cls, left: tuple[str, ...], right: tuple[str, ...] = ()):
+        names = left + right
         if len(set(names)) != len(names):
             raise ShapeMismatchError(f"duplicate variable names in {names}")
+        return super().__new__(cls, left, right)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -48,13 +48,18 @@ def _reciprocal(f) -> list[float]:
 
 
 def _free_moments(kappa) -> list[float]:
-    """M_a from the free cumulants kappa[1:]: each pass of the free relation
-    fixes one more coefficient."""
-    m = [1.0] + [0.0] * (len(kappa) - 1)
-    for _ in kappa[1:]:
-        z = _powers([0.0] + m[:-1])  # (u M_a(u))^s
-        m = [1.0] + [sum(kappa[s] * z[s][n] for s in range(1, n + 1))
-                     for n in range(1, len(m))]
+    """M_a from the free cumulants kappa[1:]: M_n = sum_{s<=n} kappa_s z_s[n]
+    with z_s = (u M_a(u))^s, whose column n reads M_a below n only, so each
+    column is built once. Each entry adds the products that the last pass of
+    the fixed-point iteration (`tests/oracles.py`) adds, in its order."""
+    cap = len(kappa) - 1
+    m, f = [1.0] + [0.0] * cap, [0.0] * (cap + 1)  # f = u M_a(u)
+    z = [[1.0] + [0.0] * cap] + [[0.0] * (cap + 1) for _ in range(cap)]
+    for n in range(1, cap + 1):
+        f[n] = m[n - 1]
+        for s in range(1, cap + 1):
+            z[s][n] = sum(z[s - 1][i] * f[n - i] for i in range(n + 1))
+        m[n] = sum(kappa[s] * z[s][n] for s in range(1, n + 1))
     return m
 
 

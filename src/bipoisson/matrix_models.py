@@ -34,7 +34,7 @@ trace is taken from the products of its two halves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -51,45 +51,40 @@ GAUSSIAN_ENTRY_BUDGET = 4_000_000
 TRIAL_VALUE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class EnsembleSpec:
     """Configuration of a seeded random-matrix experiment."""
 
-    rate: float
-    jump: JumpLaw
-    sizes: tuple[int, ...]
-    trials: int
-    seed: int
-    max_word_len: int
-
-    def __post_init__(self):
+    def __init__(self, rate: float, jump: JumpLaw, sizes: tuple[int, ...], trials: int,
+                 seed: int, max_word_len: int):
+        self.rate, self.jump, self.sizes = rate, jump, sizes
+        self.trials, self.seed, self.max_word_len = trials, seed, max_word_len
         self.law  # checks the rate
-        if any(a >= b for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError(f"sizes must be strictly ascending: {self.sizes}")
-        if min(self.sizes, default=0) < 1:
-            raise ValueError(f"sizes must be nonempty and >= 1: {self.sizes}")
-        if self.max_word_len < 1:
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"sizes must be strictly ascending: {sizes}")
+        if min(sizes, default=0) < 1:
+            raise ValueError(f"sizes must be nonempty and >= 1: {sizes}")
+        if max_word_len < 1:
             raise ValueError("max_word_len must be >= 1")
-        if self.trials < 2:
+        if trials < 2:
             raise ValueError("trials must be >= 2 for standard errors")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.rate * self.sizes[0] < 0.5:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if rate * sizes[0] < 0.5:
             raise ValueError(
                 f"rate * n must be >= 1/2 so that p = round(rate * n) >= 1, "
-                f"got rate {self.rate} at n = {self.sizes[0]}"
+                f"got rate {rate} at n = {sizes[0]}"
             )
-        n = self.sizes[-1]
-        half_up = self.rate * n + 0.5  # inf where rate * n overflows
+        n = sizes[-1]
+        half_up = rate * n + 0.5  # inf where rate * n overflows
         if not math.isfinite(half_up) or math.floor(half_up) * n > GAUSSIAN_ENTRY_BUDGET:
             raise CapExceededError(
                 f"Gaussian factor of round(rate * n) x n entries at n = {n} "
                 f"exceeds budget {GAUSSIAN_ENTRY_BUDGET}"
             )
-        values = self.trials * (len(self.law.jump_law.row) + 1)
+        values = trials * (len(self.law.jump_law.row) + 1)
         if values > TRIAL_VALUE_BUDGET:
             raise CapExceededError(
-                f"{self.trials} trials keep {values} values, past the trial "
+                f"{trials} trials keep {values} values, past the trial "
                 f"budget {TRIAL_VALUE_BUDGET}"
             )
 
@@ -225,18 +220,13 @@ def evaluate_bimatrix_word(letters) -> complex:
     return complex(key_values(mats, [key])[0])
 
 
-@dataclass
-class SizeReport:
+class SizeReport(namedtuple("SizeReport", "n moments moment_se cumulants max_imag_residue")):
     """One size's estimates, each a row in `all_words` order: the mean
     moments over trials, their standard errors, and the empirical cumulants
     inverted from the mean; with the largest imaginary part of a word value
     over the trials."""
 
-    n: int
-    moments: np.ndarray
-    moment_se: np.ndarray
-    cumulants: np.ndarray
-    max_imag_residue: float
+    __slots__ = ()
 
 
 def estimate_empirical_cumulants(spec: EnsembleSpec) -> list[SizeReport]:

@@ -15,7 +15,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ShapeMismatchError
 from .cumulants import (Alphabet, CumulantTable, MomentFunctional, _check_cap,
@@ -27,7 +26,6 @@ PSD_TOLERANCE = 1e-9
 JOINT_ATOM_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
 class JumpLaw:
     """A finitely supported joint law of commuting jump variables.
 
@@ -37,22 +35,20 @@ class JumpLaw:
     {(x, x)}); a word's moment depends only on its letter counts.
     """
 
-    alphabet: Alphabet
-    atoms: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        names = self.alphabet.names
-        if (not self.atoms or len(self.atoms) != len(self.weights)
-                or any(len(atom) != len(names) for atom in self.atoms)):
+    def __init__(self, alphabet: Alphabet, atoms: tuple[tuple[float, ...], ...],
+                 weights: tuple[float, ...]):
+        names = alphabet.names
+        if (not atoms or len(atoms) != len(weights)
+                or any(len(atom) != len(names) for atom in atoms)):
             raise ShapeMismatchError(f"need as many atoms as weights, at least "
                                      f"one, each with one coordinate per name in {names}")
-        if not all(map(math.isfinite, itertools.chain(self.weights, *self.atoms))):
+        if not all(map(math.isfinite, itertools.chain(weights, *atoms))):
             raise ValueError("atoms and weights must be finite")
-        total, least = math.fsum(self.weights), min(self.weights)
+        total, least = math.fsum(weights), min(weights)
         if abs(total - 1.0) > 1e-12 or least < 0:
             raise ValueError(f"weights must be a probability vector, got sum "
                              f"{total!r} and min {least!r}")
+        self.alphabet, self.atoms, self.weights = alphabet, atoms, weights
 
     @classmethod
     def independent(cls, alphabet: Alphabet, marginals) -> "JumpLaw":
@@ -110,16 +106,13 @@ class JumpLaw:
             self.alphabet, cap, lambda w: grid[tuple(map(w.count, names))])
 
 
-@dataclass(frozen=True)
 class CbpSpec:
     """Rate and jump law (moment table or grid) of a CBP law; owns the rate check."""
 
-    rate: float
-    jump_law: MomentFunctional | dict
-
-    def __post_init__(self):
-        if not math.isfinite(self.rate) or self.rate <= 0:
-            raise ValueError(f"rate must be finite and positive, got {self.rate}")
+    def __init__(self, rate: float, jump_law: MomentFunctional | dict):
+        if not math.isfinite(rate) or rate <= 0:
+            raise ValueError(f"rate must be finite and positive, got {rate}")
+        self.rate, self.jump_law = rate, jump_law
 
 
 def cbp_cumulants(spec: CbpSpec) -> CumulantTable:

@@ -149,20 +149,29 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 
 # ------------------------------------------------------- convergence series
 
+# Rounding noise in a size's largest error is a few epsilons times the
+# largest |value| of its reference row. Over sizes 10^k and 2 * 10^k, the
+# `cbp limit`/`approx` slope of a 1/N error stays within 1.1% of -1 while
+# every error is past 100 such epsilons, and drifts by 3% below that
+ROUNDING_LEVEL = 100
+
 
 def emit_convergence_series(words: list[str], points) -> tuple[list[str], list[list]]:
     """The long-format (N, word, value, reference, abs_err) table (header,
     rows) of points (N, value row, reference row), each row over `words`,
     plus the least-squares slope of log max |error| on log N, in closed
     form; slope blank with a flag unless two sizes differ in log N and each
-    size's maximum error is positive."""
+    size's maximum error clears the rounding level of its reference row,
+    ROUNDING_LEVEL * epsilon * max |reference|."""
     errs = [[abs(v - r) for v, r in zip(value, ref)] for _, value, ref in points]
     max_errs = [max(err) for err in errs]
+    noise = [ROUNDING_LEVEL * sys.float_info.epsilon * max(map(abs, ref))
+             for _, _, ref in points]
     x = [math.log(n) for n, _, _ in points]
     x_mean = sum(x) / len(x)
     x = [xi - x_mean for xi in x]
     sxx = sum(xi * xi for xi in x)
-    if sxx > 0 and min(max_errs) > 0:
+    if sxx > 0 and all(e > level for e, level in zip(max_errs, noise)):
         y = [math.log(e) for e in max_errs]
         y_mean = sum(y) / len(y)
         slope = sum(xi * (yi - y_mean) for xi, yi in zip(x, y)) / sxx

@@ -11,8 +11,10 @@ approximation, as sums over the two-block partitions of BNC(n, chi), the
 explicit bimodule operators that check the bi-matrix word evaluation, the
 direct Gaussian sampler of the matrix model that checks its law, the
 Fock creation and W operators on the whole truncated space, built by
-enumerating words as tuples and multiplying scipy sparse matrices, and
-`count_grid`, which reads a two-name word table as its (m, n) count grid."""
+enumerating words as tuples and multiplying scipy sparse matrices, the
+fixed-point iteration of the free relation that `grid._free_moments`
+must match bit for bit, and `count_grid`, which reads a two-name word
+table as its (m, n) count grid."""
 
 import itertools
 import math
@@ -38,6 +40,29 @@ from bipoisson.partitions import (
     enumerate_nc,
     mobius_nc_one,
 )
+
+
+def _powers(f) -> list:
+    """[f^0, f^1, ..., f^cap] for a truncated series of cap + 1 coefficients."""
+    out = [[1.0] + [0.0] * (len(f) - 1)]
+    for _ in f[1:]:
+        out.append([sum(out[-1][i] * f[n - i] for i in range(n + 1))
+                    for n in range(len(f))])
+    return out
+
+
+def free_moments_fixed_point(kappa) -> list:
+    """M_a from the free cumulants kappa[1:] by iterating the free relation
+    M_a(u) = 1 + sum_s kappa_s (u M_a(u))^s on truncated series from M_a = 1:
+    each pass fixes one more coefficient, and the last pass's sums are the
+    ones `grid._free_moments` adds column by column."""
+    m = [1.0] + [0.0] * (len(kappa) - 1)
+    for _ in kappa[1:]:
+        z = _powers([0.0] + m[:-1])  # (u M_a(u))^s
+        m = [1.0] + [sum(kappa[s] * z[s][n] for s in range(1, n + 1))
+                     for n in range(1, len(m))]
+    return m
+
 
 def count_grid(table) -> dict:
     """A two-name word table whose values depend on letter counts alone as

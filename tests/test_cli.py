@@ -25,6 +25,7 @@ import bipoisson
 from bipoisson import cli
 from bipoisson.cli import JSON_BATCH, CliError, json_text, main, partition_stream
 from bipoisson.reports import (
+    ROUNDING_LEVEL,
     emit_convergence_series,
     parse_atoms,
     table_from_json,
@@ -528,10 +529,17 @@ class TestCbp:
         assert -1.15 <= float(slope) <= -0.85
 
     @pytest.mark.parametrize("sizes, slope", [
-        (f"{10**22},{2 * 10**22}", "0"),
+        # past int64 n T(nu/n) has cancelled to rounding noise: no slope
+        (f"{10**22},{2 * 10**22}", ""),
         # distinct floats whose logarithms are one float: no slope to fit
         (f"{10**17},{10**17 + 16}", ""),
-    ], ids=["past_int64", "equal_logs"])
+        # the largest errors within ROUNDING_LEVEL epsilons of the reference
+        # read slopes -1.22 and -0.979 when fitted
+        (f"{10**16},{2 * 10**16}", ""),
+        (f"{10**15},{2 * 10**15}", ""),
+        # past it the 1/N error is fitted
+        (f"{10**14},{2 * 10**14}", "-1"),
+    ], ids=["past_int64", "equal_logs", "rounding_1e16", "rounding_1e15", "cleared_1e14"])
     def test_large_sizes_fit_their_slope(self, capsys, sizes, slope):
         code, out, err = run(["cbp", "approx", "--lambda", "2", "--atoms", "1.5:1",
                               "--right-atoms", "0.5:1", "--deg", "4", "--sizes", sizes],
@@ -1155,10 +1163,11 @@ class TestStartup:
         assert self.modules_after(code, "bipoisson") == str(
             ["bipoisson", "bipoisson.cli", "bipoisson.errors", "bipoisson.partitions"])
 
-    @pytest.mark.parametrize("args", PARTITION_COMMANDS)
+    @pytest.mark.parametrize("args", PARTITION_COMMANDS + [
+        ["cbp", "limit", "--deg", "7", "--sizes", "16,64"], ["cbp", "approx"]])
     def test_partition_commands_leave_dataclasses_unloaded(self, args):
-        # `dataclasses` imports `inspect`: ~15 ms of start-up that the
-        # partition commands do not need
+        # `dataclasses` imports `inspect`: ~12 ms of start-up that neither the
+        # partition commands nor the cbp series need; no module imports it
         code = f"import sys, bipoisson.cli; assert bipoisson.cli.main({args!r}) == 0"
         assert self.last_line(
             code + "; print([m for m in ('inspect', 'dataclasses') if m in sys.modules])"
@@ -1353,6 +1362,16 @@ class TestImportGraph:
                  for name, tree in self.trees().items()}
         assert edges == self.EDGES
 
+    def test_no_module_imports_dataclasses(self):
+        # records are named tuples or plain classes, so no command loads
+        # `dataclasses` or the `inspect` it imports (`TestStartup`)
+        roots = {name: {(alias.name if isinstance(node, ast.Import) else node.module or "")
+                        .split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        for alias in node.names}
+                 for name, tree in self.trees().items()}
+        assert [name for name, r in roots.items() if r & {"dataclasses", "inspect"}] == []
+
     def test_row_layout_is_read_in_cumulants_and_fock_only(self):
         readers = [name for name, tree in self.trees().items()
                    if "word_offset" in loaded_names(tree) | {
@@ -1429,6 +1448,21 @@ class TestHelpers:
         expected = np.polyfit(x, y, 1)[0]
         assert float(rows[0][5]) == pytest.approx(expected, rel=1e-12,
                                                   abs=1e-12 * scale)
+
+    def test_slope_fits_sizes_past_int64(self):
+        points = [(n, [1e10 / n], [0.0]) for n in (10**22, 2 * 10**22, 10**30)]
+        _, rows = emit_convergence_series(["w"], points)
+        assert float(rows[0][5]) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_slope_needs_errors_past_the_rounding_level(self):
+        # 1 + k * eps is a float, so an error of k epsilons is exact; the
+        # reference -4.0 sets the level at ROUNDING_LEVEL * 4 epsilons
+        eps, level = sys.float_info.epsilon, 4 * ROUNDING_LEVEL
+        for k, flag in ((level, "slope_omitted"), (level + 1, "")):
+            points = [(8, [1.0 + 10 * level * eps, -4.0], [1.0, -4.0]),
+                      (16, [1.0 + k * eps, -4.0], [1.0, -4.0])]
+            _, rows = emit_convergence_series(["w", "v"], points)
+            assert {(r[5] == "", r[6]) for r in rows} == {(bool(flag), flag)}
 
     def test_single_point_omits_slope(self):
         points = [(4, [1.5], [1.0])]

@@ -4,6 +4,7 @@ reordering identity on commuting bipartite families, and the compiled plan
 against the per-word first-block recursion, bit for bit."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -26,6 +27,7 @@ from bipoisson.cumulants import (
 from bipoisson.errors import LEFT, RIGHT
 from bipoisson.partitions import catalan, mobius_nc_one
 from bipoisson.poisson import convolve, semigroup_element
+from bipoisson.reports import table_from_json, table_to_json
 from oracles import (
     bnc_cumulant,
     bnc_moment,
@@ -65,8 +67,22 @@ class TestAlphabet:
             a.side_of("w")
 
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"^duplicate variable names in \('x', 'x'\)$"):
             Alphabet(("x",), ("x",))
+
+    def test_value_semantics(self):
+        # a named tuple: equal names make equal, equally hashed alphabets
+        a = Alphabet(("x",), ("u",))
+        assert a == Alphabet(("x",), ("u",))
+        assert hash(a) == hash(Alphabet(("x",), ("u",)))
+        assert a != Alphabet(("x", "u")) and a.names == ("x", "u")
+        assert (Alphabet(("x",)).left, Alphabet(("x",)).right) == (("x",), ())
+
+    def test_json_round_trip_keeps_the_alphabet(self):
+        phi = MomentFunctional.from_function(Alphabet(("x", "y"), ("u",)), 2, lambda w: 1.0)
+        back = table_from_json(json.loads(json.dumps(table_to_json(phi))), MomentFunctional)
+        assert back.alphabet == phi.alphabet
+        assert {back.alphabet: "found"}[phi.alphabet] == "found"
 
     def test_word_count(self):
         a = Alphabet(("x",), ("u",))

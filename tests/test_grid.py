@@ -1,13 +1,16 @@
 """The count-grid transform (`grid.transform_grids`) against the word-level
 BNC recursion (`cumulants.transform_rows`), with which it shares no code,
-and the count-class invariance that lets a pair's law live on its grid."""
+the count-class invariance that lets a pair's law live on its grid, and
+the face moments against the fixed point of the free relation, bit for bit."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bipoisson.cumulants import Alphabet, all_words, transform_rows
+from bipoisson import grid
 from bipoisson.grid import transform_grids
 from bipoisson.poisson import JumpLaw
+from oracles import free_moments_fixed_point
 
 PAIR = Alphabet(("zl",), ("zr",))
 # (jump law, rate): the point mass (1, 1), a correlated law with weights 1/2,
@@ -84,3 +87,12 @@ def test_grid_sizes():
     kappa = cumulant_grid("signed", 10)
     assert len(kappa) == 65 and len(classes(10)) == 2046
     assert [len(g) for g in transform_grids([kappa, kappa], True)] == [65, 65]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_free_moments_are_the_fixed_point(cap, data):
+    # the same products added in the same order: equal bits, signed zeros too
+    kappa = [0.0] + data.draw(st.lists(st.floats(-8, 8), min_size=cap, max_size=cap))
+    assert ([x.hex() for x in grid._free_moments(kappa)]
+            == [x.hex() for x in free_moments_fixed_point(kappa)])

@@ -4,9 +4,11 @@ convergence checks (heavier configurations live in the acceptance tests)."""
 
 import collections
 import gc
+import importlib.util
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from bipoisson.matrix_models import (
     key_values,
 )
 from bipoisson.partitions import LEFT, RIGHT
-from bipoisson.poisson import JOINT_ATOM_BUDGET, JumpLaw, cbp_cumulants
+from bipoisson.poisson import JOINT_ATOM_BUDGET, CbpSpec, JumpLaw, cbp_cumulants
 from oracles import (
     bimodule_operators,
     bimodule_residue,
@@ -359,6 +361,60 @@ class TestModelLaw:
             trial_traces(direct_wishart_model, spec, n, 1500, 7, words)
         )
         assert (np.abs(got - ref) <= 4 * np.hypot(got_se, ref_se)).all(), (got, ref)
+
+
+class TestRecordChecks:
+    # each record's constructor rejects bad input by type and message
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: JumpLaw(PAIR, (), ()), ShapeMismatchError,
+         "need as many atoms as weights, at least one, each with one coordinate "
+         "per name in ('zl', 'zr')"),
+        (lambda: JumpLaw(PAIR, ((1.0,),), (1.0,)), ShapeMismatchError,
+         "need as many atoms as weights, at least one, each with one coordinate "
+         "per name in ('zl', 'zr')"),
+        (lambda: JumpLaw(PAIR, ((1.0, 1.0),), (math.nan,)), ValueError,
+         "atoms and weights must be finite"),
+        (lambda: JumpLaw(PAIR, ((1.0, math.inf),), (1.0,)), ValueError,
+         "atoms and weights must be finite"),
+        (lambda: JumpLaw(PAIR, ((1.0, 1.0), (2.0, 2.0)), (1.5, -0.5)), ValueError,
+         "weights must be a probability vector, got sum 1.0 and min -0.5"),
+        (lambda: CbpSpec(0.0, {}), ValueError, "rate must be finite and positive, got 0.0"),
+        (lambda: CbpSpec(-1.0, {}), ValueError, "rate must be finite and positive, got -1.0"),
+        (lambda: CbpSpec(math.inf, {}), ValueError,
+         "rate must be finite and positive, got inf"),
+        (lambda: two_sided_spec(math.nan), ValueError,
+         "rate must be finite and positive, got nan"),
+        (lambda: two_sided_spec(1.0, sizes=()), ValueError,
+         "sizes must be nonempty and >= 1: ()"),
+        (lambda: two_sided_spec(1.0, sizes=(0, 4)), ValueError,
+         "sizes must be nonempty and >= 1: (0, 4)"),
+        (lambda: two_sided_spec(1.0, max_word=0), ValueError, "max_word_len must be >= 1"),
+        (lambda: two_sided_spec(1.0, trials=1), ValueError,
+         "trials must be >= 2 for standard errors"),
+        (lambda: two_sided_spec(0.01), ValueError,
+         "rate * n must be >= 1/2 so that p = round(rate * n) >= 1, got rate 0.01 at n = 16"),
+        (lambda: two_sided_spec(1e308), CapExceededError,
+         "Gaussian factor of round(rate * n) x n entries at n = 16 exceeds budget 4000000"),
+    ], ids=["jump_no_atoms", "jump_short_atom", "jump_nan_weight", "jump_inf_atom",
+            "jump_negative_weight", "cbp_zero_rate", "cbp_negative_rate", "cbp_inf_rate",
+            "ensemble_nan_rate", "ensemble_no_sizes", "ensemble_zero_size",
+            "ensemble_max_word", "ensemble_one_trial", "ensemble_empty_model",
+            "ensemble_overflowing_rate"])
+    def test_message(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_tracer_reads_the_ensemble_spec(self):
+        # perfbench/tracer.py counts the simulated words and keys from the
+        # spec's alphabet, sizes and max_word_len: 14 words of length <= 3
+        # over (zl, zr), with 9 (zl^i, zr^j) keys, at each of two sizes
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(tracer)
+        spec = two_sided_spec(1.0, sizes=(8, 16), max_word=3)
+        assert tracer._estimate_counts({"spec": spec}, None) == {"words": 28, "keys": 18}
 
 
 class TestEnsembleSpec:
